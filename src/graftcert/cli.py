@@ -1,44 +1,45 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: train, attack, score, graft,
-finetune, verify, report, and the end-to-end pipeline.  A single JSON
-config document drives everything; flags override the seed, output
-directory, method, and determinism.  Exit codes: 0 success, 1 stage
-failure, 2 config error.
+Each subcommand runs exactly one pipeline stage (``graft`` is the select
+stage); ``pipeline`` runs them all.  A single JSON config document drives
+everything; flags override the seed, output directory, method, and
+determinism.  Exit codes: 0 success, 1 stage failure, 2 config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 
-import numpy as np
-
-from .data import load_dataset
 from .errors import DomainError, FormatError, GraftcertError, UsageError
-from .grafting import (
-    baseline_select,
-    default_gamma_schedule,
-    save_plan,
-    score_neurons,
-    select_neurons,
-)
-from .network import apply_graft, forward_batch, load_checkpoint, make_mlp, save_checkpoint
 from .pipeline import (
     ExperimentConfig,
-    evaluate_network,
-    report,
+    MetricsReport,
+    _out_dir,
+    attack_stage,
+    finetune_stage,
+    report_stage,
     run_pipeline,
-    _dump_json,
-    _subset,
+    score_stage,
+    select_stage,
+    train_stage,
+    verify_stage,
 )
-from .training import AttackConfig, finetune_grafted, train
-from .verifier import pgd_attack
 
 __all__ = ["main", "default_config"]
+
+# subcommand -> (what it runs, help text)
+_COMMANDS = {
+    "train": (train_stage, "adversarially train a classifier -> checkpoint.json"),
+    "attack": (attack_stage, "PGD-attack the evaluated network -> attack.json"),
+    "score": (score_stage, "instability and significance scores -> scores.json"),
+    "graft": (select_stage, "select the neurons to graft -> plan.json"),
+    "finetune": (finetune_stage, "graft the plan and fine-tune -> grafted.json"),
+    "verify": (verify_stage, "attack and completely verify -> verdicts.json"),
+    "report": (report_stage, "metrics files from saved verdicts"),
+    "pipeline": (lambda cfg, out: run_pipeline(cfg), "run every stage end to end"),
+}
 
 
 def default_config() -> dict:
@@ -76,210 +77,17 @@ def _load_config(args) -> ExperimentConfig:
             doc["train"]["seed"] = args.seed
     if args.out is not None:
         doc["out_dir"] = args.out
-    if getattr(args, "method", None):
+    if args.method:
         doc["method"] = args.method
-    if getattr(args, "fraction", None) is not None:
+    if args.fraction is not None:
         doc["graft_fraction"] = args.fraction
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         doc["checkpoint"] = args.checkpoint
     if args.deterministic is not None:
         doc["deterministic"] = args.deterministic
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         doc["workers"] = args.workers
     return ExperimentConfig.from_dict(doc)
-
-
-def _out_dir(cfg: ExperimentConfig) -> str:
-    out = cfg.out_dir or "run_out"
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _train_attack(cfg: ExperimentConfig) -> AttackConfig | None:
-    if cfg.eps_train <= 0:
-        return None
-    return AttackConfig(cfg.eps_train, steps=cfg.train_attack_steps, clip=cfg.clip)
-
-
-def cmd_train(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    train_ds = load_dataset(cfg.dataset["train"])
-    test_ds = load_dataset(cfg.dataset["test"])
-    net = make_mlp(cfg.architecture, seed=cfg.seed)
-    net = train(
-        net,
-        train_ds,
-        cfg.train,
-        adversarial=_train_attack(cfg),
-        log_path=os.path.join(out, "train_log.csv"),
-        holdout=_subset(test_ds, 256),
-    )
-    path = os.path.join(out, "checkpoint.json")
-    save_checkpoint(net, path)
-    print(f"checkpoint written to {path}")
-    return 0
-
-
-def cmd_attack(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    net = load_checkpoint(cfg.checkpoint) if cfg.checkpoint else load_checkpoint(
-        os.path.join(out, "checkpoint.json")
-    )
-    test_ds = load_dataset(cfg.dataset["test"])
-    k = min(cfg.num_verify, len(test_ds))
-    atk = AttackConfig(
-        cfg.eps_verify, steps=cfg.attack_steps, restarts=cfg.attack_restarts, clip=cfg.clip
-    )
-    results = []
-    correct = robust = 0
-    for i in range(k):
-        x0, y = test_ds.features[i], int(test_ds.labels[i])
-        pred = int(np.argmax(forward_batch(net, x0[None, :])[0][0]))
-        sa = pred == y
-        adv = pgd_attack(net, x0, y, atk, seed=cfg.seed * 1_000_003 + i) if sa else x0
-        ra = sa and adv is None
-        correct += sa
-        robust += ra
-        results.append({"index": i, "sa": sa, "ra": ra})
-    doc = {
-        "sa": 100.0 * correct / k,
-        "ra": 100.0 * robust / k,
-        "eps": cfg.eps_verify,
-        "num_examples": k,
-        "per_example": results,
-    }
-    _dump_json(doc, os.path.join(out, "attack.json"))
-    print(f"SA {doc['sa']:.2f}%  RA {doc['ra']:.2f}%  ({k} examples)")
-    return 0
-
-
-def cmd_score(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    net = load_checkpoint(cfg.checkpoint or os.path.join(out, "checkpoint.json"))
-    train_ds = load_dataset(cfg.dataset["train"])
-    score_ds = _subset(train_ds, cfg.score_subset)
-    eps = cfg.score_eps if cfg.score_eps is not None else cfg.eps_verify
-    scores = score_neurons(net, score_ds.features, score_ds.labels, eps, clip=cfg.clip)
-    _dump_json(
-        {
-            "raw_unstable_count": scores.raw_unstable_count.tolist(),
-            "raw_significance": scores.raw_significance.tolist(),
-            "r_u": scores.r_u.tolist(),
-            "r_s": scores.r_s.tolist(),
-        },
-        os.path.join(out, "scores.json"),
-    )
-    print(f"scores written to {os.path.join(out, 'scores.json')}")
-    return 0
-
-
-def cmd_graft(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    net = load_checkpoint(cfg.checkpoint or os.path.join(out, "checkpoint.json"))
-    train_ds = load_dataset(cfg.dataset["train"])
-    score_ds = _subset(train_ds, cfg.score_subset)
-    eps = cfg.score_eps if cfg.score_eps is not None else cfg.eps_verify
-    if cfg.method in ("graft", "graft-zero"):
-        scores = score_neurons(net, score_ds.features, score_ds.labels, eps, clip=cfg.clip)
-        init = (0.0, 0.0) if cfg.method == "graft-zero" else (cfg.init_slope, cfg.init_intercept)
-        plan = select_neurons(
-            scores,
-            cfg.graft_fraction,
-            default_gamma_schedule(cfg.graft_fraction),
-            init_slope=init[0],
-            init_intercept=init[1],
-        )
-    elif cfg.method == "none":
-        raise UsageError("method 'none' selects nothing to graft")
-    else:
-        plan = baseline_select(
-            cfg.method,
-            net,
-            score_ds.features,
-            score_ds.labels,
-            cfg.graft_fraction,
-            seed=cfg.seed,
-            init_slope=cfg.init_slope,
-            init_intercept=cfg.init_intercept,
-        )
-    save_plan(plan, os.path.join(out, "plan.json"))
-    grafted = apply_graft(net, plan)
-    save_checkpoint(grafted, os.path.join(out, "grafted.json"))
-    print(f"grafted {len(plan.neuron_ids)} neurons -> {os.path.join(out, 'grafted.json')}")
-    return 0
-
-
-def cmd_finetune(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    net = load_checkpoint(cfg.checkpoint or os.path.join(out, "grafted.json"))
-    train_ds = load_dataset(cfg.dataset["train"])
-    ft = cfg.finetune
-    if cfg.method == "graft-zero":
-        ft = dataclasses.replace(ft, graft_lr=0.0)
-    net = finetune_grafted(
-        net,
-        train_ds,
-        ft,
-        adversarial=_train_attack(cfg),
-        log_path=os.path.join(out, "finetune_log.csv"),
-    )
-    path = os.path.join(out, "finetuned.json")
-    save_checkpoint(net, path)
-    print(f"finetuned checkpoint written to {path}")
-    return 0
-
-
-def cmd_verify(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
-    net = load_checkpoint(cfg.checkpoint or os.path.join(out, "checkpoint.json"))
-    test_ds = load_dataset(cfg.dataset["test"])
-    records, unr = evaluate_network(
-        net,
-        test_ds,
-        eps_verify=cfg.eps_verify,
-        clip=cfg.clip,
-        budget=cfg.budget,
-        num_verify=cfg.num_verify,
-        attack_steps=cfg.attack_steps,
-        attack_restarts=cfg.attack_restarts,
-        intermediate=cfg.intermediate,
-        seed=cfg.seed,
-        deterministic=cfg.deterministic,
-        workers=1 if cfg.deterministic else cfg.workers,
-    )
-    _dump_json({"records": records, "unr": unr}, os.path.join(out, "verdicts.json"))
-    rep = _finish_report(cfg, records, unr, out)
-    print(
-        f"UNR {rep.unr:.2f}%  VA {rep.va:.2f}%  SA {rep.sa:.2f}%  RA {rep.ra:.2f}%  "
-        f"mean time {rep.mean_verification_time:.2f} {rep.time_unit}"
-    )
-    return 0
-
-
-def _finish_report(cfg: ExperimentConfig, records, unr, out):
-    if cfg.deterministic:
-        top = float(cfg.budget.max_domains * max(cfg.architecture[-1] - 1, 1))
-        return report(records, unr, out, time_unit="work_units", budget_top=top)
-    return report(records, unr, out, time_unit="seconds", budget_top=float(cfg.budget.time_limit))
-
-
-def cmd_report(cfg: ExperimentConfig, verdicts_path: str) -> int:
-    out = _out_dir(cfg)
-    with open(verdicts_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    rep = _finish_report(cfg, doc["records"], doc["unr"], out)
-    print(f"metrics written to {os.path.join(out, 'metrics.json')}")
-    print(f"VA {rep.va:.2f}%  SA {rep.sa:.2f}%  RA {rep.ra:.2f}%")
-    return 0
-
-
-def cmd_pipeline(cfg: ExperimentConfig) -> int:
-    rep = run_pipeline(cfg)
-    print(
-        f"UNR {rep.unr:.2f}%  VA {rep.va:.2f}%  SA {rep.sa:.2f}%  RA {rep.ra:.2f}%  "
-        f"mean time {rep.mean_verification_time:.2f} {rep.time_unit}"
-    )
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -288,23 +96,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Linear-activation grafting and robustness certification for dense ReLU nets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("train", "adversarially train a classifier"),
-        ("attack", "PGD-attack a checkpoint and report SA/RA"),
-        ("score", "compute instability and significance scores"),
-        ("graft", "select candidates and graft linear activations"),
-        ("finetune", "fine-tune a grafted checkpoint"),
-        ("verify", "run complete verification and write metrics"),
-        ("report", "rebuild metrics files from saved verdicts"),
-        ("pipeline", "run the full train->graft->verify pipeline"),
-    ]:
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--method", default=None, help="selection method override")
         p.add_argument("--fraction", type=float, default=None, help="graft fraction override")
-        p.add_argument("--checkpoint", default=None, help="checkpoint path")
+        p.add_argument(
+            "--checkpoint", default=None,
+            help="input network in place of the stage's default (train: the trained network)",
+        )
         p.add_argument("--workers", type=int, default=None, help="verification worker pool size")
         det = p.add_mutually_exclusive_group()
         det.add_argument("--deterministic", dest="deterministic", action="store_true", default=None)
@@ -321,30 +123,23 @@ def main(argv=None) -> int:
     except (UsageError, DomainError, FormatError, json.JSONDecodeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    run, _ = _COMMANDS[args.command]
+    extra = {"verdicts": args.verdicts} if args.command == "report" else {}
     try:
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "attack":
-            return cmd_attack(cfg)
-        if args.command == "score":
-            return cmd_score(cfg)
-        if args.command == "graft":
-            return cmd_graft(cfg)
-        if args.command == "finetune":
-            return cmd_finetune(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "report":
-            return cmd_report(cfg, args.verdicts)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg)
-    except GraftcertError as exc:
+        out = _out_dir(cfg)
+        result = run(cfg, out, **extra)
+    except (GraftcertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2  # pragma: no cover
+    if isinstance(result, MetricsReport):
+        print(
+            f"UNR {result.unr:.2f}%  VA {result.va:.2f}%  SA {result.sa:.2f}%  "
+            f"RA {result.ra:.2f}%  mean time {result.mean_verification_time:.2f} "
+            f"{result.time_unit}"
+        )
+    else:
+        print(f"{args.command}: artifacts written to {out}")
+    return 0
 
 
 if __name__ == "__main__":

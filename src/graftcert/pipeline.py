@@ -1,10 +1,11 @@
 """End-to-end experiment orchestration and metric reporting.
 
-A pipeline run is: adversarial training (or checkpoint load), neuron
-scoring, candidate selection, grafting, fine-tuning, then per-example
-verification of the first K test examples.  Every stage persists its
-artifact in the output directory; a stage failure aborts with the stage
-name and keeps what earlier stages wrote.
+The paper's method is one chain of stages: data, train, select, finetune,
+verify, report (plus the side stages score and attack).  Each stage is a
+function of the config and the output directory: it reads its inputs from
+that directory, writes its artifacts there, and reports any failure as a
+``PipelineError`` naming the stage.  ``run_pipeline`` runs the chain; each
+CLI subcommand runs one stage.
 
 Reports carry UNR / VA / SA / RA percentages, per-example verdicts, the
 mean verification time (excluding misclassified or attacked examples) and
@@ -15,6 +16,7 @@ byte-identical; the report records which unit applies.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -31,6 +33,7 @@ from .errors import PipelineError, UsageError
 from .grafting import (
     baseline_select,
     default_gamma_schedule,
+    load_plan,
     save_plan,
     score_neurons,
     select_neurons,
@@ -41,8 +44,6 @@ from .network import (
     forward_batch,
     load_checkpoint,
     make_mlp,
-    network_from_dict,
-    network_to_dict,
     save_checkpoint,
 )
 from .training import (
@@ -54,7 +55,6 @@ from .training import (
     train,
 )
 from .verifier import (
-    Specification,
     VerdictStatus,
     VerifyBudget,
     bab_verify,
@@ -68,7 +68,14 @@ __all__ = [
     "run_pipeline",
     "evaluate_network",
     "report",
-    "mask_forward",
+    "data_stage",
+    "train_stage",
+    "score_stage",
+    "select_stage",
+    "finetune_stage",
+    "attack_stage",
+    "verify_stage",
+    "report_stage",
 ]
 
 _METHODS = ("graft", "graft-zero", "sap", "gap", "random", "none")
@@ -120,6 +127,9 @@ class ExperimentConfig:
             raise UsageError("architecture needs at least input and output widths")
         if self.intermediate not in ("ibp", "crown"):
             raise UsageError(f"intermediate must be 'ibp' or 'crown'")
+        if self.gradual and self.method != "graft":
+            # gradual grafting picks its neurons by graft scoring as it goes
+            raise UsageError(f"gradual grafting needs method 'graft', got {self.method!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -212,14 +222,13 @@ def _dump_json(doc, path) -> None:
 def _verify_example(payload: dict) -> dict:
     """Evaluate one test example: correctness, PGD attack, then complete
     verification of every class margin.  Standalone for worker pools."""
-    net = network_from_dict(payload["net"])
-    x0 = np.asarray(payload["x0"], dtype=np.float64)
-    label = int(payload["label"])
+    net = payload["net"]
+    x0 = payload["x0"]
+    label = payload["label"]
     eps = payload["eps"]
     clip = payload["clip"]
     seed = payload["seed"]
-    deterministic = payload["deterministic"]
-    budget = VerifyBudget(*payload["budget"])
+    time_limit = payload["time_limit"]
     record = {
         "index": payload["index"],
         "label": label,
@@ -230,13 +239,11 @@ def _verify_example(payload: dict) -> dict:
         "bound": 0.0,
         "time_seconds": 0.0,
         "work_units": 0,
-        "branches": 0,
     }
     logits, _, _ = forward_batch(net, x0[None, :])
     pred = int(np.argmax(logits[0]))
     record["predicted"] = pred
-    num_classes = net.output_dim
-    margins = [Specification(s.coeffs, s.const, s.label, s.target) for s in build_specs(num_classes, label)]
+    margins = build_specs(net.output_dim, label)
     if pred != label:
         record["bound"] = float(min(s.value(logits[0]) for s in margins))
         return record
@@ -261,19 +268,17 @@ def _verify_example(payload: dict) -> dict:
     worst = math.inf
     verdict = "verified"
     for k, spec in enumerate(margins):
-        if deterministic:
-            spec_budget = VerifyBudget(None, budget.max_domains)
-        else:
-            remaining = budget.time_limit - (time.perf_counter() - t0)
+        remaining = None
+        if time_limit is not None:
+            remaining = time_limit - (time.perf_counter() - t0)
             if remaining <= 0:
                 verdict = "timeout"
                 break
-            spec_budget = VerifyBudget(remaining, budget.max_domains)
         v = bab_verify(
             net,
             spec,
             box,
-            spec_budget,
+            VerifyBudget(remaining, payload["max_domains"]),
             seed=seed + 7919 * (k + 1),
             root_inter=root_inter,
         )
@@ -287,7 +292,6 @@ def _verify_example(payload: dict) -> dict:
             break
     record["time_seconds"] = time.perf_counter() - t0
     record["work_units"] = work
-    record["branches"] = work
     record["bound"] = float(worst)
     record["verdict"] = verdict
     record["verified"] = verdict == "verified"
@@ -310,25 +314,27 @@ def evaluate_network(
     workers: int = 1,
 ) -> tuple[list[dict], float]:
     """Per-example verification records over the first ``num_verify`` test
-    examples, plus the unstable-neuron ratio (percent) on that slice."""
+    examples, plus the unstable-neuron ratio (percent) on that slice.
+
+    Deterministic mode turns the wall clock off (only ``max_domains``
+    bounds the work); otherwise a ``time_limit`` of None does the same."""
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")
-    net_doc = network_to_dict(net)
     payloads = [
         {
-            "net": net_doc,
-            "x0": test.features[i].tolist(),
+            "net": net,
+            "x0": test.features[i],
             "label": int(test.labels[i]),
             "index": i,
             "eps": eps_verify,
             "clip": clip,
-            "budget": (budget.time_limit, budget.max_domains),
+            "time_limit": None if deterministic else budget.time_limit,
+            "max_domains": budget.max_domains,
             "attack_steps": attack_steps,
             "attack_restarts": attack_restarts,
             "intermediate": intermediate,
             "seed": seed * 1_000_003 + i,
-            "deterministic": deterministic,
         }
         for i in range(k)
     ]
@@ -395,7 +401,7 @@ def report(
         for r in rep.per_example:
             fh.write(
                 f"{r['index']},{int(r['sa'])},{int(r['ra'])},{r['verdict']},"
-                f"{r['bound']!r},{r[key]!r},{r['branches']}\n"
+                f"{r['bound']!r},{r[key]!r},{r['work_units']}\n"
             )
     with open(os.path.join(out_dir, "curve.csv"), "w", encoding="utf-8") as fh:
         fh.write("threshold,verified_count\n")
@@ -405,177 +411,241 @@ def report(
 
 
 # ---------------------------------------------------------------------------
-# the full pipeline
+# the stages
 
 
-def mask_forward(net: Network, X: np.ndarray, neuron_ids) -> np.ndarray:
-    """Reference evaluation with the given neurons' post-activations forced
-    to zero (explicit activation pruning); used to cross-check graft-zero."""
-    offs = net.layer_offsets()
-    masks = [np.ones(d, dtype=bool) for d in net.hidden_sizes]
-    for nid in neuron_ids:
-        h, j = net.neuron_location(int(nid))
-        masks[h][j] = False
-    a = np.asarray(X, dtype=np.float64)
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        z = a @ layer.weight.T + layer.bias
-        if i < last:
-            g = net.grafted[i]
-            post = np.maximum(z, 0.0)
-            if g.any():
-                lin = net.slopes[i] * z + net.intercepts[i]
-                post = np.where(g, lin, post)
-            a = post * masks[i]
-        else:
-            return z
-    return z
-
-
-def _subset(ds: Dataset, size: int) -> Dataset:
-    return ds.head(min(size, len(ds)))
-
-
-def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
-    """Execute train -> score -> select -> graft -> finetune -> verify and
-    return the metrics report.  Artifacts land in ``cfg.out_dir``."""
-    out = cfg.out_dir or "run_out"
-    os.makedirs(out, exist_ok=True)
-    _dump_json(cfg.to_dict(), os.path.join(out, "config.json"))
-    stage = "data"
+@contextlib.contextmanager
+def _stage(name: str):
+    """Report any failure inside the block as stage ``name``'s, unless an
+    inner stage has already named itself."""
     try:
-        train_ds = load_dataset(cfg.dataset["train"])
-        test_ds = load_dataset(cfg.dataset["test"])
-        if train_ds.dim != cfg.architecture[0]:
-            raise UsageError(
-                f"dataset dim {train_ds.dim} != input width {cfg.architecture[0]}"
-            )
-    except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
-
-    stage = "train"
-    try:
-        if cfg.checkpoint:
-            net = load_checkpoint(cfg.checkpoint)
-        else:
-            net = make_mlp(cfg.architecture, seed=cfg.seed)
-            adv = None
-            if cfg.eps_train > 0:
-                adv = AttackConfig(
-                    cfg.eps_train, steps=cfg.train_attack_steps, clip=cfg.clip
-                )
-            if cfg.warmup_epochs > 0:
-                # clean warmup before the adversarial phase
-                warm = dataclasses.replace(
-                    cfg.train,
-                    epochs=cfg.warmup_epochs,
-                    lr=cfg.warmup_lr if cfg.warmup_lr is not None else cfg.train.lr,
-                    milestones=(),
-                )
-                net = train(
-                    net,
-                    train_ds,
-                    warm,
-                    adversarial=None,
-                    rs=cfg.train_rs,
-                    l1=cfg.train_l1,
-                    reg_clip=cfg.clip,
-                )
-            net = train(
-                net,
-                train_ds,
-                cfg.train,
-                adversarial=adv,
-                rs=cfg.train_rs,
-                l1=cfg.train_l1,
-                reg_clip=cfg.clip,
-                log_path=os.path.join(out, "train_log.csv"),
-                holdout=_subset(test_ds, 256),
-            )
-        save_checkpoint(net, os.path.join(out, "checkpoint.json"))
+        yield
     except PipelineError:
         raise
     except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
+        raise PipelineError(name, str(exc)) from exc
 
-    plan = None
-    if cfg.method != "none":
-        stage = "select"
-        try:
-            score_ds = _subset(train_ds, cfg.score_subset)
-            eps_score = cfg.score_eps if cfg.score_eps is not None else cfg.eps_verify
-            if cfg.method in ("graft", "graft-zero"):
-                scores = score_neurons(
-                    net, score_ds.features, score_ds.labels, eps_score, clip=cfg.clip
-                )
-                init = (0.0, 0.0) if cfg.method == "graft-zero" else (
-                    cfg.init_slope,
-                    cfg.init_intercept,
-                )
-                plan = select_neurons(
-                    scores,
-                    cfg.graft_fraction,
-                    default_gamma_schedule(cfg.graft_fraction),
-                    init_slope=init[0],
-                    init_intercept=init[1],
-                )
-            else:
-                plan = baseline_select(
-                    cfg.method,
-                    net,
-                    score_ds.features,
-                    score_ds.labels,
-                    cfg.graft_fraction,
-                    seed=cfg.seed,
-                    init_slope=cfg.init_slope,
-                    init_intercept=cfg.init_intercept,
-                )
-            save_plan(plan, os.path.join(out, "plan.json"))
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
 
-        stage = "finetune"
-        try:
-            adv = None
-            if cfg.eps_train > 0:
-                adv = AttackConfig(
-                    cfg.eps_train, steps=cfg.train_attack_steps, clip=cfg.clip
-                )
-            if cfg.gradual:
-                eps_score = cfg.score_eps if cfg.score_eps is not None else cfg.eps_verify
-                net = gradual_graft(
-                    net,
-                    train_ds,
-                    eps_score,
-                    cfg.graft_fraction,
-                    cfg.finetune,
-                    adversarial=adv,
-                    clip=cfg.clip,
-                    score_size=cfg.score_subset,
-                    init_slope=cfg.init_slope,
-                    init_intercept=cfg.init_intercept,
-                )
-            else:
-                net = apply_graft(net, plan)
-                ft = cfg.finetune
-                if cfg.method == "graft-zero":
-                    ft = dataclasses.replace(ft, graft_lr=0.0)
-                net = finetune_grafted(
-                    net, train_ds, ft, adversarial=adv,
-                    l1=cfg.finetune_l1, reg_clip=cfg.clip,
-                )
-            save_checkpoint(net, os.path.join(out, "grafted.json"))
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError(stage, str(exc)) from exc
+def _out_dir(cfg: ExperimentConfig) -> str:
+    out = cfg.out_dir or "run_out"
+    os.makedirs(out, exist_ok=True)
+    return out
 
-    stage = "verify"
-    try:
-        records, unr = evaluate_network(
+
+def _load_split(cfg: ExperimentConfig, split: str) -> Dataset:
+    """One dataset split, checked against the architecture.  Every stage
+    that reads data loads it here, so a bad file fails as stage 'data'."""
+    with _stage("data"):
+        ds = load_dataset(cfg.dataset[split])
+        if ds.dim != cfg.architecture[0]:
+            raise UsageError(
+                f"{split} dataset dim {ds.dim} != input width {cfg.architecture[0]}"
+            )
+        classes = cfg.architecture[-1]
+        if len(ds) and not (ds.labels.min() >= 0 and ds.labels.max() < classes):
+            raise UsageError(
+                f"{split} labels span [{ds.labels.min()}, {ds.labels.max()}], "
+                f"outside [0, {classes}) for {classes} output classes"
+            )
+    return ds
+
+
+def _input_net(cfg: ExperimentConfig, out: str, name: str) -> Network:
+    """The stage's input network: ``cfg.checkpoint`` when set, else the
+    artifact ``name`` an earlier stage wrote."""
+    return load_checkpoint(cfg.checkpoint or os.path.join(out, name))
+
+
+def _evaluated_net(cfg: ExperimentConfig, out: str) -> Network:
+    """The network that attack and verify examine: the fine-tuned grafted
+    network, or the trained one when nothing is grafted."""
+    return _input_net(cfg, out, "checkpoint.json" if cfg.method == "none" else "grafted.json")
+
+
+def _train_attack(cfg: ExperimentConfig) -> AttackConfig | None:
+    """The inner PGD attack of adversarial training and fine-tuning."""
+    if cfg.eps_train <= 0:
+        return None
+    return AttackConfig(cfg.eps_train, steps=cfg.train_attack_steps, clip=cfg.clip)
+
+
+def _scoring(cfg: ExperimentConfig, train_ds: Dataset) -> tuple[Dataset, float]:
+    """The training examples and the radius that neuron scoring uses."""
+    eps = cfg.score_eps if cfg.score_eps is not None else cfg.eps_verify
+    return train_ds.head(cfg.score_subset), eps
+
+
+def _require_grafting(cfg: ExperimentConfig) -> None:
+    if cfg.method == "none":
+        raise UsageError("method 'none' grafts nothing")
+
+
+def data_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Load and check both splits; writes nothing."""
+    _load_split(cfg, "train")
+    _load_split(cfg, "test")
+
+
+def train_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Train the classifier (a clean warmup, then adversarial epochs), or
+    take ``cfg.checkpoint`` as the trained network.  Writes
+    checkpoint.json, and train_log.csv when it trains."""
+    if cfg.checkpoint:
+        with _stage("train"):
+            save_checkpoint(load_checkpoint(cfg.checkpoint), os.path.join(out, "checkpoint.json"))
+        return
+    train_ds = _load_split(cfg, "train")
+    holdout = _load_split(cfg, "test").head(256)
+    with _stage("train"):
+        net = make_mlp(cfg.architecture, seed=cfg.seed)
+        reg = dict(rs=cfg.train_rs, l1=cfg.train_l1, reg_clip=cfg.clip)
+        if cfg.warmup_epochs > 0:
+            warm = dataclasses.replace(
+                cfg.train,
+                epochs=cfg.warmup_epochs,
+                lr=cfg.warmup_lr if cfg.warmup_lr is not None else cfg.train.lr,
+                milestones=(),
+            )
+            net = train(net, train_ds, warm, adversarial=None, **reg)
+        net = train(
             net,
+            train_ds,
+            cfg.train,
+            adversarial=_train_attack(cfg),
+            log_path=os.path.join(out, "train_log.csv"),
+            holdout=holdout,
+            **reg,
+        )
+        save_checkpoint(net, os.path.join(out, "checkpoint.json"))
+
+
+def score_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Instability and significance scores of the trained network's hidden
+    neurons; writes scores.json."""
+    score_ds, eps = _scoring(cfg, _load_split(cfg, "train"))
+    with _stage("score"):
+        net = _input_net(cfg, out, "checkpoint.json")
+        scores = score_neurons(net, score_ds.features, score_ds.labels, eps, clip=cfg.clip)
+        _dump_json(
+            {
+                "raw_unstable_count": scores.raw_unstable_count.tolist(),
+                "raw_significance": scores.raw_significance.tolist(),
+                "r_u": scores.r_u.tolist(),
+                "r_s": scores.r_s.tolist(),
+            },
+            os.path.join(out, "scores.json"),
+        )
+
+
+def select_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Choose the neurons to graft on the trained network; writes
+    plan.json.  Gradual mode chooses them while fine-tuning instead, so it
+    writes no plan."""
+    if cfg.gradual:
+        return
+    score_ds, eps = _scoring(cfg, _load_split(cfg, "train"))
+    with _stage("select"):
+        _require_grafting(cfg)
+        net = _input_net(cfg, out, "checkpoint.json")
+        if cfg.method in ("graft", "graft-zero"):
+            scores = score_neurons(
+                net, score_ds.features, score_ds.labels, eps, clip=cfg.clip
+            )
+            init = (0.0, 0.0) if cfg.method == "graft-zero" else (
+                cfg.init_slope,
+                cfg.init_intercept,
+            )
+            plan = select_neurons(
+                scores,
+                cfg.graft_fraction,
+                default_gamma_schedule(cfg.graft_fraction),
+                init_slope=init[0],
+                init_intercept=init[1],
+            )
+        else:
+            plan = baseline_select(
+                cfg.method,
+                net,
+                score_ds.features,
+                score_ds.labels,
+                cfg.graft_fraction,
+                seed=cfg.seed,
+                init_slope=cfg.init_slope,
+                init_intercept=cfg.init_intercept,
+            )
+        save_plan(plan, os.path.join(out, "plan.json"))
+
+
+def finetune_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Graft plan.json onto the trained network and fine-tune it (gradual
+    mode grafts while it fine-tunes).  Writes grafted.json and
+    finetune_log.csv."""
+    train_ds = _load_split(cfg, "train")
+    with _stage("finetune"):
+        _require_grafting(cfg)
+        net = _input_net(cfg, out, "checkpoint.json")
+        log = os.path.join(out, "finetune_log.csv")
+        if cfg.gradual:
+            score_ds, eps = _scoring(cfg, train_ds)
+            net = gradual_graft(
+                net,
+                train_ds,
+                eps,
+                cfg.graft_fraction,
+                cfg.finetune,
+                adversarial=_train_attack(cfg),
+                clip=cfg.clip,
+                score_size=len(score_ds),
+                init_slope=cfg.init_slope,
+                init_intercept=cfg.init_intercept,
+                log_path=log,
+            )
+        else:
+            net = apply_graft(net, load_plan(os.path.join(out, "plan.json")))
+            ft = cfg.finetune
+            if cfg.method == "graft-zero":
+                ft = dataclasses.replace(ft, graft_lr=0.0)
+            # no holdout: its attack would draw from the training generator
+            net = finetune_grafted(
+                net, train_ds, ft, adversarial=_train_attack(cfg),
+                l1=cfg.finetune_l1, reg_clip=cfg.clip, log_path=log,
+            )
+        save_checkpoint(net, os.path.join(out, "grafted.json"))
+
+
+def attack_stage(cfg: ExperimentConfig, out: str) -> None:
+    """PGD-attack the first ``num_verify`` test examples; writes the
+    SA / RA summary to attack.json."""
+    test_ds = _load_split(cfg, "test")
+    with _stage("attack"):
+        net = _evaluated_net(cfg, out)
+        k = min(cfg.num_verify, len(test_ds))
+        atk = AttackConfig(
+            cfg.eps_verify, steps=cfg.attack_steps, restarts=cfg.attack_restarts, clip=cfg.clip
+        )
+        results = []
+        for i in range(k):
+            x0, y = test_ds.features[i], int(test_ds.labels[i])
+            sa = int(np.argmax(forward_batch(net, x0[None, :])[0][0])) == y
+            ra = sa and pgd_attack(net, x0, y, atk, seed=cfg.seed * 1_000_003 + i) is None
+            results.append({"index": i, "sa": sa, "ra": ra})
+        doc = {
+            "sa": 100.0 * sum(r["sa"] for r in results) / k,
+            "ra": 100.0 * sum(r["ra"] for r in results) / k,
+            "eps": cfg.eps_verify,
+            "num_examples": k,
+            "per_example": results,
+        }
+        _dump_json(doc, os.path.join(out, "attack.json"))
+
+
+def verify_stage(cfg: ExperimentConfig, out: str) -> None:
+    """Attack and completely verify the first ``num_verify`` test examples;
+    writes their records and the UNR to verdicts.json."""
+    test_ds = _load_split(cfg, "test")
+    with _stage("verify"):
+        records, unr = evaluate_network(
+            _evaluated_net(cfg, out),
             test_ds,
             eps_verify=cfg.eps_verify,
             clip=cfg.clip,
@@ -588,24 +658,44 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
             deterministic=cfg.deterministic,
             workers=1 if cfg.deterministic else cfg.workers,
         )
-        _dump_json(
-            {"records": records, "unr": unr}, os.path.join(out, "verdicts.json")
-        )
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
+        _dump_json({"records": records, "unr": unr}, os.path.join(out, "verdicts.json"))
 
-    stage = "report"
-    try:
+
+def report_stage(cfg: ExperimentConfig, out: str, verdicts: str | None = None) -> MetricsReport:
+    """Build the metrics files from ``verdicts`` (default: the
+    verdicts.json in ``out``).  Deterministic runs count time in work
+    units up to the domain budget of all margins; wall-clock runs in
+    seconds up to the time limit, or up to the slowest example when
+    there is none."""
+    with _stage("report"):
+        with open(verdicts or os.path.join(out, "verdicts.json"), "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        records = doc["records"]
+        for r in records:
+            r["bound"] = float(r["bound"])  # undo _json_safe's "inf" strings
         if cfg.deterministic:
-            classes = cfg.architecture[-1]
-            top = float(cfg.budget.max_domains * max(classes - 1, 1))
-            return report(records, unr, out, time_unit="work_units", budget_top=top)
-        return report(
-            records, unr, out, time_unit="seconds", budget_top=float(cfg.budget.time_limit)
-        )
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
+            unit = "work_units"
+            top = cfg.budget.max_domains * max(cfg.architecture[-1] - 1, 1)
+        elif cfg.budget.time_limit is None:
+            unit, top = "seconds", max(r["time_seconds"] for r in records)
+        else:
+            unit, top = "seconds", cfg.budget.time_limit
+        return report(records, doc["unr"], out, time_unit=unit, budget_top=float(top))
+
+
+def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
+    """Run data -> train -> select -> finetune -> verify -> report (select
+    and finetune only when a method grafts) and return the metrics report.
+    Artifacts land in ``cfg.out_dir``."""
+    out = _out_dir(cfg)
+    _dump_json(cfg.to_dict(), os.path.join(out, "config.json"))
+    data_stage(cfg, out)
+    train_stage(cfg, out)
+    # the checkpoint stood in for the trained network; every later stage
+    # reads the artifacts of this run
+    cfg = dataclasses.replace(cfg, checkpoint=None)
+    if cfg.method != "none":
+        select_stage(cfg, out)
+        finetune_stage(cfg, out)
+    verify_stage(cfg, out)
+    return report_stage(cfg, out)

@@ -459,6 +459,7 @@ def gradual_graft(
     score_size: int = 512,
     init_slope: float = 0.25,
     init_intercept: float = 0.0,
+    log_path=None,
 ) -> Network:
     """Interleave scoring, small graft increments, and fine-tuning.
 
@@ -507,5 +508,6 @@ def gradual_graft(
         adversarial=adversarial,
         seed=cfg.seed,
         epoch_callback=callback,
+        log_path=log_path,
     )
     return tuned

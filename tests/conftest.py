@@ -45,3 +45,27 @@ def manual_layer(weight, bias) -> AffineLayer:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def mask_forward(net: Network, X: np.ndarray, neuron_ids) -> np.ndarray:
+    """Reference evaluation with the given neurons' post-activations forced
+    to zero (explicit activation pruning); used to cross-check graft-zero."""
+    offs = net.layer_offsets()
+    masks = [np.ones(d, dtype=bool) for d in net.hidden_sizes]
+    for nid in neuron_ids:
+        h, j = net.neuron_location(int(nid))
+        masks[h][j] = False
+    a = np.asarray(X, dtype=np.float64)
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        z = a @ layer.weight.T + layer.bias
+        if i < last:
+            g = net.grafted[i]
+            post = np.maximum(z, 0.0)
+            if g.any():
+                lin = net.slopes[i] * z + net.intercepts[i]
+                post = np.where(g, lin, post)
+            a = post * masks[i]
+        else:
+            return z
+    return z

@@ -40,10 +40,10 @@ from graftcert.bounds import SplitAssignment
 from graftcert.data import gaussian_blobs, load_dataset
 from graftcert.grafting import default_gamma_schedule, load_plan, score_neurons, select_neurons
 from graftcert.network import Network
-from graftcert.pipeline import ExperimentConfig, mask_forward, run_pipeline
+from graftcert.pipeline import ExperimentConfig, run_pipeline
 from graftcert.training import FinetuneConfig, TrainConfig
 
-from conftest import random_net
+from conftest import mask_forward, random_net
 
 
 def _verdict_line(num, name, ok, detail=""):

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from graftcert import PipelineError, load_checkpoint
+from graftcert import PipelineError, UsageError, VerifyBudget, load_checkpoint
+from graftcert import pipeline
 from graftcert.cli import default_config, main
 from graftcert.data import load_dataset
 from graftcert.grafting import load_plan
@@ -13,10 +14,11 @@ from graftcert.network import forward_batch
 from graftcert.pipeline import (
     ExperimentConfig,
     evaluate_network,
-    mask_forward,
     report,
     run_pipeline,
 )
+
+from conftest import mask_forward
 
 
 def tiny_config(out, method="graft", seed=0, **over):
@@ -136,6 +138,22 @@ class TestRunPipeline:
         with pytest.raises(PipelineError, match="stage 'data'"):
             run_pipeline(cfg)
 
+    def test_workers_match_sequential_in_wall_clock_mode(self, graft_run):
+        cfg, _, out = graft_run
+        net = load_checkpoint(out / "grafted.json")
+        test_ds = load_dataset(cfg.dataset["test"])
+        kwargs = dict(
+            eps_verify=cfg.eps_verify, clip=cfg.clip, budget=VerifyBudget(None, 400),
+            num_verify=8, seed=cfg.seed, deterministic=False,
+        )
+        runs = [evaluate_network(net, test_ds, workers=w, **kwargs) for w in (1, 2)]
+
+        def verdicts(recs):
+            return [(r["index"], r["verdict"], r["bound"], r["work_units"]) for r in recs]
+
+        assert verdicts(runs[0][0]) == verdicts(runs[1][0])
+        assert runs[0][1] == runs[1][1]
+
     def test_checkpoint_roundtrip_same_verdicts(self, graft_run, tmp_path):
         cfg, rep, out = graft_run
         net = load_checkpoint(out / "grafted.json")
@@ -231,14 +249,69 @@ class TestCli:
         base = ["--out", str(tmp_path), "--config", cfg]
         assert main(["train"] + base) == 0
         assert main(["score"] + base) == 0
-        assert main(["attack"] + base) == 0
+        assert main(["attack", "--checkpoint", str(tmp_path / "checkpoint.json")] + base) == 0
         assert main(["graft"] + base) == 0
         assert main(["finetune"] + base) == 0
-        assert main(["verify", "--checkpoint", str(tmp_path / "finetuned.json")] + base) == 0
+        assert main(["verify", "--checkpoint", str(tmp_path / "grafted.json")] + base) == 0
         assert main(["report", "--verdicts", str(tmp_path / "verdicts.json")] + base) == 0
         for name in ["checkpoint.json", "scores.json", "attack.json", "plan.json",
-                     "grafted.json", "finetuned.json", "verdicts.json", "metrics.json"]:
+                     "grafted.json", "verdicts.json", "metrics.json"]:
             assert (tmp_path / name).exists(), name
+
+    @pytest.mark.parametrize("method", ["graft", "sap"])
+    def test_stagewise_chain_matches_pipeline(self, tmp_path, method):
+        cfg = _write_cfg(
+            tmp_path, num_verify=6, epochs=4, method=method,
+            warmup_epochs=2, warmup_lr=0.05, train_l1=1e-3, finetune_l1=1e-3,
+        )
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        for command in ["train", "graft", "finetune", "verify"]:
+            assert main([command, "--out", str(staged), "--config", cfg]) == 0, command
+        verdicts = str(staged / "verdicts.json")
+        assert main(["report", "--verdicts", verdicts, "--out", str(staged), "--config", cfg]) == 0
+        assert main(["pipeline", "--out", str(whole), "--config", cfg]) == 0
+        for name in ["checkpoint.json", "train_log.csv", "plan.json", "grafted.json",
+                     "finetune_log.csv", "metrics.json"]:
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_wall_clock_without_time_limit(self, tmp_path):
+        cfg = _write_cfg(tmp_path, num_verify=6, epochs=4,
+                         budget={"time_limit": None, "max_domains": 300})
+        assert main(["pipeline", "--no-deterministic", "--out", str(tmp_path),
+                     "--config", cfg]) == 0
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        assert doc["time_unit"] == "seconds"
+        slowest = max(r["time_seconds"] for r in doc["per_example"])
+        assert doc["curve"][-1][0] == slowest
+
+    @pytest.mark.parametrize("method", ["sap", "graft-zero"])
+    def test_gradual_needs_graft_method(self, tmp_path, method):
+        cfg = _write_cfg(tmp_path, method=method, gradual=True)
+        assert main(["pipeline", "--out", str(tmp_path), "--config", cfg]) == 2
+        with pytest.raises(UsageError, match="gradual"):
+            tiny_config(tmp_path, method=method, gradual=True)
+
+    def test_gradual_writes_no_plan_and_skips_scoring(self, tmp_path, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("gradual mode scores while it fine-tunes")
+
+        monkeypatch.setattr(pipeline, "score_neurons", unused)
+        rep = run_pipeline(tiny_config(tmp_path, gradual=True, num_verify=4))
+        assert not (tmp_path / "plan.json").exists()
+        net = load_checkpoint(tmp_path / "grafted.json")
+        assert sum(int(g.sum()) for g in net.grafted) == 16
+        assert (tmp_path / "finetune_log.csv").exists()
+        assert rep.va <= rep.ra <= rep.sa
+
+    def test_bad_labels_fail_in_data_stage(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("0,0.1,0.2\n1,0.3,0.4\n5,0.5,0.6\n")
+        cfg = _write_cfg(tmp_path, dataset={"train": {"kind": "csv", "path": str(data)},
+                                            "test": {"kind": "csv", "path": str(data)}})
+        for command in ["train", "pipeline"]:
+            assert main([command, "--out", str(tmp_path / command), "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert "stage 'data' failed" in err and "labels" in err, err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -271,12 +344,13 @@ class TestCli:
         assert "UNR" in proc.stdout
 
 
-def _write_cfg(tmp_path, num_verify=6, epochs=6):
+def _write_cfg(tmp_path, num_verify=6, epochs=6, **over):
     doc = default_config()
     doc["num_verify"] = num_verify
     doc["train"] = {"epochs": epochs, "batch_size": 64, "lr": 0.05, "seed": 0}
     doc["finetune"] = {"epochs": 3, "batch_size": 64, "seed": 0}
     doc["budget"] = {"time_limit": 30.0, "max_domains": 300}
+    doc.update(over)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
