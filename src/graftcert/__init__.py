@@ -67,7 +67,6 @@ from .training import (
     TrainConfig,
     finetune_grafted,
     gradual_graft,
-    regularized_loss,
     small_weight_prune,
     train,
 )

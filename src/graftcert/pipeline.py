@@ -100,7 +100,6 @@ class ExperimentConfig:
     attack_restarts: int = 2
     train_attack_steps: int = 7
     train_l1: float = 0.0
-    train_rs: float = 0.0
     finetune_l1: float = 0.0
     warmup_epochs: int = 0
     warmup_lr: float | None = None
@@ -130,6 +129,8 @@ class ExperimentConfig:
         if self.gradual and self.method != "graft":
             # gradual grafting picks its neurons by graft scoring as it goes
             raise UsageError(f"gradual grafting needs method 'graft', got {self.method!r}")
+        if self.workers < 1:
+            raise UsageError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -317,7 +318,9 @@ def evaluate_network(
     examples, plus the unstable-neuron ratio (percent) on that slice.
 
     Deterministic mode turns the wall clock off (only ``max_domains``
-    bounds the work); otherwise a ``time_limit`` of None does the same."""
+    bounds the work); otherwise a ``time_limit`` of None does the same.
+    With ``workers`` > 1 the examples are verified in a process pool; in
+    deterministic mode the records do not depend on ``workers``."""
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")
@@ -338,8 +341,9 @@ def evaluate_network(
         }
         for i in range(k)
     ]
-    if workers > 1 and not deterministic:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, k)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             records = list(pool.map(_verify_example, payloads))
     else:
         records = [_verify_example(p) for p in payloads]
@@ -498,7 +502,6 @@ def train_stage(cfg: ExperimentConfig, out: str) -> None:
     holdout = _load_split(cfg, "test").head(256)
     with _stage("train"):
         net = make_mlp(cfg.architecture, seed=cfg.seed)
-        reg = dict(rs=cfg.train_rs, l1=cfg.train_l1, reg_clip=cfg.clip)
         if cfg.warmup_epochs > 0:
             warm = dataclasses.replace(
                 cfg.train,
@@ -506,15 +509,15 @@ def train_stage(cfg: ExperimentConfig, out: str) -> None:
                 lr=cfg.warmup_lr if cfg.warmup_lr is not None else cfg.train.lr,
                 milestones=(),
             )
-            net = train(net, train_ds, warm, adversarial=None, **reg)
+            net = train(net, train_ds, warm, adversarial=None, l1=cfg.train_l1)
         net = train(
             net,
             train_ds,
             cfg.train,
             adversarial=_train_attack(cfg),
+            l1=cfg.train_l1,
             log_path=os.path.join(out, "train_log.csv"),
             holdout=holdout,
-            **reg,
         )
         save_checkpoint(net, os.path.join(out, "checkpoint.json"))
 
@@ -598,6 +601,7 @@ def finetune_stage(cfg: ExperimentConfig, out: str) -> None:
                 score_size=len(score_ds),
                 init_slope=cfg.init_slope,
                 init_intercept=cfg.init_intercept,
+                l1=cfg.finetune_l1,
                 log_path=log,
             )
         else:
@@ -605,10 +609,9 @@ def finetune_stage(cfg: ExperimentConfig, out: str) -> None:
             ft = cfg.finetune
             if cfg.method == "graft-zero":
                 ft = dataclasses.replace(ft, graft_lr=0.0)
-            # no holdout: its attack would draw from the training generator
             net = finetune_grafted(
                 net, train_ds, ft, adversarial=_train_attack(cfg),
-                l1=cfg.finetune_l1, reg_clip=cfg.clip, log_path=log,
+                l1=cfg.finetune_l1, log_path=log,
             )
         save_checkpoint(net, os.path.join(out, "grafted.json"))
 
@@ -656,7 +659,7 @@ def verify_stage(cfg: ExperimentConfig, out: str) -> None:
             intermediate=cfg.intermediate,
             seed=cfg.seed,
             deterministic=cfg.deterministic,
-            workers=1 if cfg.deterministic else cfg.workers,
+            workers=cfg.workers,
         )
         _dump_json({"records": records, "unr": unr}, os.path.join(out, "verdicts.json"))
 

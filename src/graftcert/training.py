@@ -1,6 +1,6 @@
 """Training loops: standard and PGD-adversarial SGD, grafted-network
-fine-tuning with two parameter groups, gradual grafting, and the optional
-certification-friendly regularizers.
+fine-tuning with two parameter groups, gradual grafting, and an optional
+l1 weight penalty.
 
 Reproducibility: identical configs and seeds give identical final
 parameters (single worker); all randomness flows through one generator in
@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .bounds import LayerBounds, _ibp_batch
 from .errors import DivergenceError, DomainError, UsageError
 from .network import Network, apply_graft, backward_batch, forward_batch
 
@@ -27,7 +26,6 @@ __all__ = [
     "train",
     "finetune_grafted",
     "gradual_graft",
-    "regularized_loss",
     "small_weight_prune",
 ]
 
@@ -141,57 +139,7 @@ def _accuracy(net: Network, X: np.ndarray, y: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# regularizers
-
-
-def _unstable_penalty(net: Network, bounds: LayerBounds) -> float:
-    """Sum of -l*u over unstable free ReLU neurons, / hidden-neuron count.
-    Positive exactly when unstable; bounds are treated as constants, so the
-    term reports a value without feeding parameter gradients."""
-    total = 0.0
-    for h in range(len(bounds.grafted)):
-        l = bounds.lower[h]
-        u = bounds.upper[h]
-        mask = (l < 0.0) & (u > 0.0) & ~bounds.grafted[h]
-        if mask.any():
-            total += float((-l[mask] * u[mask]).sum())
-    return total / max(net.num_hidden, 1)
-
-
-def regularized_loss(
-    base_loss: float,
-    net: Network,
-    batch_bounds: LayerBounds | Sequence[LayerBounds] | None,
-    rs: float = 0.0,
-    l1: float = 0.0,
-) -> float:
-    """Base loss plus the ReLU-stability surrogate and l1 weight penalty.
-
-    With both weights zero this is exactly the base loss.  The stability
-    term averages -l*u over the supplied per-example (or pooled) bounds.
-    """
-    value = float(base_loss)
-    if rs > 0.0:
-        if batch_bounds is None:
-            raise UsageError("rs > 0 needs per-batch bounds")
-        seq = [batch_bounds] if isinstance(batch_bounds, LayerBounds) else list(batch_bounds)
-        value += rs * float(np.mean([_unstable_penalty(net, b) for b in seq]))
-    if l1 > 0.0:
-        value += l1 * float(sum(np.abs(l.weight).sum() for l in net.layers))
-    return value
-
-
-def _batch_unstable_penalty(net: Network, lowers, uppers) -> float:
-    """Same surrogate over batched per-example IBP bounds."""
-    n = lowers[0].shape[0]
-    total = 0.0
-    for h, g in enumerate(net.grafted):
-        l = lowers[h]
-        u = uppers[h]
-        mask = (l < 0.0) & (u > 0.0) & ~g
-        if mask.any():
-            total += float((-(l * u))[mask].sum())
-    return total / (max(net.num_hidden, 1) * n)
+# pruning
 
 
 def small_weight_prune(net: Network, threshold: float) -> Network:
@@ -244,13 +192,9 @@ def _sgd_run(
     weight_lr: Callable[[int], float],
     graft_lr: Callable[[int], float],
     tune_weights: bool,
-    tune_graft: bool,
     adversarial: AttackConfig | None,
     seed: int,
-    rs: float = 0.0,
     l1: float = 0.0,
-    reg_eps: float = 0.0,
-    reg_clip: tuple[float, float] | None = None,
     epoch_callback: Callable[[Network, int], Network] | None = None,
     log_path=None,
     holdout: tuple[np.ndarray, np.ndarray] | None = None,
@@ -277,14 +221,6 @@ def _sgd_run(
                 xb = _pgd_batch(net, xb, yb, adversarial, rng)
             logits, pre, post = forward_batch(net, xb)
             loss, dlogits = _ce_loss_grad(logits, yb)
-            if rs > 0.0:
-                lo = xb - reg_eps
-                hi = xb + reg_eps
-                if reg_clip is not None:
-                    lo = np.maximum(lo, reg_clip[0])
-                    hi = np.minimum(hi, reg_clip[1])
-                lows, ups = _ibp_batch(net, lo, hi)
-                loss += rs * _batch_unstable_penalty(net, lows, ups)
             if l1 > 0.0:
                 loss += l1 * float(sum(np.abs(l.weight).sum() for l in net.layers))
             if not math.isfinite(loss):
@@ -302,7 +238,7 @@ def _sgd_run(
                     vel.b[i] = momentum * vel.b[i] + gb
                     layer.weight -= lr_w * vel.w[i]
                     layer.bias -= lr_w * vel.b[i]
-            if tune_graft and lr_g > 0.0:
+            if lr_g > 0.0:
                 for h in range(len(net.slopes)):
                     mask = net.grafted[h]
                     if not mask.any():
@@ -357,18 +293,14 @@ def train(
     cfg: TrainConfig,
     adversarial: AttackConfig | None = None,
     *,
-    rs: float = 0.0,
     l1: float = 0.0,
-    reg_eps: float | None = None,
-    reg_clip: tuple[float, float] | None = None,
     log_path=None,
     holdout=None,
 ) -> Network:
     """SGD with momentum and weight decay on the cross-entropy loss.
 
     With ``adversarial`` set, every batch is replaced by an inner PGD
-    attack before the loss step.  ``rs``/``l1`` switch on the stability
-    surrogate (value-only, bounds detached) and l1 weight penalty.
+    attack before the loss step.  ``l1`` switches on an l1 weight penalty.
     Raises DivergenceError when the loss goes non-finite.
     """
     X, y = _dataset_arrays(dataset)
@@ -386,13 +318,9 @@ def train(
         weight_lr=lambda e: _step_lr(cfg, e),
         graft_lr=lambda e: _step_lr(cfg, e),
         tune_weights=True,
-        tune_graft=True,
         adversarial=adversarial,
         seed=cfg.seed,
-        rs=rs,
         l1=l1,
-        reg_eps=reg_eps if reg_eps is not None else (adversarial.eps if adversarial else 0.0),
-        reg_clip=reg_clip,
         log_path=log_path,
         holdout=hold,
     )
@@ -405,24 +333,21 @@ def finetune_grafted(
     cfg: FinetuneConfig,
     adversarial: AttackConfig | None = None,
     *,
-    rs: float = 0.0,
     l1: float = 0.0,
-    reg_eps: float = 0.0,
-    reg_clip: tuple[float, float] | None = None,
     log_path=None,
-    holdout=None,
 ) -> Network:
     """Fine-tune a grafted network under a cosine-annealed schedule.
 
     Two parameter groups: grafted slopes/intercepts at ``cfg.graft_lr``,
     affine weights/biases at ``cfg.weight_lr`` (frozen bit-identical when
-    ``tune_weights`` is False).  Activation kinds never change.  The same
-    optional regularizers as :func:`train` apply.
+    ``tune_weights`` is False).  Activation kinds never change.  ``l1`` is
+    the same weight penalty as in :func:`train`.  The log's ``sa`` and
+    ``ra`` columns stay empty: a holdout attack would draw from the
+    training generator.
     """
     if not any(g.any() for g in net.grafted):
         raise UsageError("finetune_grafted needs at least one grafted neuron")
     X, y = _dataset_arrays(dataset)
-    hold = _dataset_arrays(holdout) if holdout is not None else None
     tuned, _ = _sgd_run(
         net,
         X,
@@ -434,15 +359,10 @@ def finetune_grafted(
         weight_lr=lambda e: _cosine_lr(cfg.weight_lr, e, cfg.epochs),
         graft_lr=lambda e: _cosine_lr(cfg.graft_lr, e, cfg.epochs),
         tune_weights=cfg.tune_weights,
-        tune_graft=True,
         adversarial=adversarial,
         seed=cfg.seed,
-        rs=rs,
         l1=l1,
-        reg_eps=reg_eps,
-        reg_clip=reg_clip,
         log_path=log_path,
-        holdout=hold,
     )
     return tuned
 
@@ -459,6 +379,7 @@ def gradual_graft(
     score_size: int = 512,
     init_slope: float = 0.25,
     init_intercept: float = 0.0,
+    l1: float = 0.0,
     log_path=None,
 ) -> Network:
     """Interleave scoring, small graft increments, and fine-tuning.
@@ -466,6 +387,7 @@ def gradual_graft(
     Cumulative graft counts follow the cubic front-loaded sparsity ramp
     over the first half of the epochs; the selection weight decays from 2
     to 0 as the grafted share grows.  The second half only fine-tunes.
+    ``l1`` is the weight penalty of :func:`train`.
     """
     from .grafting import score_neurons, select_top_neurons
 
@@ -504,9 +426,9 @@ def gradual_graft(
         weight_lr=lambda e: _cosine_lr(cfg.weight_lr, e, cfg.epochs),
         graft_lr=lambda e: _cosine_lr(cfg.graft_lr, e, cfg.epochs),
         tune_weights=cfg.tune_weights,
-        tune_graft=True,
         adversarial=adversarial,
         seed=cfg.seed,
+        l1=l1,
         epoch_callback=callback,
         log_path=log_path,
     )

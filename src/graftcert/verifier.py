@@ -22,7 +22,6 @@ from .bounds import (
     NeuronStatus,
     SplitAssignment,
     classify_neurons,
-    compute_bounds,
     crown_lower_bound,
     ibp,
     input_region,
@@ -133,13 +132,12 @@ def _minimize_spec(
     box: Box,
     steps: int,
     starts: np.ndarray,
-    step_frac: float = 0.25,
 ) -> tuple[np.ndarray, float]:
     """Signed-gradient descent on the spec value over the box, batched over
     start points.  Returns (best input, best value); stops early once the
     value dips below zero."""
     x = box.clip(np.atleast_2d(np.asarray(starts, dtype=np.float64)))
-    step = step_frac * 0.5 * (box.upper - box.lower)
+    step = 0.125 * (box.upper - box.lower)  # a quarter of the half-width
     best_val = np.inf
     best_x = x[0].copy()
     k = x.shape[0]
@@ -264,8 +262,6 @@ def bab_verify(
     budget: VerifyBudget | None = None,
     *,
     seed: int = 0,
-    intermediate: str = "ibp",
-    attack: AttackConfig | None = None,
     root_inter: LayerBounds | None = None,
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
@@ -276,6 +272,7 @@ def bab_verify(
     applied (intersected with the parent's bounds) and discarded once
     positive.  Domains with no unstable neurons are resolved exactly by the
     linear closed form.  Timeout reports the worst remaining bound.
+    ``root_inter`` supplies the root's intermediate bounds (default: IBP).
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -292,17 +289,9 @@ def bab_verify(
             explored,
         )
 
-    inter = (
-        root_inter
-        if root_inter is not None
-        else compute_bounds(net, box, root_split, method=intermediate)
-    )
-    steps = attack.steps if attack is not None else _ROOT_ATTACK_STEPS
-    restarts = attack.restarts if attack is not None else _ROOT_ATTACK_RESTARTS
-    starts = [box.center()[None, :]]
-    if restarts > 1:
-        starts.append(box.sample(rng, restarts - 1))
-    x_adv, val = _minimize_spec(net, spec, box, steps, np.vstack(starts))
+    inter = root_inter if root_inter is not None else ibp(net, box, root_split)
+    starts = np.vstack([box.center()[None, :], box.sample(rng, _ROOT_ATTACK_RESTARTS - 1)])
+    x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)

@@ -1,6 +1,11 @@
+import dataclasses
 import json
+import os
+import pathlib
+import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -154,6 +159,44 @@ class TestRunPipeline:
         assert verdicts(runs[0][0]) == verdicts(runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_workers_byte_identical_in_deterministic_mode(self, graft_run, tmp_path, monkeypatch):
+        started = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Pool)
+        cfg, _, out = graft_run
+        net = load_checkpoint(out / "grafted.json")
+        test_ds = load_dataset(cfg.dataset["test"])
+        top = float(cfg.budget.max_domains * (cfg.architecture[-1] - 1))
+        for w in (1, 2):
+            records, unr = evaluate_network(
+                net, test_ds, eps_verify=cfg.eps_verify, clip=cfg.clip, budget=cfg.budget,
+                num_verify=8, seed=cfg.seed, deterministic=True, workers=w,
+            )
+            report(records, unr, tmp_path / str(w), time_unit="work_units", budget_top=top)
+        assert started == [2]
+        assert (tmp_path / "1" / "metrics.json").read_bytes() == (
+            tmp_path / "2" / "metrics.json"
+        ).read_bytes()
+
+    def test_single_example_stays_in_process(self, graft_run, monkeypatch):
+        cfg, _, out = graft_run
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one example must not start a process pool")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        records, _ = evaluate_network(
+            load_checkpoint(out / "grafted.json"), load_dataset(cfg.dataset["test"]),
+            eps_verify=cfg.eps_verify, clip=cfg.clip, budget=cfg.budget,
+            num_verify=1, workers=2,
+        )
+        assert len(records) == 1
+
     def test_checkpoint_roundtrip_same_verdicts(self, graft_run, tmp_path):
         cfg, rep, out = graft_run
         net = load_checkpoint(out / "grafted.json")
@@ -303,6 +346,34 @@ class TestCli:
         assert (tmp_path / "finetune_log.csv").exists()
         assert rep.va <= rep.ra <= rep.sa
 
+    def test_gradual_honours_finetune_l1(self, tmp_path):
+        grafted = []
+        for l1 in (0.0, 0.01):
+            out = tmp_path / str(l1)
+            run_pipeline(tiny_config(out, gradual=True, finetune_l1=l1, num_verify=2))
+            grafted.append((out / "grafted.json").read_bytes())
+        assert grafted[0] != grafted[1]
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_is_config_error(self, tmp_path, workers):
+        assert main(["verify", "--out", str(tmp_path), "--workers", workers]) == 2
+        with pytest.raises(UsageError, match="workers"):
+            tiny_config(tmp_path, workers=int(workers))
+
+    def test_removed_train_rs_is_config_error(self, tmp_path):
+        cfg = _write_cfg(tmp_path, train_rs=0.0)
+        assert main(["train", "--out", str(tmp_path), "--config", cfg]) == 2
+
+    def test_readme_documents_every_config_field(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```jsonc\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert block is not None, "README has no jsonc config block"
+        missing = [
+            f.name for f in dataclasses.fields(ExperimentConfig)
+            if f'"{f.name}":' not in block.group(1)
+        ]
+        assert not missing, missing
+
     def test_bad_labels_fail_in_data_stage(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("0,0.1,0.2\n1,0.3,0.4\n5,0.5,0.6\n")
@@ -334,11 +405,16 @@ class TestCli:
         assert rc == 1
 
     def test_console_entry_point(self, tmp_path):
+        # the child finds the package where this process imported it from,
+        # installed or not
+        src = str(pathlib.Path(pipeline.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "graftcert.cli", "pipeline", "--out", str(tmp_path),
              "--config", _write_cfg(tmp_path, num_verify=4, epochs=4)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0, proc.stderr
         assert "UNR" in proc.stdout
