@@ -31,6 +31,7 @@ __all__ = [
     "forward_batch",
     "backward",
     "backward_batch",
+    "input_grad_batch",
     "apply_graft",
     "make_mlp",
     "save_checkpoint",
@@ -215,6 +216,17 @@ def _apply_activation(net: Network, h: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _activation_grad(net: Network, h: int, z: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """Chain ``ga``, the gradient on hidden layer ``h``'s post-activations,
+    through its activations to the pre-activations ``z``."""
+    # ReLU subgradient at 0 is 0, hence the strict comparison.
+    g_relu = ga * (z > 0.0)
+    mask = net.grafted[h]
+    if mask.any():
+        return np.where(mask, ga * net.slopes[h], g_relu)
+    return g_relu
+
+
 def forward_batch(
     net: Network, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -289,19 +301,35 @@ def backward_batch(
             postact_grads[i - 1] = ga
             z = preacts[i - 1]
             mask = net.grafted[i - 1]
-            # ReLU subgradient at 0 is 0, hence the strict comparison.
-            g_relu = ga * (z > 0.0)
             if mask.any():
                 slope_grads[i - 1] = np.where(mask, (ga * z).sum(axis=0), 0.0)
                 intercept_grads[i - 1] = np.where(mask, ga.sum(axis=0), 0.0)
-                g = np.where(mask, ga * net.slopes[i - 1], g_relu)
-            else:
-                g = g_relu
+            g = _activation_grad(net, i - 1, z, ga)
         else:
             input_grad = ga
     return GradientBundle(
         weight_grads, bias_grads, slope_grads, intercept_grads, input_grad, postact_grads
     )
+
+
+def input_grad_batch(
+    net: Network, preacts: list[np.ndarray], loss_grad: np.ndarray
+) -> np.ndarray:
+    """Per-example gradient of the loss on the input, shape (n, input_dim).
+
+    ``preacts`` is the pre-activation cache of :func:`forward_batch` and
+    ``loss_grad`` the (n, output_dim) gradient on the logits.  Bitwise equal
+    to ``backward_batch(...).input_grad`` but builds no parameter or
+    post-activation gradients, so it is the pass attacks use.
+    """
+    g = np.asarray(loss_grad, dtype=np.float64)
+    if g.shape != preacts[-1].shape:
+        raise StructuralError(
+            f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
+        )
+    for i in range(len(net.layers) - 1, 0, -1):
+        g = _activation_grad(net, i - 1, preacts[i - 1], g @ net.layers[i].weight)
+    return g @ net.layers[0].weight
 
 
 def backward(net: Network, x: np.ndarray, loss_grad: np.ndarray) -> GradientBundle:

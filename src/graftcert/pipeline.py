@@ -124,6 +124,14 @@ class ExperimentConfig:
             raise UsageError("graft_fraction must be in (0, 1]")
         if len(self.architecture) < 2:
             raise UsageError("architecture needs at least input and output widths")
+        if min(self.architecture) < 1:
+            raise UsageError(f"architecture widths must be >= 1, got {list(self.architecture)}")
+        if self.clip is not None and (len(self.clip) != 2 or self.clip[0] > self.clip[1]):
+            raise UsageError(f"clip must be [low, high] with low <= high, got {list(self.clip)}")
+        if min(self.attack_steps, self.attack_restarts, self.train_attack_steps) < 1:
+            raise UsageError("attack_steps, attack_restarts and train_attack_steps must be >= 1")
+        if self.num_verify < 1:
+            raise UsageError(f"num_verify must be >= 1, got {self.num_verify}")
         if self.intermediate not in ("ibp", "crown"):
             raise UsageError(f"intermediate must be 'ibp' or 'crown'")
         if self.gradual and self.method != "graft":
@@ -147,7 +155,7 @@ class ExperimentConfig:
             if doc.get("clip") is not None:
                 doc["clip"] = tuple(float(v) for v in doc["clip"])
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
 
     def to_dict(self) -> dict:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UsageError
-from .network import Network, apply_graft, backward_batch, forward_batch
+from .network import Network, apply_graft, backward_batch, forward_batch, input_grad_batch
 
 __all__ = [
     "TrainConfig",
@@ -49,6 +49,8 @@ class TrainConfig:
             raise UsageError("learning rate must be > 0")
         if self.schedule not in ("step", "cosine"):
             raise UsageError(f"unknown schedule {self.schedule!r}")
+        if self.batch_size < 1:
+            raise UsageError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class FinetuneConfig:
             raise UsageError("learning rates must be >= 0")
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise UsageError("batch_size must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +129,10 @@ def _pgd_batch(
     step = atk.step_size if atk.step_size is not None else atk.eps / 4.0
     x = np.clip(X + rng.uniform(-atk.eps, atk.eps, X.shape), lo, hi)
     for _ in range(atk.steps):
-        logits, pre, post = forward_batch(net, x)
+        logits, pre, _ = forward_batch(net, x)
         p = _softmax(logits)
         p[np.arange(x.shape[0]), y] -= 1.0
-        g = backward_batch(net, x, pre, post, p).input_grad
+        g = input_grad_batch(net, pre, p)
         x = np.clip(x + step * np.sign(g), lo, hi)
     return x
 

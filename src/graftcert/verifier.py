@@ -30,7 +30,7 @@ from .bounds import (
     _relaxation_lines,
 )
 from .errors import UndecidableRegion, UsageError
-from .network import Network, backward_batch, forward_batch
+from .network import Network, forward_batch, input_grad_batch
 from .training import AttackConfig
 
 __all__ = [
@@ -46,11 +46,12 @@ __all__ = [
     "pgd_attack",
 ]
 
-# desk-scale falsification effort (cheap early exits inside subdomains,
-# full strength once at the root)
-_SUBDOMAIN_ATTACK_STEPS = 10
+# BaB falsifies by attack only at the root and from linear-leaf witnesses;
+# every other domain is decided by its bounds (Bunel et al., JMLR 2020;
+# Wang et al., NeurIPS 2021)
 _ROOT_ATTACK_STEPS = 20
 _ROOT_ATTACK_RESTARTS = 2
+_LEAF_ATTACK_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,12 @@ class VerifyBudget:
     time_limit: float | None = 30.0
     max_domains: int = 100_000
 
+    def __post_init__(self):
+        if self.max_domains < 1:
+            raise UsageError(f"max_domains must be >= 1, got {self.max_domains}")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise UsageError(f"time_limit must be None or > 0, got {self.time_limit}")
+
 
 def build_specs(num_classes: int, label: int) -> list[Specification]:
     """The ``num_classes - 1`` margin specifications (label vs. every other
@@ -143,7 +150,7 @@ def _minimize_spec(
     k = x.shape[0]
     grad_seed = np.tile(spec.coeffs, (k, 1))
     for it in range(steps + 1):
-        logits, pre, post = forward_batch(net, x)
+        logits, pre, _ = forward_batch(net, x)
         vals = logits @ spec.coeffs + spec.const
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -151,7 +158,7 @@ def _minimize_spec(
             best_x = x[i].copy()
         if best_val < 0.0 or it == steps:
             break
-        g = backward_batch(net, x, pre, post, grad_seed).input_grad
+        g = input_grad_batch(net, pre, grad_seed)
         x = box.clip(x - step * np.sign(g))
     return best_x, best_val
 
@@ -182,7 +189,7 @@ def pgd_attack(
     classes = net.output_dim
     others = [t for t in range(classes) if t != label]
     for it in range(cfg.steps + 1):
-        logits, pre, post = forward_batch(net, x)
+        logits, pre, _ = forward_batch(net, x)
         margins = logits[:, label][:, None] - logits[:, others]
         worst = margins.min(axis=1)
         hit = np.flatnonzero(worst < 0.0)
@@ -195,7 +202,7 @@ def pgd_attack(
         seedg = np.zeros((k, classes))
         seedg[np.arange(k), tstar] = 1.0
         seedg[np.arange(k), label] = -1.0
-        g = backward_batch(net, x, pre, post, seedg).input_grad
+        g = input_grad_batch(net, pre, seedg)
         x = box.clip(x + step * np.sign(g))
     return None
 
@@ -266,17 +273,19 @@ def bab_verify(
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
-    Keeps a worst-bound-first worklist of split domains.  Each popped
-    domain gets a cheap PGD falsification attempt, then its worst unstable
-    neuron is forced both ways; children are re-bounded with the split
-    applied (intersected with the parent's bounds) and discarded once
-    positive.  Domains with no unstable neurons are resolved exactly by the
-    linear closed form.  Timeout reports the worst remaining bound.
-    ``root_inter`` supplies the root's intermediate bounds (default: IBP).
+    A PGD attack from the box center plus seeded random restarts runs once
+    at the root; then a worst-bound-first worklist of split domains is
+    searched.  Each popped domain's worst unstable neuron is forced both
+    ways; children are re-bounded with the split applied (intersected with
+    the parent's bounds) and discarded once positive.  Domains with no
+    unstable neurons are resolved exactly by the linear closed form, which
+    falsifies from its witness corner or, when the witness leaves the split
+    region, from a PGD attack seeded at the witness.  Timeout reports the
+    worst remaining bound.  ``root_inter`` supplies the root's intermediate
+    bounds (default: IBP).
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
-    rng = np.random.default_rng(seed)
     root_split = SplitAssignment.free(net)
     explored = 1
 
@@ -290,7 +299,8 @@ def bab_verify(
         )
 
     inter = root_inter if root_inter is not None else ibp(net, box, root_split)
-    starts = np.vstack([box.center()[None, :], box.sample(rng, _ROOT_ATTACK_RESTARTS - 1)])
+    restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
+    starts = np.vstack([box.center()[None, :], restarts])
     x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
@@ -306,11 +316,6 @@ def bab_verify(
         if explored + 2 > budget.max_domains:
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
         bound, _, dom, dinter = heapq.heappop(heap)
-        x_adv, val = _minimize_spec(
-            net, spec, box, _SUBDOMAIN_ATTACK_STEPS, box.sample(rng, 1)
-        )
-        if val < 0.0:
-            return verdict(VerdictStatus.FALSIFIED, val, x_adv)
         status = classify_neurons(dinter, dom.split)
         if not np.any(status == NeuronStatus.UNSTABLE):
             kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dinter, spec)
@@ -321,9 +326,7 @@ def bab_verify(
                 return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
             # witness left the split region: one seeded attempt, then the
             # domain is discarded as infeasible-or-verified
-            x_adv, val = _minimize_spec(
-                net, spec, box, 2 * _SUBDOMAIN_ATTACK_STEPS, witness[None, :]
-            )
+            x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
             if val < 0.0:
                 return verdict(VerdictStatus.FALSIFIED, val, x_adv)
             continue

@@ -16,9 +16,15 @@ from graftcert import (
     forward,
     forward_batch,
     load_checkpoint,
+    make_mlp,
     save_checkpoint,
 )
-from graftcert.network import network_from_dict, network_to_dict
+from graftcert.network import (
+    backward_batch,
+    input_grad_batch,
+    network_from_dict,
+    network_to_dict,
+)
 
 from conftest import manual_layer, random_net
 
@@ -162,6 +168,54 @@ class TestBackward:
         assert bundle.slope_grads[0][0] == pytest.approx(3.0 * z)
         assert bundle.intercept_grads[0][0] == pytest.approx(3.0)
         assert bundle.postact_grads[0][0] == pytest.approx(3.0)
+
+
+class TestInputGrad:
+    """``input_grad_batch`` is the attacks' pass; it must not move a bit
+    against the full reverse pass, or trained weights and verdicts move."""
+
+    @staticmethod
+    def assert_bitwise_equal(net, X, seed=0):
+        _, pre, post = forward_batch(net, X)
+        g = np.random.default_rng(seed).normal(0.0, 1.0, (X.shape[0], net.output_dim))
+        full = backward_batch(net, X, pre, post, g).input_grad
+        got = input_grad_batch(net, pre, g)
+        assert got.shape == full.shape == X.shape and got.dtype == full.dtype
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_grafted_nets(self, seed):
+        net = random_net(1300 + seed, graft_fraction=(0.0, 0.3, 1.0)[seed % 3])
+        X = np.random.default_rng(seed).uniform(-1, 1, (1 + seed % 7, net.input_dim))
+        self.assert_bitwise_equal(net, X, seed)
+
+    def test_slope_zero_grafts(self):
+        net = random_net(41, widths=[3, 6, 5, 2])
+        plan = GraftPlan(tuple(range(0, net.num_hidden, 2)), ((0.5, 0.0),), 0.0, 0.2)
+        X = np.random.default_rng(41).uniform(-1, 1, (9, 3))
+        self.assert_bitwise_equal(apply_graft(net, plan), X)
+
+    def test_preactivations_exactly_zero(self):
+        # zero biases and a zero input row: every pre-activation is 0.0,
+        # where ReLU's subgradient is 0 and a graft's is its slope
+        net = make_mlp([3, 4, 4, 2], seed=5)
+        plan = GraftPlan((1, 6), ((0.25, 0.0),), 0.5, 0.0)
+        X = np.vstack([np.zeros(3), np.random.default_rng(5).uniform(-1, 1, (4, 3))])
+        for n in (net, apply_graft(net, plan)):
+            _, pre, _ = forward_batch(n, X)
+            assert not pre[0][0].any() and not pre[1][0].any()
+            self.assert_bitwise_equal(n, X)
+
+    def test_no_hidden_layer(self):
+        net = Network([manual_layer([[1.0, 2.0], [0.5, -1.0], [0.0, 3.0]], [0.1, -0.2, 0.0])])
+        X = np.random.default_rng(3).uniform(-1, 1, (4, 2))
+        self.assert_bitwise_equal(net, X)
+
+    def test_loss_grad_shape_checked(self):
+        net = random_net(2, widths=[2, 3, 2])
+        _, pre, _ = forward_batch(net, np.zeros((2, 2)))
+        with pytest.raises(StructuralError):
+            input_grad_batch(net, pre, np.zeros((2, 3)))
 
 
 class TestApplyGraft:

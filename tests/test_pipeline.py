@@ -364,6 +364,28 @@ class TestCli:
         cfg = _write_cfg(tmp_path, train_rs=0.0)
         assert main(["train", "--out", str(tmp_path), "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("over", [
+        pytest.param({"budget": {"time_limit": 30.0, "max_domains": 0}}, id="max_domains=0"),
+        pytest.param({"budget": {"time_limit": 30.0, "max_domains": -3}}, id="max_domains=-3"),
+        pytest.param({"budget": {"time_limit": -1, "max_domains": 300}}, id="time_limit=-1"),
+        pytest.param({"num_verify": -2}, id="num_verify=-2"),
+        pytest.param({"attack_steps": -1}, id="attack_steps=-1"),
+        pytest.param({"attack_restarts": 0}, id="attack_restarts=0"),
+        pytest.param({"train_attack_steps": 0}, id="train_attack_steps=0"),
+        pytest.param({"clip": [1, 0]}, id="clip=1,0"),
+        pytest.param({"architecture": "abc"}, id="architecture=abc"),
+        pytest.param({"architecture": [2, 0, 2]}, id="architecture=2,0,2"),
+        pytest.param({"train": {"epochs": 2, "batch_size": 0}}, id="train.batch_size=0"),
+        pytest.param({"finetune": {"epochs": 2, "batch_size": 0}}, id="finetune.batch_size=0"),
+    ])
+    def test_bad_value_fails_at_config_load(self, tmp_path, capsys, over):
+        out = tmp_path / "out"
+        cfg = _write_cfg(tmp_path, **over)
+        assert main(["pipeline", "--out", str(out), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err, err
+        assert not out.exists()  # no stage ran
+
     def test_readme_documents_every_config_field(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         block = re.search(r"```jsonc\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)

@@ -8,6 +8,7 @@ from graftcert import (
     GraftPlan,
     Network,
     NeuronStatus,
+    Specification,
     SplitAssignment,
     UndecidableRegion,
     UsageError,
@@ -25,6 +26,7 @@ from graftcert import (
     oracle_input_split,
     pgd_attack,
 )
+from graftcert.verifier import _ROOT_ATTACK_RESTARTS, _ROOT_ATTACK_STEPS, _minimize_spec
 
 from conftest import manual_layer, random_net
 
@@ -204,6 +206,25 @@ class TestBabVerify:
             vals = forward_batch(net, xs)[0] @ spec.coeffs + spec.const
             assert vals.min() > 0
         assert verified > 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corner_violation_falsified_by_linear_leaf(self, seed):
+        # 1 - 100 * relu(x1 + x2 - 1.98) on [0, 1]^2 dips below zero only
+        # where x1 + x2 > 1.99 and has zero gradient where x1 + x2 < 1.98,
+        # so PGD from the root's starts cannot move and the leaf's closed
+        # form must find the corner
+        net = Network([manual_layer([[1.0, 1.0]], [-1.98]), manual_layer([[-100.0]], [1.0])])
+        spec = Specification(np.array([1.0]))
+        box = Box(np.zeros(2), np.ones(2))
+        restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
+        starts = np.vstack([box.center()[None, :], restarts])
+        _, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
+        assert val > 0
+        v = bab_verify(net, spec, box, VerifyBudget(None, 100), seed=seed)
+        assert v.status == VerdictStatus.FALSIFIED
+        assert v.domains_explored > 1  # decided below the root
+        assert box.contains(v.counterexample, atol=0)
+        assert spec.value(forward(net, v.counterexample)[0]) < 0
 
     def test_progress_and_budget(self):
         net = random_net(801, widths=[2, 8, 8, 2])
