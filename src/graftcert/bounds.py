@@ -200,16 +200,51 @@ def ibp(net: Network, box: Box, split: SplitAssignment | None = None) -> LayerBo
         )
     if split is None:
         split = SplitAssignment.free(net)
-    lo, hi = box.lower, box.upper
-    lowers: list[np.ndarray] = []
-    uppers: list[np.ndarray] = []
+    signed = _sign_split(net.layers)
+    wp, wn = signed[0]
+    bias = net.layers[0].bias
+    zl = wp @ box.lower + wn @ box.upper + bias
+    zu = wp @ box.upper + wn @ box.lower + bias
+    return _ibp_from(net, signed, split, 0, zl, zu, (), ())
+
+
+def _sign_split(layers: Sequence) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per affine layer, ``(max(W, 0), min(W, 0))``.
+
+    Worth computing once per verification call and passing to
+    ``_ibp_from``; it is not cached on the network because callers may
+    change its weights in place between calls.
+    """
+    return tuple((np.maximum(l.weight, 0.0), np.minimum(l.weight, 0.0)) for l in layers)
+
+
+def _ibp_from(
+    net: Network,
+    signed,
+    split: SplitAssignment,
+    start: int,
+    zl: np.ndarray,
+    zu: np.ndarray,
+    lowers_below,
+    uppers_below,
+) -> LayerBounds:
+    """The IBP layer loop from affine layer ``start`` on.
+
+    ``[zl, zu]`` is layer ``start``'s pre-activation interval before the
+    split's clamps at that layer; ``lowers_below``/``uppers_below`` are the
+    layers under it, returned as they are.  ``feasible`` reflects only the
+    clamps from ``start`` on.
+    """
+    lowers = list(lowers_below)
+    uppers = list(uppers_below)
     feasible = True
     last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        wp = np.maximum(layer.weight, 0.0)
-        wn = np.minimum(layer.weight, 0.0)
-        zl = wp @ lo + wn @ hi + layer.bias
-        zu = wp @ hi + wn @ lo + layer.bias
+    for i in range(start, last + 1):
+        if i > start:
+            wp, wn = signed[i]
+            bias = net.layers[i].bias
+            zl = wp @ lo + wn @ hi + bias
+            zu = wp @ hi + wn @ lo + bias
         if i < last:
             code = split.codes[i]
             if code.any():
@@ -218,20 +253,43 @@ def ibp(net: Network, box: Box, split: SplitAssignment | None = None) -> LayerBo
                 if np.any(zl > zu):
                     feasible = False
                     zl = np.minimum(zl, zu)
-            lowers.append(zl)
-            uppers.append(zu)
             g = net.grafted[i]
-            po_lo = np.maximum(zl, 0.0)
-            po_hi = np.maximum(zu, 0.0)
+            lo = np.maximum(zl, 0.0)
+            hi = np.maximum(zu, 0.0)
             if g.any():
                 g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
-                po_lo = np.where(g, g_lo, po_lo)
-                po_hi = np.where(g, g_hi, po_hi)
-            lo, hi = po_lo, po_hi
-        else:
-            lowers.append(zl)
-            uppers.append(zu)
+                lo = np.where(g, g_lo, lo)
+                hi = np.where(g, g_hi, hi)
+        lowers.append(zl)
+        uppers.append(zu)
     return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+
+
+def _child_ibp(
+    net: Network, signed, parent_raw: LayerBounds, child_split: SplitAssignment, h: int
+) -> LayerBounds:
+    """``ibp(net, box, child_split)`` for a child that forces one more
+    neuron of hidden layer ``h`` than the parent whose IBP is
+    ``parent_raw``, computed from layer ``h`` on.
+
+    The result is bit for bit the full IBP.  Below ``h`` the child's codes
+    are the parent's, so those layers are the parent's arrays.  At ``h``,
+    ``parent_raw`` holds the pre-activations already clamped by the
+    parent's codes; the clamps are idempotent and a feasible parent took no
+    ``min(zl, zu)`` repair, so clamping them again with the child's codes
+    gives what the full pass gets from the unclamped values.  So the
+    parent must be feasible; BaB keeps no infeasible domain.
+    """
+    return _ibp_from(
+        net,
+        signed,
+        child_split,
+        h,
+        parent_raw.lower[h],
+        parent_raw.upper[h],
+        parent_raw.lower[:h],
+        parent_raw.upper[:h],
+    )
 
 
 def _ibp_batch(net: Network, lo: np.ndarray, hi: np.ndarray):
@@ -269,36 +327,30 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment):
     line, unstable ReLUs the secant upper line and a lower line through the
     origin with the same slope u/(u-l).  Grafted neurons use their exact
     line on both sides; forced neurons their forced linear form.  The
-    degenerate interval l = u = 0 counts as stable-inactive.
+    degenerate interval l = u = 0 counts as stable-inactive.  The lower and
+    upper slopes are always equal, so both are the same array.  Computed in
+    one pass over all hidden neurons, then split per layer.
     """
-    lines = []
-    for h in range(len(net.hidden_sizes)):
-        l = inter.lower[h]
-        u = inter.upper[h]
-        code = split.codes[h]
-        inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
-        active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
-        unstable = ~inactive & ~active
-        ls = np.zeros_like(l)
-        li = np.zeros_like(l)
-        us = np.zeros_like(l)
-        ui = np.zeros_like(l)
-        ls[active] = 1.0
-        us[active] = 1.0
-        if unstable.any():
-            d = np.where(unstable, u - l, 1.0)
-            s = u / d
-            ls[unstable] = s[unstable]
-            us[unstable] = s[unstable]
-            ui[unstable] = (-u * l / d)[unstable]
-        g = net.grafted[h]
-        if g.any():
-            ls = np.where(g, net.slopes[h], ls)
-            li = np.where(g, net.intercepts[h], li)
-            us = np.where(g, net.slopes[h], us)
-            ui = np.where(g, net.intercepts[h], ui)
-        lines.append((ls, li, us, ui))
-    return lines
+    if not net.hidden_sizes:
+        return []
+    l = np.concatenate(inter.lower[:-1])
+    u = np.concatenate(inter.upper[:-1])
+    code = split.flat()
+    inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
+    active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
+    unstable = ~(inactive | active)
+    d = np.where(unstable, u - l, 1.0)
+    slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
+    li = np.zeros_like(l)
+    ui = np.where(unstable, -u * l / d, 0.0)
+    g = net.grafted_flat()
+    if g.any():
+        icpt = np.concatenate(net.intercepts)
+        slope = np.where(g, np.concatenate(net.slopes), slope)
+        li = np.where(g, icpt, li)
+        ui = np.where(g, icpt, ui)
+    ends = net.layer_offsets() + (len(l),)
+    return [(slope[a:b], li[a:b], slope[a:b], ui[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def _backward(
@@ -426,10 +478,20 @@ def compute_bounds(
     return refined
 
 
-def intersect_bounds(a: LayerBounds, b: LayerBounds) -> LayerBounds:
-    """Elementwise intersection of two sound bound sets for nested regions."""
-    lowers = tuple(np.maximum(x, y) for x, y in zip(a.lower, b.lower))
-    uppers = tuple(np.minimum(x, y) for x, y in zip(a.upper, b.upper))
+def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBounds:
+    """Elementwise intersection of two sound bound sets for nested regions.
+
+    Layers below ``start`` are taken from ``b`` as they are, for callers
+    that know ``b`` lies inside ``a`` there (a BaB child's IBP equals its
+    parent's below the split layer, and the parent's bounds are already
+    intersected with it).
+    """
+    lowers = b.lower[:start] + tuple(
+        np.maximum(x, y) for x, y in zip(a.lower[start:], b.lower[start:])
+    )
+    uppers = b.upper[:start] + tuple(
+        np.minimum(x, y) for x, y in zip(a.upper[start:], b.upper[start:])
+    )
     feasible = a.feasible and b.feasible
     if feasible and any(np.any(l > u) for l, u in zip(lowers, uppers)):
         feasible = False

@@ -95,7 +95,7 @@ class Network:
     ``slopes``/``intercepts`` at non-grafted positions are ignored.
     """
 
-    __slots__ = ("layers", "grafted", "slopes", "intercepts")
+    __slots__ = ("layers", "grafted", "slopes", "intercepts", "_hidden_sizes", "_offsets")
 
     def __init__(
         self,
@@ -112,7 +112,10 @@ class Network:
                     f"layer widths do not chain: {a.out_dim} -> {b.in_dim}"
                 )
         self.layers = tuple(layers)
-        hidden = [l.out_dim for l in layers[:-1]]
+        # layer shapes never change after construction
+        hidden = tuple(l.out_dim for l in layers[:-1])
+        self._hidden_sizes = hidden
+        self._offsets = tuple(sum(hidden[:h]) for h in range(len(hidden)))
         if grafted is None:
             grafted = [np.zeros(d, dtype=bool) for d in hidden]
         if slopes is None:
@@ -142,7 +145,7 @@ class Network:
 
     @property
     def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(l.out_dim for l in self.layers[:-1])
+        return self._hidden_sizes
 
     @property
     def num_hidden(self) -> int:
@@ -150,17 +153,13 @@ class Network:
 
     def layer_offsets(self) -> tuple[int, ...]:
         """Flat-id offset of each hidden layer's first neuron."""
-        offs, total = [], 0
-        for d in self.hidden_sizes:
-            offs.append(total)
-            total += d
-        return tuple(offs)
+        return self._offsets
 
     def neuron_location(self, neuron_id: int) -> tuple[int, int]:
         """Map a flat hidden-neuron id to (hidden layer index, offset)."""
         if not 0 <= neuron_id < self.num_hidden:
             raise UsageError(f"neuron id {neuron_id} out of range")
-        for h, (off, d) in enumerate(zip(self.layer_offsets(), self.hidden_sizes)):
+        for h, (off, d) in enumerate(zip(self._offsets, self._hidden_sizes)):
             if neuron_id < off + d:
                 return h, neuron_id - off
         raise UsageError(f"neuron id {neuron_id} out of range")  # pragma: no cover

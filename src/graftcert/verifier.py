@@ -27,7 +27,9 @@ from .bounds import (
     input_region,
     intersect_bounds,
     interval_spec_lower,
+    _child_ibp,
     _relaxation_lines,
+    _sign_split,
 )
 from .errors import UndecidableRegion, UsageError
 from .network import Network, forward_batch, input_grad_batch
@@ -214,7 +216,12 @@ def pgd_attack(
 def branch_select(domain: Domain, inter: LayerBounds) -> int:
     """The unstable neuron with the largest relaxation-area proxy
     |l*u| / (u - l); ties break toward the lowest id."""
-    status = classify_neurons(inter, domain.split)
+    return _branch_on(classify_neurons(inter, domain.split), inter)
+
+
+def _branch_on(status: np.ndarray, inter: LayerBounds) -> int:
+    """``branch_select`` given the domain's neuron status, so that BaB,
+    which has already classified the domain, does not classify it again."""
     unstable = np.flatnonzero(status == NeuronStatus.UNSTABLE)
     if unstable.size == 0:
         raise UsageError("domain has no unstable neuron to branch on")
@@ -276,13 +283,14 @@ def bab_verify(
     A PGD attack from the box center plus seeded random restarts runs once
     at the root; then a worst-bound-first worklist of split domains is
     searched.  Each popped domain's worst unstable neuron is forced both
-    ways; children are re-bounded with the split applied (intersected with
-    the parent's bounds) and discarded once positive.  Domains with no
-    unstable neurons are resolved exactly by the linear closed form, which
-    falsifies from its witness corner or, when the witness leaves the split
-    region, from a PGD attack seeded at the witness.  Timeout reports the
-    worst remaining bound.  ``root_inter`` supplies the root's intermediate
-    bounds (default: IBP).
+    ways.  A child is re-bounded by IBP restarted at the split neuron's
+    layer from the parent's own IBP (the layers below it cannot change),
+    intersected with the parent's bounds, then bounded by CROWN; it is
+    discarded once positive.  Domains with no unstable neurons are resolved
+    exactly by the linear closed form, which falsifies from its witness
+    corner or, when the witness leaves the split region, from a PGD attack
+    seeded at the witness.  Timeout reports the worst remaining bound.
+    ``root_inter`` supplies the root's intermediate bounds (default: IBP).
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -307,7 +315,19 @@ def bab_verify(
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         return verdict(VerdictStatus.VERIFIED, root_bound)
-    heap: list[tuple] = [(root_bound, 0, Domain(root_split, root_bound, 0), inter)]
+    # undecided at the root: from here on every domain keeps its raw IBP
+    # (before intersection), from which its children restart.  A child
+    # starts from its split layer's pre-activations, so it never needs the
+    # first layer's weights, usually the largest (784 x 128 on MNIST)
+    signed = (None,) + _sign_split(net.layers[1:])
+    if root_inter is None:
+        raw = inter
+    else:
+        # a child's bounds below its split layer are then the parent's
+        # as they are (intersecting with the same IBP again is a no-op)
+        raw = ibp(net, box, root_split)
+        inter = intersect_bounds(raw, inter)
+    heap: list[tuple] = [(root_bound, 0, Domain(root_split, root_bound, 0), inter, raw)]
     counter = 1
     verified_floor = np.inf
     while heap:
@@ -315,7 +335,7 @@ def bab_verify(
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
         if explored + 2 > budget.max_domains:
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
-        bound, _, dom, dinter = heapq.heappop(heap)
+        bound, _, dom, dinter, draw = heapq.heappop(heap)
         status = classify_neurons(dinter, dom.split)
         if not np.any(status == NeuronStatus.UNSTABLE):
             kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dinter, spec)
@@ -330,10 +350,12 @@ def bab_verify(
             if val < 0.0:
                 return verdict(VerdictStatus.FALSIFIED, val, x_adv)
             continue
-        j = branch_select(dom, dinter)
+        j = _branch_on(status, dinter)
+        h, _ = net.neuron_location(j)
         for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
             child_split = dom.split.force(net, j, direction)
-            child_inter = intersect_bounds(ibp(net, box, child_split), dinter)
+            child_raw = _child_ibp(net, signed, draw, child_split, h)
+            child_inter = intersect_bounds(child_raw, dinter, start=h)
             explored += 1
             if not child_inter.feasible:
                 continue
@@ -348,7 +370,8 @@ def bab_verify(
                     verified_floor = min(verified_floor, cb)
                 continue
             heapq.heappush(
-                heap, (cb, counter, Domain(child_split, cb, dom.depth + 1), child_inter)
+                heap,
+                (cb, counter, Domain(child_split, cb, dom.depth + 1), child_inter, child_raw),
             )
             counter += 1
     return verdict(VerdictStatus.VERIFIED, verified_floor)

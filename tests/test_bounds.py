@@ -21,7 +21,16 @@ from graftcert import (
     interval_spec_lower,
     tally_stability,
 )
-from graftcert.bounds import FORCED_ACTIVE, FORCED_INACTIVE, intersect_bounds
+from graftcert.bounds import (
+    FORCED_ACTIVE,
+    FORCED_INACTIVE,
+    FREE,
+    LayerBounds,
+    _child_ibp,
+    _relaxation_lines,
+    _sign_split,
+    intersect_bounds,
+)
 
 from conftest import manual_layer, random_net
 
@@ -261,6 +270,146 @@ class TestCrown:
                         crown_lower_bound(net, box, split, inter, coeffs), parent
                     )
                     assert child >= parent
+
+
+def _same_bytes(a: LayerBounds, b: LayerBounds) -> bool:
+    return a.feasible == b.feasible and all(
+        x.tobytes() == y.tobytes() for x, y in zip(a.lower + a.upper, b.lower + b.upper)
+    )
+
+
+class TestChildIbp:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_incremental_child_equals_full_ibp(self, seed):
+        # a chain of splits, three at every hidden layer in turn, each
+        # neuron forced both ways; every child restarted at its split
+        # layer must be the full IBP bit for bit, and so must its bounds
+        # intersected with the parent's from that layer on
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(3, 5))
+        widths = [int(rng.integers(2, 5))]
+        widths += [int(rng.integers(4, 8)) for _ in range(depth)]
+        widths += [int(rng.integers(2, 4))]
+        net = random_net(seed, widths=widths, weight_scale=float(rng.uniform(0.6, 1.2)))
+        offs = net.layer_offsets()
+        # graft some neurons, leaving at least three free ones per layer
+        take = tuple(
+            o + k for o, d in zip(offs, widths[1:-1]) for k in range(d - 3) if rng.random() < 0.5
+        )
+        if take:
+            slope, icpt = float(rng.uniform(-0.5, 1.0)), float(rng.uniform(-0.5, 0.5))
+            net = apply_graft(net, GraftPlan(take, ((len(take) / net.num_hidden, 0.0),), slope, icpt))
+        box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.05, 0.5)))
+        signed = (None,) + _sign_split(net.layers[1:])  # as BaB passes it
+        split = SplitAssignment.free(net)
+        raw = ibp(net, box, split)
+        # a CROWN-refined root, as the pipeline gives BaB
+        inter = intersect_bounds(raw, compute_bounds(net, box, None, "crown"))
+        for step in range(3 * depth):
+            h = step % depth
+            free = np.flatnonzero((split.codes[h] == FREE) & ~net.grafted[h])
+            l, u = raw.lower[h][free], raw.upper[h][free]
+            stable = free[(u < 0.0) | (l > 0.0)]
+            pick_stable = step % 2 == 1 and stable.size > 0
+            k = int(rng.choice(stable if pick_stable else free))
+            children = []
+            for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
+                child_split = split.force(net, offs[h] + k, direction)
+                want = ibp(net, box, child_split)
+                got = _child_ibp(net, signed, raw, child_split, h)
+                assert _same_bytes(got, want)
+                assert _same_bytes(
+                    intersect_bounds(got, inter, start=h), intersect_bounds(want, inter)
+                )
+                if pick_stable and (raw.upper[h][k] < 0.0) == (direction == FORCED_ACTIVE):
+                    # forcing a stable neuron against its sign empties the region
+                    assert not got.feasible
+                if got.feasible:
+                    children.append((child_split, got))
+            if not children:
+                break
+            split, child_raw = children[int(rng.integers(len(children)))]
+            inter = intersect_bounds(child_raw, inter, start=h)
+            raw = child_raw
+            if not inter.feasible:
+                break
+
+
+def _reference_relaxation_lines(net, inter, split):
+    # the per-layer masked-assignment construction that the one-pass
+    # _relaxation_lines replaced; the floats must not change
+    lines = []
+    for h in range(len(net.hidden_sizes)):
+        l = inter.lower[h]
+        u = inter.upper[h]
+        code = split.codes[h]
+        inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
+        active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
+        unstable = ~inactive & ~active
+        ls = np.zeros_like(l)
+        li = np.zeros_like(l)
+        us = np.zeros_like(l)
+        ui = np.zeros_like(l)
+        ls[active] = 1.0
+        us[active] = 1.0
+        if unstable.any():
+            d = np.where(unstable, u - l, 1.0)
+            s = u / d
+            ls[unstable] = s[unstable]
+            us[unstable] = s[unstable]
+            ui[unstable] = (-u * l / d)[unstable]
+        g = net.grafted[h]
+        if g.any():
+            ls = np.where(g, net.slopes[h], ls)
+            li = np.where(g, net.intercepts[h], li)
+            us = np.where(g, net.slopes[h], us)
+            ui = np.where(g, net.intercepts[h], ui)
+        lines.append((ls, li, us, ui))
+    return lines
+
+
+class TestRelaxationLines:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_layer_reference(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        widths = [3] + [int(rng.integers(4, 12)) for _ in range(int(rng.integers(1, 5)))] + [2]
+        hidden = widths[1:-1]
+        grafted = [rng.random(d) < 0.2 for d in hidden]
+        net = Network(
+            [manual_layer(np.ones((o, i)), np.zeros(o)) for i, o in zip(widths, widths[1:])],
+            grafted,
+            [rng.normal(0, 1, d) * (rng.random(d) < 0.8) for d in hidden],
+            [rng.normal(0, 1, d) for d in hidden],
+        )
+        lowers, uppers, codes = [], [], []
+        for d, g in zip(hidden, grafted):
+            # straddling, l = u = 0, l = 0, u = 0 (also as -0.0), stably
+            # active and stably inactive
+            a, b, z = -rng.uniform(0.01, 2, d), rng.uniform(0.01, 2, d), np.zeros(d)
+            kind = rng.integers(0, 8, d)
+            l = np.choose(kind, [a, z, z, a, -z, a, -a, a - 1.0])
+            u = np.choose(kind, [b, z, b, z, b, -z, b - a, a])
+            lowers.append(l)
+            uppers.append(u)
+            codes.append(np.where(g, FREE, rng.choice([FREE, FORCED_ACTIVE, FORCED_INACTIVE], d)))
+        lowers.append(np.full(2, -1.0))
+        uppers.append(np.full(2, 1.0))
+        inter = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
+        for split in (SplitAssignment.free(net), SplitAssignment(codes)):
+            got = _relaxation_lines(net, inter, split)
+            want = _reference_relaxation_lines(net, inter, split)
+            assert len(got) == len(want) == len(hidden)
+            for g_line, w_line in zip(got, want):
+                for x, y in zip(g_line, w_line):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_no_hidden_layer(self):
+        net = Network([manual_layer([[1.0, -1.0]], [0.5])])
+        inter = ibp(net, Box(np.zeros(2), np.ones(2)))
+        split = SplitAssignment.free(net)
+        assert _relaxation_lines(net, inter, split) == []
+        assert _reference_relaxation_lines(net, inter, split) == []
 
 
 class TestClassify:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from graftcert import (
     branch_select,
     build_specs,
     classify_neurons,
+    compute_bounds,
     forward,
     forward_batch,
     ibp,
@@ -277,6 +280,90 @@ class TestBabVerify:
             before = int((status == NeuronStatus.UNSTABLE).sum())
             after = int((st2 == NeuronStatus.UNSTABLE).sum())
             assert after == before - len(take)
+
+    # sha256 of one "status|bound.hex()|domains|counterexample hex" line per
+    # case of _pin_cases, recorded with every child bounded by a full IBP
+    # pass; bounding children incrementally must not move a bit of it
+    PIN_DIGEST = "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a"
+
+    @staticmethod
+    def _pin_cases():
+        """Deep random nets (three hidden layers, some grafted, some with a
+        CROWN-refined root), each margin of a 3-class output, plus the
+        corner net, which is falsified below the root."""
+        for seed in range(20):
+            rng = np.random.default_rng(4000 + seed)
+            widths = [2, 5, 5, 5, 3] if seed % 2 else [3, 8, 8, 8, 3]
+            graft = 0.2 if seed % 4 in (1, 2) else 0.0
+            net = random_net(4000 + seed, widths=widths, weight_scale=1.0, graft_fraction=graft)
+            x0 = rng.uniform(0.2, 0.8, widths[0])
+            box = input_region(x0, float(rng.uniform(0.1, 0.4)), (0, 1))
+            label = int(np.argmax(forward(net, box.center())[0]))
+            root_inter = compute_bounds(net, box, None, "crown") if seed % 3 == 0 else None
+            for spec in build_specs(3, label):
+                yield net, spec, box, VerifyBudget(None, 150), seed, root_inter
+        net = Network([manual_layer([[1.0, 1.0]], [-1.98]), manual_layer([[-100.0]], [1.0])])
+        spec, box = Specification(np.array([1.0])), Box(np.zeros(2), np.ones(2))
+        yield net, spec, box, VerifyBudget(None, 100), 0, None
+
+    def test_characterization_pin(self, monkeypatch):
+        split_layers = set()
+        force = SplitAssignment.force
+
+        def recording_force(split, net, neuron_id, direction):
+            if net.output_dim == 3:
+                split_layers.add(net.neuron_location(neuron_id)[0])
+            return force(split, net, neuron_id, direction)
+
+        monkeypatch.setattr(SplitAssignment, "force", recording_force)
+        lines, kinds = [], set()
+        for net, spec, box, budget, seed, root_inter in self._pin_cases():
+            v = bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
+            cex = b"" if v.counterexample is None else v.counterexample.tobytes()
+            lines.append(f"{v.status.value}|{v.bound.hex()}|{v.domains_explored}|{cex.hex()}")
+            kinds.add((v.status, v.domains_explored > 1))
+        assert split_layers == {0, 1, 2}
+        assert {(s, True) for s in VerdictStatus} <= kinds
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PIN_DIGEST
+
+    def test_branching_classifies_each_domain_once(self, monkeypatch):
+        # BaB classifies each popped domain once and hands that status to
+        # the branching helper, which must pick what branch_select picks
+        import graftcert.verifier as verifier
+
+        classify, branch_on, leaf = (
+            verifier.classify_neurons, verifier._branch_on, verifier._resolve_linear_leaf
+        )
+        last, calls = [], {"classify": 0, "branch": 0, "leaf": 0}
+
+        def recording_classify(inter, split):
+            calls["classify"] += 1
+            last[:] = [(inter, split)]
+            return classify(inter, split)
+
+        def checking_branch_on(status, inter):
+            calls["branch"] += 1
+            (seen_inter, split), = last
+            assert seen_inter is inter
+            j = branch_on(status, inter)
+            with monkeypatch.context() as m:
+                m.setattr(verifier, "classify_neurons", classify)
+                m.setattr(verifier, "_branch_on", branch_on)
+                assert j == branch_select(Domain(split, 0.0, 0), inter)
+            return j
+
+        def counting_leaf(*args):
+            calls["leaf"] += 1
+            return leaf(*args)
+
+        monkeypatch.setattr(verifier, "classify_neurons", recording_classify)
+        monkeypatch.setattr(verifier, "_branch_on", checking_branch_on)
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting_leaf)
+        for net, spec, box, budget, seed, root_inter in self._pin_cases():
+            bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
+        assert calls["branch"] > 500
+        assert calls["classify"] == calls["branch"] + calls["leaf"]
 
     def test_zero_graft_never_increases_unstable_count(self):
         # slope-0 grafts shrink every downstream interval, so instability
