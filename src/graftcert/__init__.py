@@ -67,7 +67,6 @@ from .training import (
     TrainConfig,
     finetune_grafted,
     gradual_graft,
-    small_weight_prune,
     train,
 )
 from .verifier import (

@@ -157,9 +157,6 @@ class LayerBounds:
     grafted: tuple[np.ndarray, ...]
     feasible: bool = True
 
-    def num_layers(self) -> int:
-        return len(self.lower)
-
 
 @dataclass
 class StabilityTally:
@@ -198,13 +195,19 @@ def ibp(net: Network, box: Box, split: SplitAssignment | None = None) -> LayerBo
         raise StructuralError(
             f"box dim {box.dim} does not match network input {net.input_dim}"
         )
-    if split is None:
-        split = SplitAssignment.free(net)
+    split = SplitAssignment.free(net) if split is None else split
+    return _ibp_boxes(net, box.lower, box.upper, split)
+
+
+def _ibp_boxes(net: Network, lo: np.ndarray, hi: np.ndarray, split: SplitAssignment):
+    """IBP of one box, or of one box per row of ``(n, d)`` arrays, with the
+    weights sign-split once.  The row products ``lo @ W.T`` serve both
+    shapes; on one box they equal the column products ``W @ lo`` bit for bit."""
     signed = _sign_split(net.layers)
     wp, wn = signed[0]
     bias = net.layers[0].bias
-    zl = wp @ box.lower + wn @ box.upper + bias
-    zu = wp @ box.upper + wn @ box.lower + bias
+    zl = lo @ wp.T + hi @ wn.T + bias
+    zu = hi @ wp.T + lo @ wn.T + bias
     return _ibp_from(net, signed, split, 0, zl, zu, (), ())
 
 
@@ -230,10 +233,10 @@ def _ibp_from(
 ) -> LayerBounds:
     """The IBP layer loop from affine layer ``start`` on.
 
-    ``[zl, zu]`` is layer ``start``'s pre-activation interval before the
-    split's clamps at that layer; ``lowers_below``/``uppers_below`` are the
-    layers under it, returned as they are.  ``feasible`` reflects only the
-    clamps from ``start`` on.
+    ``[zl, zu]`` is layer ``start``'s pre-activation interval (or a batch
+    of them) before the split's clamps at that layer; ``lowers_below``/
+    ``uppers_below`` are the layers under it, returned as they are.
+    ``feasible`` reflects only the clamps from ``start`` on.
     """
     lowers = list(lowers_below)
     uppers = list(uppers_below)
@@ -243,16 +246,11 @@ def _ibp_from(
         if i > start:
             wp, wn = signed[i]
             bias = net.layers[i].bias
-            zl = wp @ lo + wn @ hi + bias
-            zu = wp @ hi + wn @ lo + bias
+            zl = lo @ wp.T + hi @ wn.T + bias
+            zu = hi @ wp.T + lo @ wn.T + bias
         if i < last:
-            code = split.codes[i]
-            if code.any():
-                zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
-                zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
-                if np.any(zl > zu):
-                    feasible = False
-                    zl = np.minimum(zl, zu)
+            zl, zu, ok = _clamp_split(split.codes[i], zl, zu)
+            feasible = feasible and ok
             g = net.grafted[i]
             lo = np.maximum(zl, 0.0)
             hi = np.maximum(zu, 0.0)
@@ -263,6 +261,18 @@ def _ibp_from(
         lowers.append(zl)
         uppers.append(zu)
     return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+
+
+def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
+    """``(zl, zu, feasible)`` with each forced neuron's interval cut to its
+    half-line; an empty cut means an empty region, repaired to ``zl = zu``."""
+    if not code.any():
+        return zl, zu, True
+    zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
+    zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
+    if np.any(zl > zu):
+        return np.minimum(zl, zu), zu, False
+    return zl, zu, True
 
 
 def _child_ibp(
@@ -290,30 +300,6 @@ def _child_ibp(
         parent_raw.lower[:h],
         parent_raw.upper[:h],
     )
-
-
-def _ibp_batch(net: Network, lo: np.ndarray, hi: np.ndarray):
-    """IBP over a batch of boxes (n, d); no splits.  Returns per-layer
-    (lower, upper) pre-activation arrays of shape (n, d_i)."""
-    lowers, uppers = [], []
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        wp = np.maximum(layer.weight, 0.0)
-        wn = np.minimum(layer.weight, 0.0)
-        zl = lo @ wp.T + hi @ wn.T + layer.bias
-        zu = hi @ wp.T + lo @ wn.T + layer.bias
-        lowers.append(zl)
-        uppers.append(zu)
-        if i < last:
-            g = net.grafted[i]
-            po_lo = np.maximum(zl, 0.0)
-            po_hi = np.maximum(zu, 0.0)
-            if g.any():
-                g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
-                po_lo = np.where(g, g_lo, po_lo)
-                po_hi = np.where(g, g_hi, po_hi)
-            lo, hi = po_lo, po_hi
-    return lowers, uppers
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +350,9 @@ def _backward(
 ):
     """Propagate the linear functionals ``C @ z^(start) + c0`` back to the
     input and concretize over the box.  ``sense=-1`` gives sound lower
-    bounds, ``sense=+1`` sound upper bounds.  Returns an array of len(C).
+    bounds, ``sense=+1`` sound upper bounds.  Returns the len(C) bounds and
+    the input coefficients ``A``, whose signs pick each bound's box corner;
+    where every lower line is its upper line, the bound is exact there.
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64).copy()
@@ -387,7 +375,7 @@ def _backward(
         vals = np.where(pos, A * box.lower, A * box.upper).sum(axis=1)
     else:
         vals = np.where(pos, A * box.upper, A * box.lower).sum(axis=1)
-    return vals + const
+    return vals + const, A
 
 
 def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0.0) -> float:
@@ -425,10 +413,9 @@ def crown_lower_bound(
             f"spec coefficients must have shape ({net.output_dim},), got {c.shape}"
         )
     lines = _relaxation_lines(net, inter, split)
-    backward_val = _backward(
-        net, lines, box, c[None, :], np.array([const]), len(net.layers) - 1, sense=-1
-    )[0]
-    return float(max(backward_val, interval_spec_lower(inter, c, const)))
+    C, c0 = c[None, :], np.array([const])
+    backward_vals, _ = _backward(net, lines, box, C, c0, len(net.layers) - 1, sense=-1)
+    return float(max(backward_vals[0], interval_spec_lower(inter, c, const)))
 
 
 def compute_bounds(
@@ -460,15 +447,15 @@ def compute_bounds(
         d = net.layers[i].out_dim
         C = np.eye(d)
         c0 = np.zeros(d)
-        lo = _backward(net, lines, box, C, c0, i, sense=-1)
-        hi = _backward(net, lines, box, C, c0, i, sense=+1)
+        # [0]: the input coefficients are not needed, so not kept alive
+        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0]
+        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0]
         lo = np.maximum(lo, lowers[i])
         hi = np.minimum(hi, uppers[i])
         if i < len(net.layers) - 1:
-            code = split.codes[i]
-            if code.any():
-                hi = np.where(code == FORCED_INACTIVE, np.minimum(hi, 0.0), hi)
-                lo = np.where(code == FORCED_ACTIVE, np.maximum(lo, 0.0), lo)
+            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
+            feasible = feasible and ok
+        # a backward bound can cross the IBP bound by rounding, forced or not
         if np.any(lo > hi):
             feasible = False
             lo = np.minimum(lo, hi)
@@ -508,21 +495,21 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
 
     Forced neurons adopt their forced stable status regardless of the
     interval; free ReLUs classify by sign of [l, u] with the degenerate
-    l = u = 0 interval counting as stable-inactive.
+    l = u = 0 interval counting as stable-inactive.  Bounds with a leading
+    batch axis, ``(n, d_i)`` per layer, give one row per box.
     """
-    out = []
-    for h in range(len(inter.grafted)):
-        l = inter.lower[h]
-        u = inter.upper[h]
-        code = split.codes[h]
-        status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
-        status[(u <= 0.0)] = NeuronStatus.STABLE_INACTIVE
-        status[(l >= 0.0) & (u > 0.0)] = NeuronStatus.STABLE_ACTIVE
-        status[code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
-        status[code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
-        status[inter.grafted[h]] = NeuronStatus.GRAFTED
-        out.append(status)
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
+    if not inter.grafted:
+        return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
+    l = np.concatenate(inter.lower[:-1], axis=-1)
+    u = np.concatenate(inter.upper[:-1], axis=-1)
+    status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
+    status[l >= 0.0] = NeuronStatus.STABLE_ACTIVE
+    status[u <= 0.0] = NeuronStatus.STABLE_INACTIVE
+    code = split.flat()
+    status[..., code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
+    status[..., code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
+    status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
+    return status
 
 
 def tally_stability(
@@ -543,12 +530,9 @@ def tally_stability(
     if eps < 0:
         raise DomainError("eps must be >= 0")
     n = X.shape[0]
-    N = net.num_hidden
-    unstable = np.zeros(N, dtype=np.int64)
-    active = np.zeros(N, dtype=np.int64)
-    inactive = np.zeros(N, dtype=np.int64)
-    grafted_flat = net.grafted_flat()
-    offs = net.layer_offsets()
+    free = SplitAssignment.free(net)
+    order = (NeuronStatus.UNSTABLE, NeuronStatus.STABLE_ACTIVE, NeuronStatus.STABLE_INACTIVE)
+    counts = np.zeros((len(order), net.num_hidden), dtype=np.int64)
     for s in range(0, n, batch_size):
         xb = X[s : s + batch_size]
         lo = xb - eps
@@ -556,19 +540,7 @@ def tally_stability(
         if clip is not None:
             lo = np.maximum(lo, clip[0])
             hi = np.minimum(hi, clip[1])
-        lowers, uppers = _ibp_batch(net, lo, hi)
-        for h, off in enumerate(offs):
-            l = lowers[h]
-            u = uppers[h]
-            d = l.shape[1]
-            ina = u <= 0.0
-            act = (l >= 0.0) & ~ina
-            uns = ~ina & ~act
-            sl = slice(off, off + d)
-            inactive[sl] += ina.sum(axis=0)
-            active[sl] += act.sum(axis=0)
-            unstable[sl] += uns.sum(axis=0)
-    unstable[grafted_flat] = 0
-    active[grafted_flat] = 0
-    inactive[grafted_flat] = 0
-    return StabilityTally(unstable, active, inactive, n)
+        status = classify_neurons(_ibp_boxes(net, lo, hi, free), free)
+        for count, k in zip(counts, order):
+            count += (status == k).sum(axis=0)
+    return StabilityTally(*counts, n)

@@ -175,19 +175,36 @@ def load_dataset(spec: dict) -> Dataset:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise UsageError(f"dataset spec must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
+
+    def required(key):
+        if key not in spec:
+            raise UsageError(f"{kind} dataset spec has no {key!r} entry")
+        return spec[key]
+
+    def count(key, default):
+        value = spec.get(key, default)
+        try:
+            n = int(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"dataset {key!r} must be an integer, got {value!r}") from None
+        if n < 1:
+            raise UsageError(f"dataset {key!r} must be >= 1, got {value!r}")
+        return n
+
     if kind == "idx":
-        X = load_idx_images(spec["images"])
-        y = load_idx_labels(spec["labels"])
+        images, labels = required("images"), required("labels")
+        X = load_idx_images(images)
+        y = load_idx_labels(labels)
         if X.shape[0] != y.shape[0]:
             raise FormatError(
                 f"image count {X.shape[0]} does not match label count {y.shape[0]}"
             )
         return Dataset(X, y)
     if kind == "csv":
-        return load_csv(spec["path"])
+        return load_csv(required("path"))
     if kind == "synthetic":
         gen = spec.get("generator", "two_moons")
-        n = int(spec.get("n", 512))
+        n = count("n", 512)
         seed = int(spec.get("seed", 0))
         if gen == "two_moons":
             return two_moons(n, seed, float(spec.get("noise", 0.06)))
@@ -196,15 +213,15 @@ def load_dataset(spec: dict) -> Dataset:
             std_max = spec.get("std_max")
             return gaussian_blobs(
                 n,
-                dim=int(spec.get("dim", 2)),
-                classes=int(spec.get("classes", 2)),
+                dim=count("dim", 2),
+                classes=count("classes", 2),
                 seed=seed,
                 std=float(spec.get("std", 0.08)),
                 std_max=None if std_max is None else float(std_max),
                 center_low=float(spec.get("center_low", 0.25)),
                 center_high=float(spec.get("center_high", 0.75)),
                 center_seed=None if center_seed is None else int(center_seed),
-                clusters_per_class=int(spec.get("clusters_per_class", 1)),
+                clusters_per_class=count("clusters_per_class", 1),
             )
         raise UsageError(f"unknown synthetic generator {gen!r}")
     raise UsageError(f"unknown dataset kind {kind!r}")

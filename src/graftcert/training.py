@@ -26,7 +26,6 @@ __all__ = [
     "train",
     "finetune_grafted",
     "gradual_graft",
-    "small_weight_prune",
 ]
 
 
@@ -55,11 +54,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """PGD attack parameters; ``step_size`` of None means eps / 4."""
+    """PGD attack parameters; the attacks step eps / 4 per iteration."""
 
     eps: float
     steps: int = 20
-    step_size: float | None = None
     restarts: int = 1
     clip: tuple[float, float] | None = None
 
@@ -126,7 +124,7 @@ def _pgd_batch(
     if atk.clip is not None:
         lo = np.maximum(lo, atk.clip[0])
         hi = np.minimum(hi, atk.clip[1])
-    step = atk.step_size if atk.step_size is not None else atk.eps / 4.0
+    step = atk.eps / 4.0
     x = np.clip(X + rng.uniform(-atk.eps, atk.eps, X.shape), lo, hi)
     for _ in range(atk.steps):
         logits, pre, _ = forward_batch(net, x)
@@ -140,20 +138,6 @@ def _pgd_batch(
 def _accuracy(net: Network, X: np.ndarray, y: np.ndarray) -> float:
     logits, _, _ = forward_batch(net, X)
     return float((logits.argmax(axis=1) == y).mean())
-
-
-# ---------------------------------------------------------------------------
-# pruning
-
-
-def small_weight_prune(net: Network, threshold: float) -> Network:
-    """Zero every weight with |w| < threshold; biases are untouched."""
-    if threshold < 0:
-        raise DomainError("threshold must be >= 0")
-    out = net.copy()
-    for layer in out.layers:
-        layer.weight[np.abs(layer.weight) < threshold] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .bounds import (
     input_region,
     intersect_bounds,
     interval_spec_lower,
+    _backward,
     _child_ibp,
     _relaxation_lines,
     _sign_split,
@@ -182,7 +183,7 @@ def pgd_attack(
     x0 = np.asarray(x0, dtype=np.float64)
     box = input_region(x0, cfg.eps, cfg.clip)
     rng = np.random.default_rng(seed)
-    step = cfg.step_size if cfg.step_size is not None else cfg.eps / 4.0
+    step = cfg.eps / 4.0
     starts = [box.clip(x0)]
     if cfg.restarts > 1:
         starts.append(box.sample(rng, cfg.restarts - 1))
@@ -244,22 +245,13 @@ def _resolve_linear_leaf(
     pattern-affine function is positive, ("falsified", value, witness)
     when the witness corner genuinely violates the spec, and
     ("discard", min, witness) when the witness leaves the split region
-    (infeasible-or-verified)."""
+    (infeasible-or-verified).  Every lower line here is its upper line, so
+    one lower-sense backward pass is exact."""
     lines = _relaxation_lines(net, inter, dom.split)
-    A = spec.coeffs[None, :]
-    const = np.array([spec.const])
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        const = const + A @ layer.bias
-        A = A @ layer.weight
-        if i > 0:
-            ls, li, _, _ = lines[i - 1]  # lower == upper on a linear leaf
-            const = const + (A * li).sum(axis=1)
-            A = A * ls
-    a = A[0]
-    d = float(const[0])
-    witness = np.where(a > 0.0, box.lower, box.upper)
-    exact_min = float(np.where(a > 0.0, a * box.lower, a * box.upper).sum() + d)
+    C, c0 = spec.coeffs[None, :], np.array([spec.const])
+    mins, A = _backward(net, lines, box, C, c0, len(net.layers) - 1, sense=-1)
+    exact_min = float(mins[0])
+    witness = np.where(A[0] > 0.0, box.lower, box.upper)
     if exact_min > 0.0:
         return ("verified", exact_min, None)
     logits, _, _ = forward_batch(net, witness[None, :])

@@ -27,6 +27,8 @@ from graftcert.bounds import (
     FREE,
     LayerBounds,
     _child_ibp,
+    _graft_interval,
+    _ibp_boxes,
     _relaxation_lines,
     _sign_split,
     intersect_bounds,
@@ -492,3 +494,175 @@ class TestTally:
         # histogram encoding: a bar at m=3 with height 1 neuron
         hist = np.bincount(tally.times_unstable, minlength=len(X) + 1)
         assert hist[3] == 1
+
+
+def _reference_ibp(net, box, split):
+    # IBP with column products W @ lo, as ibp computed it before it shared
+    # its row-product layer loop with the batched tally; the floats must
+    # not change
+    lowers, uppers, feasible = [], [], True
+    lo, hi = box.lower, box.upper
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
+        wp = np.maximum(layer.weight, 0.0)
+        wn = np.minimum(layer.weight, 0.0)
+        zl = wp @ lo + wn @ hi + layer.bias
+        zu = wp @ hi + wn @ lo + layer.bias
+        if i < last:
+            code = split.codes[i]
+            if code.any():
+                zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
+                zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
+                if np.any(zl > zu):
+                    feasible = False
+                    zl = np.minimum(zl, zu)
+            g = net.grafted[i]
+            lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
+            if g.any():
+                g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
+                lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
+        lowers.append(zl)
+        uppers.append(zu)
+    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+
+
+def _reference_tally(net, X, eps, clip, batch_size=512):
+    # the batched IBP and per-layer sign counting that tally_stability
+    # used before it shared ibp's layer loop and classify_neurons' rule
+    N = net.num_hidden
+    unstable, active, inactive = (np.zeros(N, dtype=np.int64) for _ in range(3))
+    last = len(net.layers) - 1
+    for s in range(0, X.shape[0], batch_size):
+        lo = X[s : s + batch_size] - eps
+        hi = X[s : s + batch_size] + eps
+        if clip is not None:
+            lo, hi = np.maximum(lo, clip[0]), np.minimum(hi, clip[1])
+        for i, layer in enumerate(net.layers):
+            wp = np.maximum(layer.weight, 0.0)
+            wn = np.minimum(layer.weight, 0.0)
+            zl = lo @ wp.T + hi @ wn.T + layer.bias
+            zu = hi @ wp.T + lo @ wn.T + layer.bias
+            if i == last:
+                break
+            ina = zu <= 0.0
+            act = (zl >= 0.0) & ~ina
+            sl = slice(net.layer_offsets()[i], net.layer_offsets()[i] + zl.shape[1])
+            inactive[sl] += ina.sum(axis=0)
+            active[sl] += act.sum(axis=0)
+            unstable[sl] += (~ina & ~act).sum(axis=0)
+            g = net.grafted[i]
+            lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
+            if g.any():
+                g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
+                lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
+    g = net.grafted_flat()
+    for c in (unstable, active, inactive):
+        c[g] = 0
+    return unstable, active, inactive
+
+
+def _random_grafted_net(seed):
+    rng = np.random.default_rng(seed)
+    widths = [int(rng.integers(2, 6))]
+    widths += [int(rng.integers(3, 9)) for _ in range(int(rng.integers(0, 4)))]
+    widths += [int(rng.integers(2, 4))]
+    graft = 0.3 if len(widths) > 2 and seed % 3 else 0.0
+    return random_net(seed, widths=widths, weight_scale=1.0, graft_fraction=graft)
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ibp_matches_column_product_reference(self, seed):
+        net = _random_grafted_net(5000 + seed)
+        rng = np.random.default_rng(seed)
+        box = input_region(rng.uniform(0, 1, net.input_dim), float(rng.uniform(0.05, 0.5)))
+        splits = [SplitAssignment.free(net)]
+        if net.hidden_sizes:
+            codes = [
+                np.where(g, FREE, rng.choice([FREE, FORCED_ACTIVE, FORCED_INACTIVE], d))
+                for g, d in zip(net.grafted, net.hidden_sizes)
+            ]
+            splits.append(SplitAssignment(codes))
+        for split in splits:
+            assert _same_bytes(ibp(net, box, split), _reference_ibp(net, box, split))
+
+    def test_ibp_matches_reference_on_protocol_shapes(self):
+        net = random_net(5100, widths=[784, 128, 128, 128, 10], weight_scale=1.0)
+        rng = np.random.default_rng(5100)
+        box = input_region(rng.uniform(0, 1, 784), 0.1, (0, 1))
+        split = SplitAssignment.free(net)
+        assert _same_bytes(ibp(net, box, split), _reference_ibp(net, box, split))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tally_matches_reference(self, seed):
+        net = _random_grafted_net(5200 + seed)
+        rng = np.random.default_rng(seed)
+        # more rows than one batch, so the counts add up across batches
+        X = rng.uniform(0, 1, (int(rng.integers(20, 60)), net.input_dim))
+        eps = float(rng.uniform(0.0, 0.4))
+        clip = (0.0, 1.0) if seed % 2 else None
+        tally = tally_stability(net, X, eps, clip, batch_size=16)
+        want = _reference_tally(net, X, eps, clip, batch_size=16)
+        got = (tally.times_unstable, tally.times_active, tally.times_inactive)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert tally.n_examples == X.shape[0]
+
+    def test_tally_without_hidden_layer(self):
+        net = Network([manual_layer([[1.0, -1.0]], [0.5])])
+        tally = tally_stability(net, np.zeros((3, 2)), 0.1)
+        for counts in (tally.times_unstable, tally.times_active, tally.times_inactive):
+            assert counts.shape == (0,) and counts.dtype == np.int64
+        assert tally.n_examples == 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batched_classify_matches_rows(self, seed):
+        net = _random_grafted_net(5300 + seed)
+        rng = np.random.default_rng(seed)
+        lo = rng.uniform(-0.5, 1.0, (7, net.input_dim))
+        hi = lo + rng.uniform(0.0, 0.5, lo.shape)
+        free = SplitAssignment.free(net)
+        ibp_batch = _ibp_boxes(net, lo, hi, free)
+        # and hand-made bounds with l = u = 0, l or u exactly +-0, stably
+        # active, stably inactive and straddling
+        lowers, uppers = [], []
+        for d in net.hidden_sizes + (net.output_dim,):
+            a, b, z = -rng.uniform(0.01, 2, (7, d)), rng.uniform(0.01, 2, (7, d)), np.zeros((7, d))
+            kind = rng.integers(0, 8, (7, d))
+            lowers.append(np.choose(kind, [a, z, z, a, -z, a, -a, a - 1.0]))
+            uppers.append(np.choose(kind, [b, z, b, z, b, -z, b - a, a]))
+        edge_batch = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
+        splits = [free]
+        if net.hidden_sizes:
+            splits.append(SplitAssignment([
+                np.where(g, FREE, rng.choice([FREE, FORCED_ACTIVE, FORCED_INACTIVE], d))
+                for g, d in zip(net.grafted, net.hidden_sizes)
+            ]))
+        for batch in (ibp_batch, edge_batch):
+            for split in splits:
+                status = classify_neurons(batch, split)
+                assert status.shape == (7, net.num_hidden) and status.dtype == np.int8
+                for r in range(7):
+                    row = LayerBounds(
+                        tuple(x[r] for x in batch.lower),
+                        tuple(x[r] for x in batch.upper),
+                        batch.grafted,
+                    )
+                    got = classify_neurons(row, split)
+                    assert status[r].tobytes() == got.tobytes()
+                    assert got.tobytes() == _reference_classify(row, split).tobytes()
+
+
+def _reference_classify(inter, split):
+    # the per-layer construction that the one-pass classify_neurons replaced
+    out = []
+    for h in range(len(inter.grafted)):
+        l, u, code = inter.lower[h], inter.upper[h], split.codes[h]
+        status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
+        status[(u <= 0.0)] = NeuronStatus.STABLE_INACTIVE
+        status[(l >= 0.0) & (u > 0.0)] = NeuronStatus.STABLE_ACTIVE
+        status[code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
+        status[code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
+        status[inter.grafted[h]] = NeuronStatus.GRAFTED
+        out.append(status)
+    return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)

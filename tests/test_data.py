@@ -120,6 +120,31 @@ class TestSynthetic:
             load_dataset("not-a-dict")
 
 
+class TestBadSpecs:
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "idx"}, "idx dataset spec has no 'images' entry"),
+            ({"kind": "idx", "images": "img.idx"}, "idx dataset spec has no 'labels' entry"),
+            ({"kind": "csv"}, "csv dataset spec has no 'path' entry"),
+            ({"kind": "synthetic", "n": -3}, "dataset 'n' must be >= 1, got -3"),
+            ({"kind": "synthetic", "n": 0}, "dataset 'n' must be >= 1, got 0"),
+            ({"kind": "synthetic", "n": "many"}, "dataset 'n' must be an integer, got 'many'"),
+            ({"kind": "synthetic", "n": None}, "dataset 'n' must be an integer, got None"),
+            ({"kind": "synthetic", "generator": "blobs", "classes": 0},
+             "dataset 'classes' must be >= 1, got 0"),
+            ({"kind": "synthetic", "generator": "blobs", "dim": -1},
+             "dataset 'dim' must be >= 1, got -1"),
+            ({"kind": "synthetic", "generator": "blobs", "clusters_per_class": 0},
+             "dataset 'clusters_per_class' must be >= 1, got 0"),
+        ],
+    )
+    def test_plain_message(self, spec, message):
+        with pytest.raises(UsageError) as info:
+            load_dataset(spec)
+        assert str(info.value) == message
+
+
 class TestDataset:
     def test_validation(self):
         with pytest.raises(UsageError):

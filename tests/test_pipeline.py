@@ -5,12 +5,13 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from graftcert import PipelineError, UsageError, VerifyBudget, load_checkpoint
+from graftcert import Dataset, Network, PipelineError, UsageError, VerifyBudget, load_checkpoint
 from graftcert import pipeline
 from graftcert.cli import default_config, main
 from graftcert.data import load_dataset
@@ -23,7 +24,7 @@ from graftcert.pipeline import (
     run_pipeline,
 )
 
-from conftest import mask_forward
+from conftest import manual_layer, mask_forward
 
 
 def tiny_config(out, method="graft", seed=0, **over):
@@ -196,6 +197,26 @@ class TestRunPipeline:
             num_verify=1, workers=2,
         )
         assert len(records) == 1
+
+    def test_root_bounds_count_in_verification_time(self, monkeypatch):
+        # one hidden neuron, logits (z, -z) with z in [0.4, 0.6]: robust, so
+        # the example reaches the root's bound computation and BaB
+        net = Network([manual_layer([[1.0]], [0.0]), manual_layer([[1.0], [-1.0]], [0.0, 0.0])])
+        test = Dataset(np.array([[0.5]]), np.array([0]))
+        real, delay = pipeline.compute_bounds, 0.3
+
+        def slow_compute_bounds(*args, **kwargs):
+            time.sleep(delay)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_bounds", slow_compute_bounds)
+        for time_limit, verdict in ((30.0, "verified"), (delay / 2, "timeout")):
+            (record,), _ = evaluate_network(
+                net, test, eps_verify=0.1, clip=(0.0, 1.0),
+                budget=VerifyBudget(time_limit, 100), num_verify=1, deterministic=False,
+            )
+            assert record["verdict"] == verdict
+            assert record["time_seconds"] >= delay
 
     def test_checkpoint_roundtrip_same_verdicts(self, graft_run, tmp_path):
         cfg, rep, out = graft_run
@@ -405,6 +426,12 @@ class TestCli:
             assert main([command, "--out", str(tmp_path / command), "--config", cfg]) == 1
             err = capsys.readouterr().err
             assert "stage 'data' failed" in err and "labels" in err, err
+
+    def test_incomplete_dataset_spec_fails_in_data_stage(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, dataset={"train": {"kind": "csv"}, "test": {"kind": "csv"}})
+        assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'data' failed: csv dataset spec has no 'path' entry" in err, err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

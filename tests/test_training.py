@@ -14,7 +14,6 @@ from graftcert import (
     forward_batch,
     gradual_graft,
     make_mlp,
-    small_weight_prune,
     train,
 )
 from graftcert.data import gaussian_blobs
@@ -239,34 +238,6 @@ class TestRegularizers:
         reg = train(make_mlp([2, 8, 2], seed=2), ds, cfg, l1=5e-3)
         total = lambda n: sum(float(np.abs(l.weight).sum()) for l in n.layers)
         assert total(reg) < total(plain)
-
-
-class TestSmallWeightPrune:
-    def test_zero_threshold_identity(self):
-        net = random_net(70)
-        assert nets_equal(net, small_weight_prune(net, 0.0))
-
-    def test_above_max_threshold_zeroes_everything(self):
-        net = random_net(71)
-        hi = max(float(np.abs(l.weight).max()) for l in net.layers) + 1.0
-        out = small_weight_prune(net, hi)
-        assert all(np.all(l.weight == 0.0) for l in out.layers)
-        # biases untouched
-        assert all(np.array_equal(a.bias, b.bias) for a, b in zip(net.layers, out.layers))
-
-    def test_forward_matches_manual_zeroing(self):
-        net = random_net(72, widths=[2, 5, 2])
-        thr = 0.3
-        out = small_weight_prune(net, thr)
-        manual = net.copy()
-        for layer in manual.layers:
-            layer.weight[np.abs(layer.weight) < thr] = 0.0
-        X = np.random.default_rng(0).uniform(0, 1, (10, 2))
-        assert np.array_equal(forward_batch(out, X)[0], forward_batch(manual, X)[0])
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(DomainError):
-            small_weight_prune(random_net(73), -1.0)
 
 
 class TestPgdBatchHelper:

@@ -29,7 +29,13 @@ from graftcert import (
     oracle_input_split,
     pgd_attack,
 )
-from graftcert.verifier import _ROOT_ATTACK_RESTARTS, _ROOT_ATTACK_STEPS, _minimize_spec
+from graftcert.bounds import FORCED_ACTIVE, FORCED_INACTIVE, FREE, _relaxation_lines
+from graftcert.verifier import (
+    _ROOT_ATTACK_RESTARTS,
+    _ROOT_ATTACK_STEPS,
+    _minimize_spec,
+    _resolve_linear_leaf,
+)
 
 from conftest import manual_layer, random_net
 
@@ -382,6 +388,59 @@ class TestBabVerify:
             before = int((status == NeuronStatus.UNSTABLE).sum())
             after = int((st2 == NeuronStatus.UNSTABLE).sum())
             assert after <= before - len(take)
+
+
+def _reference_linear_leaf(net, box, dom, inter, spec):
+    # the dedicated back-substitution loop that _resolve_linear_leaf ran
+    # before it shared the CROWN backward pass; the floats must not change
+    lines = _relaxation_lines(net, inter, dom.split)
+    A = spec.coeffs[None, :]
+    const = np.array([spec.const])
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        const = const + A @ layer.bias
+        A = A @ layer.weight
+        if i > 0:
+            ls, li, _, _ = lines[i - 1]
+            const = const + (A * li).sum(axis=1)
+            A = A * ls
+    a = A[0]
+    witness = np.where(a > 0.0, box.lower, box.upper)
+    exact_min = float(np.where(a > 0.0, a * box.lower, a * box.upper).sum() + float(const[0]))
+    if exact_min > 0.0:
+        return ("verified", exact_min, None)
+    logits, _, _ = forward_batch(net, witness[None, :])
+    true_val = spec.value(logits[0])
+    if true_val < 0.0:
+        return ("falsified", true_val, witness)
+    return ("discard", exact_min, witness)
+
+
+class TestLinearLeaf:
+    def test_matches_dedicated_loop_reference(self):
+        # every neuron forced or grafted, so the domain is a linear leaf
+        kinds = set()
+        for seed in range(40):
+            rng = np.random.default_rng(6000 + seed)
+            widths = [int(rng.integers(2, 6))]
+            widths += [int(rng.integers(3, 9)) for _ in range(int(rng.integers(0, 4)))]
+            widths += [3]
+            graft = 0.3 if len(widths) > 2 and seed % 2 else 0.0
+            net = random_net(6000 + seed, widths=widths, weight_scale=1.0, graft_fraction=graft)
+            split = SplitAssignment([
+                np.where(g, FREE, rng.choice([FORCED_ACTIVE, FORCED_INACTIVE], d))
+                for g, d in zip(net.grafted, net.hidden_sizes)
+            ])
+            box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.05, 0.5)))
+            inter = compute_bounds(net, box, None, "crown") if seed % 3 == 0 else ibp(net, box)
+            dom = Domain(split, 0.0, split.num_forced())
+            for spec in build_specs(3, int(rng.integers(3))):
+                got = _resolve_linear_leaf(net, box, dom, inter, spec)
+                want = _reference_linear_leaf(net, box, dom, inter, spec)
+                key = lambda r: (r[0], r[1].hex(), None if r[2] is None else r[2].tobytes())
+                assert key(got) == key(want)
+                kinds.add(got[0])
+        assert kinds == {"verified", "falsified", "discard"}
 
 
 class TestOracle:
