@@ -236,7 +236,8 @@ def _ibp_from(
     ``[zl, zu]`` is layer ``start``'s pre-activation interval (or a batch
     of them) before the split's clamps at that layer; ``lowers_below``/
     ``uppers_below`` are the layers under it, returned as they are.
-    ``feasible`` reflects only the clamps from ``start`` on.
+    ``feasible`` reflects only the clamps from ``start`` on, one flag per
+    row for a batch.
     """
     lowers = list(lowers_below)
     uppers = list(uppers_below)
@@ -250,7 +251,7 @@ def _ibp_from(
             zu = hi @ wp.T + lo @ wn.T + bias
         if i < last:
             zl, zu, ok = _clamp_split(split.codes[i], zl, zu)
-            feasible = feasible and ok
+            feasible = feasible & ok
             g = net.grafted[i]
             lo = np.maximum(zl, 0.0)
             hi = np.maximum(zu, 0.0)
@@ -260,53 +261,34 @@ def _ibp_from(
                 hi = np.where(g, g_hi, hi)
         lowers.append(zl)
         uppers.append(zu)
-    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
+
+
+def _flag(ok):
+    """A feasibility flag: ``bool`` for one region, a bool array per row."""
+    return bool(ok) if np.ndim(ok) == 0 else ok
 
 
 def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
     """``(zl, zu, feasible)`` with each forced neuron's interval cut to its
-    half-line; an empty cut means an empty region, repaired to ``zl = zu``."""
+    half-line; an empty cut means an empty region, whose row is repaired to
+    ``zl = zu``.  ``feasible`` has one flag per row (a 0-d one for 1-D
+    bounds)."""
     if not code.any():
         return zl, zu, True
     zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
     zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
-    if np.any(zl > zu):
-        return np.minimum(zl, zu), zu, False
-    return zl, zu, True
-
-
-def _child_ibp(
-    net: Network, signed, parent_raw: LayerBounds, child_split: SplitAssignment, h: int
-) -> LayerBounds:
-    """``ibp(net, box, child_split)`` for a child that forces one more
-    neuron of hidden layer ``h`` than the parent whose IBP is
-    ``parent_raw``, computed from layer ``h`` on.
-
-    The result is bit for bit the full IBP.  Below ``h`` the child's codes
-    are the parent's, so those layers are the parent's arrays.  At ``h``,
-    ``parent_raw`` holds the pre-activations already clamped by the
-    parent's codes; the clamps are idempotent and a feasible parent took no
-    ``min(zl, zu)`` repair, so clamping them again with the child's codes
-    gives what the full pass gets from the unclamped values.  So the
-    parent must be feasible; BaB keeps no infeasible domain.
-    """
-    return _ibp_from(
-        net,
-        signed,
-        child_split,
-        h,
-        parent_raw.lower[h],
-        parent_raw.upper[h],
-        parent_raw.lower[:h],
-        parent_raw.upper[:h],
-    )
+    empty = np.any(zl > zu, axis=-1, keepdims=True)
+    if empty.any():
+        zl = np.where(empty, np.minimum(zl, zu), zl)
+    return zl, zu, ~empty[..., 0]
 
 
 # ---------------------------------------------------------------------------
 # backward (CROWN-style) bound propagation
 
 
-def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment):
+def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, hidden=None):
     """Per hidden layer: (lower_slope, lower_icpt, upper_slope, upper_icpt).
 
     Stable-active neurons keep the identity line, stable-inactive the zero
@@ -315,13 +297,17 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment):
     line on both sides; forced neurons their forced linear form.  The
     degenerate interval l = u = 0 counts as stable-inactive.  The lower and
     upper slopes are always equal, so both are the same array.  Computed in
-    one pass over all hidden neurons, then split per layer.
+    one pass over the hidden layers listed in ``hidden`` (default: all),
+    then split per layer.  Each neuron's lines depend only on its own
+    bounds, so building a layer alone gives the same floats.  Bounds and
+    codes with a leading row axis give lines with that axis.
     """
-    if not net.hidden_sizes:
+    layers = range(len(net.hidden_sizes)) if hidden is None else hidden
+    if not layers:
         return []
-    l = np.concatenate(inter.lower[:-1])
-    u = np.concatenate(inter.upper[:-1])
-    code = split.flat()
+    l = np.concatenate([inter.lower[h] for h in layers], axis=-1)
+    u = np.concatenate([inter.upper[h] for h in layers], axis=-1)
+    code = np.concatenate([split.codes[h] for h in layers], axis=-1)
     inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
     active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
     unstable = ~(inactive | active)
@@ -329,14 +315,17 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment):
     slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
     li = np.zeros_like(l)
     ui = np.where(unstable, -u * l / d, 0.0)
-    g = net.grafted_flat()
+    g = np.concatenate([net.grafted[h] for h in layers])
     if g.any():
-        icpt = np.concatenate(net.intercepts)
-        slope = np.where(g, np.concatenate(net.slopes), slope)
+        icpt = np.concatenate([net.intercepts[h] for h in layers])
+        slope = np.where(g, np.concatenate([net.slopes[h] for h in layers]), slope)
         li = np.where(g, icpt, li)
         ui = np.where(g, icpt, ui)
-    ends = net.layer_offsets() + (len(l),)
-    return [(slope[a:b], li[a:b], slope[a:b], ui[a:b]) for a, b in zip(ends, ends[1:])]
+    ends = np.cumsum([0] + [net.hidden_sizes[h] for h in layers])
+    return [
+        (slope[..., a:b], li[..., a:b], slope[..., a:b], ui[..., a:b])
+        for a, b in zip(ends, ends[1:])
+    ]
 
 
 def _backward(
@@ -350,9 +339,16 @@ def _backward(
 ):
     """Propagate the linear functionals ``C @ z^(start) + c0`` back to the
     input and concretize over the box.  ``sense=-1`` gives sound lower
-    bounds, ``sense=+1`` sound upper bounds.  Returns the len(C) bounds and
-    the input coefficients ``A``, whose signs pick each bound's box corner;
-    where every lower line is its upper line, the bound is exact there.
+    bounds, ``sense=+1`` sound upper bounds.  Returns the bounds, shaped
+    like ``c0``, and the input coefficients ``A``, whose signs pick each
+    bound's box corner; where every lower line is its upper line, the
+    bound is exact there.
+
+    ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
+    shaped ``(R, 1, d_h)``: one row per domain.  A stacked product runs
+    each row's one-row product, and every sum runs over the last axis, so
+    each row gets the one-row floats bit for bit (a plain ``(R, d)``
+    product would sum in another order).
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64).copy()
@@ -365,16 +361,16 @@ def _backward(
             pos = A > 0.0
             if sense < 0:
                 # lower bound: positive coefficients take the lower line
-                const = const + np.where(pos, A * li, A * ui).sum(axis=1)
+                const = const + np.where(pos, A * li, A * ui).sum(axis=-1)
                 A = np.where(pos, A * ls, A * us)
             else:
-                const = const + np.where(pos, A * ui, A * li).sum(axis=1)
+                const = const + np.where(pos, A * ui, A * li).sum(axis=-1)
                 A = np.where(pos, A * us, A * ls)
     pos = A > 0.0
     if sense < 0:
-        vals = np.where(pos, A * box.lower, A * box.upper).sum(axis=1)
+        vals = np.where(pos, A * box.lower, A * box.upper).sum(axis=-1)
     else:
-        vals = np.where(pos, A * box.upper, A * box.lower).sum(axis=1)
+        vals = np.where(pos, A * box.upper, A * box.lower).sum(axis=-1)
     return vals + const, A
 
 
@@ -382,9 +378,11 @@ def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0
     """Lower bound of a linear functional on the logits, concretized on the
     final-layer interval bounds."""
     c = np.asarray(coeffs, dtype=np.float64)
-    lo = inter.lower[-1]
-    hi = inter.upper[-1]
-    return float(np.where(c > 0.0, c * lo, c * hi).sum() + const)
+    return float(_interval_lower(inter.lower[-1], inter.upper[-1], c, const))
+
+
+def _interval_lower(lo, hi, c, const):
+    return np.where(c > 0.0, c * lo, c * hi).sum(axis=-1) + const
 
 
 def crown_lower_bound(
@@ -412,10 +410,64 @@ def crown_lower_bound(
         raise StructuralError(
             f"spec coefficients must have shape ({net.output_dim},), got {c.shape}"
         )
+    return float(_spec_lower(net, box, split, inter, c, const)[0])
+
+
+def _spec_lower(net, box, split, inter, c, const):
+    """The CROWN lower bound of ``c @ logits + const``, floored by the
+    interval bound: shape (1,) for one region's 1-D bounds, (R, 1) for a
+    stack of ``(R, 1, d)`` bounds with per-row codes."""
     lines = _relaxation_lines(net, inter, split)
-    C, c0 = c[None, :], np.array([const])
-    backward_vals, _ = _backward(net, lines, box, C, c0, len(net.layers) - 1, sense=-1)
-    return float(max(backward_vals[0], interval_spec_lower(inter, c, const)))
+    lo, hi = inter.lower[-1], inter.upper[-1]
+    lead = lo.shape[:-1] or (1,)
+    C = np.broadcast_to(c, lead + c.shape)
+    vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1, sense=-1)
+    floor = _interval_lower(lo, hi, c, const)
+    # max(vals, floor) that keeps vals on a tie, as Python's max does
+    return np.where(floor > vals, floor, vals)
+
+
+def _bound_children(net, signed, box, parents, splits, starts, coeffs, const):
+    """Bounds of a batch of BaB children in one pass, one child per row.
+
+    Row r is the domain ``splits[r]``, which forces one more neuron of
+    hidden layer ``starts[r]`` than its parent, whose ``(raw IBP, bounds)``
+    is ``parents[r]`` (1-D arrays; a parent must be feasible).  The rows'
+    IBP restarts at the lowest split layer in the batch, ``first``, from
+    their parents' raw IBP there; it is intersected with the parents'
+    bounds and bounded by CROWN, floored by the interval bound.
+    ``signed`` is ``_sign_split`` of the weights (layer 0 is never used).
+
+    Returns ``(raw, bounds, lower)``: the children's raw IBP and bounds,
+    ``(R, 1, d)`` per layer with a per-row ``(R, 1)`` ``feasible`` (raw's
+    layers below ``first`` are None), and the lower bounds of
+    ``coeffs @ logits + const``, +inf where infeasible.  From its split
+    layer on, each row holds bit for bit what ``ibp``,
+    ``intersect_bounds`` and ``crown_lower_bound`` give that child alone:
+    every product is a one-row product (see ``_backward``), and a row that
+    splits above ``first`` recomputes its parent's layers up to its split
+    layer under its parent's clamps, which the parent's raw IBP already
+    took, so they come out as the parent's.  Below its split layer a row
+    holds its parent's values.
+    """
+
+    def stack(arrays):
+        return np.stack(arrays)[:, None, :]
+
+    first = min(starts)
+    inter = LayerBounds(
+        tuple(map(stack, zip(*(p[1].lower for p in parents)))),
+        tuple(map(stack, zip(*(p[1].upper for p in parents)))),
+        net.grafted,
+    )
+    split = SplitAssignment([stack(codes) for codes in zip(*(s.codes for s in splits))])
+    zl = stack([p[0].lower[first] for p in parents])
+    zu = stack([p[0].upper[first] for p in parents])
+    below = (None,) * first
+    child_raw = _ibp_from(net, signed, split, first, zl, zu, below, below)
+    child = intersect_bounds(child_raw, inter, start=first)
+    lower = _spec_lower(net, box, split, child, coeffs, const)
+    return child_raw, child, np.where(child.feasible, lower, np.inf)[:, 0]
 
 
 def compute_bounds(
@@ -442,8 +494,11 @@ def compute_bounds(
     uppers = [b.copy() for b in base.upper]
     feasible = True
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    lines = []
     for i in range(1, len(net.layers)):
-        lines = _relaxation_lines(net, refined, split)[:i]
+        # hidden layer i-1 was refined last step and stays as it is, so
+        # only its lines are new
+        lines += _relaxation_lines(net, refined, split, [i - 1])
         d = net.layers[i].out_dim
         C = np.eye(d)
         c0 = np.zeros(d)
@@ -471,7 +526,8 @@ def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBou
     Layers below ``start`` are taken from ``b`` as they are, for callers
     that know ``b`` lies inside ``a`` there (a BaB child's IBP equals its
     parent's below the split layer, and the parent's bounds are already
-    intersected with it).
+    intersected with it).  Bounds with a leading row axis and per-row
+    ``feasible`` flags are intersected row by row.
     """
     lowers = b.lower[:start] + tuple(
         np.maximum(x, y) for x, y in zip(a.lower[start:], b.lower[start:])
@@ -479,11 +535,15 @@ def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBou
     uppers = b.upper[:start] + tuple(
         np.minimum(x, y) for x, y in zip(a.upper[start:], b.upper[start:])
     )
-    feasible = a.feasible and b.feasible
-    if feasible and any(np.any(l > u) for l, u in zip(lowers, uppers)):
-        feasible = False
-        lowers = tuple(np.minimum(l, u) for l, u in zip(lowers, uppers))
-    return LayerBounds(lowers, uppers, a.grafted, feasible)
+    feasible = np.logical_and(a.feasible, b.feasible)
+    crossed = np.logical_or.reduce(
+        [np.any(l > u, axis=-1, keepdims=True) for l, u in zip(lowers, uppers)]
+    )
+    repair = feasible[..., None] & crossed
+    if repair.any():
+        feasible = feasible & ~crossed[..., 0]
+        lowers = tuple(np.where(repair, np.minimum(l, u), l) for l, u in zip(lowers, uppers))
+    return LayerBounds(lowers, uppers, a.grafted, _flag(feasible))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ data is generated inside [0, 1] so the usual pixel clip range applies.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -191,8 +192,39 @@ def load_dataset(spec: dict) -> Dataset:
             raise UsageError(f"dataset {key!r} must be >= 1, got {value!r}")
         return n
 
+    def seed_value(key, default):
+        value = spec.get(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            s = int(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"dataset {key!r} must be an integer, got {value!r}") from None
+        if s < 0:
+            raise UsageError(f"dataset {key!r} must be >= 0, got {value!r}")
+        return s
+
+    def real(key, default, low=None):
+        value = spec.get(key, default)
+        if value is None and default is None:
+            return None
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"dataset {key!r} must be a number, got {value!r}") from None
+        if not np.isfinite(x) or (low is not None and x < low):
+            bound = "a finite number" if low is None else f"a finite number >= {low}"
+            raise UsageError(f"dataset {key!r} must be {bound}, got {value!r}")
+        return x
+
+    def path(key):
+        value = required(key)
+        if not isinstance(value, (str, os.PathLike)):
+            raise UsageError(f"{kind} dataset {key!r} must be a file path, got {value!r}")
+        return value
+
     if kind == "idx":
-        images, labels = required("images"), required("labels")
+        images, labels = path("images"), path("labels")
         X = load_idx_images(images)
         y = load_idx_labels(labels)
         if X.shape[0] != y.shape[0]:
@@ -201,26 +233,24 @@ def load_dataset(spec: dict) -> Dataset:
             )
         return Dataset(X, y)
     if kind == "csv":
-        return load_csv(required("path"))
+        return load_csv(path("path"))
     if kind == "synthetic":
         gen = spec.get("generator", "two_moons")
         n = count("n", 512)
-        seed = int(spec.get("seed", 0))
+        seed = seed_value("seed", 0)
         if gen == "two_moons":
-            return two_moons(n, seed, float(spec.get("noise", 0.06)))
+            return two_moons(n, seed, real("noise", 0.06, low=0.0))
         if gen == "blobs":
-            center_seed = spec.get("center_seed")
-            std_max = spec.get("std_max")
             return gaussian_blobs(
                 n,
                 dim=count("dim", 2),
                 classes=count("classes", 2),
                 seed=seed,
-                std=float(spec.get("std", 0.08)),
-                std_max=None if std_max is None else float(std_max),
-                center_low=float(spec.get("center_low", 0.25)),
-                center_high=float(spec.get("center_high", 0.75)),
-                center_seed=None if center_seed is None else int(center_seed),
+                std=real("std", 0.08, low=0.0),
+                std_max=real("std_max", None, low=0.0),
+                center_low=real("center_low", 0.25),
+                center_high=real("center_high", 0.75),
+                center_seed=seed_value("center_seed", None),
                 clusters_per_class=count("clusters_per_class", 1),
             )
         raise UsageError(f"unknown synthetic generator {gen!r}")

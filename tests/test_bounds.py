@@ -26,7 +26,9 @@ from graftcert.bounds import (
     FORCED_INACTIVE,
     FREE,
     LayerBounds,
-    _child_ibp,
+    _backward,
+    _bound_children,
+    _clamp_split,
     _graft_interval,
     _ibp_boxes,
     _relaxation_lines,
@@ -280,62 +282,228 @@ def _same_bytes(a: LayerBounds, b: LayerBounds) -> bool:
     )
 
 
-class TestChildIbp:
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_child_equals_full_ibp(self, seed):
-        # a chain of splits, three at every hidden layer in turn, each
-        # neuron forced both ways; every child restarted at its split
-        # layer must be the full IBP bit for bit, and so must its bounds
-        # intersected with the parent's from that layer on
+def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const):
+    # the one-row path BaB ran per child before it bounded children in
+    # batches: the IBP loop restarted at split layer h (_child_ibp), the
+    # intersection with the parent's bounds from h on (intersect_bounds),
+    # then crown_lower_bound; the batched kernel must give each row these
+    # floats
+    lowers, uppers = list(parent_raw.lower[:h]), list(parent_raw.upper[:h])
+    zl, zu = parent_raw.lower[h], parent_raw.upper[h]
+    feasible = True
+    last = len(net.layers) - 1
+    for i in range(h, last + 1):
+        if i > h:
+            layer = net.layers[i]
+            wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
+            zl = lo @ wp.T + hi @ wn.T + layer.bias
+            zu = hi @ wp.T + lo @ wn.T + layer.bias
+        if i < last:
+            code = split.codes[i]
+            if code.any():
+                zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
+                zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
+                if np.any(zl > zu):
+                    feasible = False
+                    zl = np.minimum(zl, zu)
+            g = net.grafted[i]
+            lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
+            if g.any():
+                g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
+                lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
+        lowers.append(zl)
+        uppers.append(zu)
+    raw = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+    lowers = parent_inter.lower[:h] + tuple(
+        np.maximum(x, y) for x, y in zip(raw.lower[h:], parent_inter.lower[h:])
+    )
+    uppers = parent_inter.upper[:h] + tuple(
+        np.minimum(x, y) for x, y in zip(raw.upper[h:], parent_inter.upper[h:])
+    )
+    if feasible and any(np.any(l > u) for l, u in zip(lowers, uppers)):
+        feasible = False
+        lowers = tuple(np.minimum(l, u) for l, u in zip(lowers, uppers))
+    inter = LayerBounds(lowers, uppers, net.grafted, feasible)
+    if not feasible:
+        return raw, inter, float("inf")
+    lines = _reference_relaxation_lines(net, inter, split)
+    A, c0 = coeffs[None, :], np.array([const])
+    for i in range(last, -1, -1):
+        layer = net.layers[i]
+        c0 = c0 + A @ layer.bias
+        A = A @ layer.weight
+        if i > 0:
+            ls, li, us, ui = lines[i - 1]
+            pos = A > 0.0
+            c0 = c0 + np.where(pos, A * li, A * ui).sum(axis=1)
+            A = np.where(pos, A * ls, A * us)
+    crown = np.where(A > 0.0, A * box.lower, A * box.upper).sum(axis=1) + c0
+    lo, hi = inter.lower[-1], inter.upper[-1]
+    interval = float(np.where(coeffs > 0.0, coeffs * lo, coeffs * hi).sum() + const)
+    return raw, inter, float(max(crown[0], interval))
+
+
+def _net_with_dead_neurons(seed, widths, graft_fraction):
+    # a random net, some neurons grafted, and in every hidden layer one
+    # ReLU with zero weights and bias, whose interval is l = u = 0
+    net = random_net(seed, widths=widths, weight_scale=1.0, graft_fraction=graft_fraction)
+    dead = []
+    for h, g in enumerate(net.grafted):
+        k = int(np.flatnonzero(~g)[0])
+        net.layers[h].weight[k] = 0.0
+        net.layers[h].bias[k] = 0.0
+        dead.append(net.layer_offsets()[h] + k)
+    return net, dead
+
+
+def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
+    """Grow feasible parent domains by the reference path, bound a batch of
+    children of them in one call and compare every row with the reference.
+    Returns the kinds of rows seen, and "mixed starts" when the rows split
+    at more than one layer."""
+    offs = net.layer_offsets()
+    c, const = rng.normal(0, 1, net.output_dim), float(rng.normal())
+    raw = ibp(net, box)
+    root = intersect_bounds(raw, compute_bounds(net, box, None, "crown"))
+    parents = [(SplitAssignment.free(net), raw, root)]
+
+    def free_neurons(split):
+        return [
+            o + k for h, o in enumerate(offs)
+            for k in np.flatnonzero((split.codes[h] == FREE) & ~net.grafted[h])
+        ]
+
+    for _ in range(20 * n_parents):
+        if len(parents) == n_parents:
+            break
+        split, praw, pinter = parents[int(rng.integers(len(parents)))]
+        j = int(rng.choice(free_neurons(split)))
+        child = split.force(net, j, int(rng.choice([FORCED_ACTIVE, FORCED_INACTIVE])))
+        h = net.neuron_location(j)[0]
+        craw, cinter, _ = _reference_child(net, box, praw, pinter, child, h, c, const)
+        if cinter.feasible:
+            parents.append((child, craw, cinter))
+    rows = []
+    for r in range(n_rows):
+        split, praw, pinter = parents[r % len(parents)]
+        free = free_neurons(split)
+        wanted = [j for j in extra if j in free]
+        j = wanted[r % len(wanted)] if wanted and r % 3 == 0 else int(rng.choice(free))
+        h = net.neuron_location(j)[0]
+        for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
+            rows.append((praw, pinter, split.force(net, j, direction), h, j))
+    signed = (None,) + _sign_split(net.layers[1:])
+    got_raw, got, lower = _bound_children(
+        net, signed, box, [(p, q) for p, q, *_ in rows], [row[2] for row in rows],
+        [row[3] for row in rows], c, const,
+    )
+    assert lower.shape == (len(rows),)
+    kinds = {"mixed starts"} if len({row[3] for row in rows}) > 1 else set()
+    for r, (praw, pinter, split, h, j) in enumerate(rows):
+        want_raw, want, want_lower = _reference_child(net, box, praw, pinter, split, h, c, const)
+        assert got.feasible[r, 0] == want.feasible
+        assert lower[r].hex() == want_lower.hex()
+        for batch, ref, parent in ((got_raw, want_raw, praw), (got, want, pinter)):
+            for side in ("lower", "upper"):
+                for i, (x, y) in enumerate(zip(getattr(batch, side), getattr(ref, side))):
+                    if i >= h:
+                        assert x[r, 0].tobytes() == y.tobytes()
+                    elif x is not None:  # below its split layer, the parent's values
+                        assert x[r, 0].tobytes() == getattr(parent, side)[i].tobytes()
+        kinds.add("feasible" if want.feasible else "infeasible")
+        l, u = praw.lower[h][j - offs[h]], praw.upper[h][j - offs[h]]
+        kinds.add("l=u=0" if l == u == 0.0 else "l<u")
+    return kinds
+
+
+class TestBoundChildren:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_equal_one_row_path(self, seed):
+        # children of parents at several depths, split at different layers:
+        # every row, feasible or not, equals the one-row reference byte
+        # for byte from its split layer on
         rng = np.random.default_rng(seed)
-        depth = int(rng.integers(3, 5))
-        widths = [int(rng.integers(2, 5))]
-        widths += [int(rng.integers(4, 8)) for _ in range(depth)]
-        widths += [int(rng.integers(2, 4))]
-        net = random_net(seed, widths=widths, weight_scale=float(rng.uniform(0.6, 1.2)))
-        offs = net.layer_offsets()
-        # graft some neurons, leaving at least three free ones per layer
-        take = tuple(
-            o + k for o, d in zip(offs, widths[1:-1]) for k in range(d - 3) if rng.random() < 0.5
+        depth = int(rng.integers(2, 5))
+        widths = [int(rng.integers(2, 5))] + [int(rng.integers(5, 9)) for _ in range(depth)] + [3]
+        net, dead = _net_with_dead_neurons(7000 + seed, widths, 0.2 if seed % 2 else 0.0)
+        box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.1, 0.5)), (0, 1))
+        kinds = _check_child_batch(net, box, rng, n_parents=6, n_rows=8, extra=dead)
+        assert kinds >= {"feasible", "l=u=0", "l<u", "mixed starts"}
+
+    def test_infeasible_rows(self):
+        # forcing a stably inactive neuron active empties the region
+        seen = set()
+        for seed in range(10):
+            rng = np.random.default_rng(7100 + seed)
+            net, dead = _net_with_dead_neurons(7100 + seed, [3, 6, 6, 6, 3], 0.2)
+            box = input_region(rng.uniform(0, 1, 3), 0.05, (0, 1))
+            seen |= _check_child_batch(net, box, rng, n_parents=3, n_rows=8)
+        assert {"feasible", "infeasible", "mixed starts"} <= seen
+
+    def test_protocol_shapes(self):
+        rng = np.random.default_rng(7200)
+        net, dead = _net_with_dead_neurons(7200, [784, 128, 128, 128, 10], 0.3)
+        box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
+        kinds = _check_child_batch(net, box, rng, n_parents=4, n_rows=8, extra=dead)
+        assert kinds >= {"feasible", "l=u=0", "mixed starts"}
+
+
+def _reference_compute_bounds(net, box, split):
+    # compute_bounds(..., "crown") as it was when every refinement step
+    # rebuilt every hidden layer's relaxation lines; building only the
+    # newly refined layer's lines must not move a bit
+    base = ibp(net, box, split)
+    if not base.feasible:
+        return base
+    lowers = [b.copy() for b in base.lower]
+    uppers = [b.copy() for b in base.upper]
+    feasible = True
+    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    for i in range(1, len(net.layers)):
+        lines = _relaxation_lines(net, refined, split)[:i]
+        d = net.layers[i].out_dim
+        C, c0 = np.eye(d), np.zeros(d)
+        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0]
+        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0]
+        lo = np.maximum(lo, lowers[i])
+        hi = np.minimum(hi, uppers[i])
+        if i < len(net.layers) - 1:
+            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
+            feasible = feasible and ok
+        if np.any(lo > hi):
+            feasible = False
+            lo = np.minimum(lo, hi)
+        lowers[i] = lo
+        uppers[i] = hi
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+    return refined
+
+
+class TestComputeBoundsLines:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_rebuild_every_step_reference(self, seed):
+        net = _random_grafted_net(7300 + seed)
+        rng = np.random.default_rng(seed)
+        box = input_region(rng.uniform(0, 1, net.input_dim), float(rng.uniform(0.05, 0.6)))
+        splits = [SplitAssignment.free(net)]
+        if net.hidden_sizes:
+            splits.append(SplitAssignment([
+                np.where(g, FREE, rng.choice([FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], d))
+                for g, d in zip(net.grafted, net.hidden_sizes)
+            ]))
+        for split in splits:
+            got = compute_bounds(net, box, split, "crown")
+            assert _same_bytes(got, _reference_compute_bounds(net, box, split))
+
+    def test_protocol_shapes(self):
+        net = random_net(
+            7400, widths=[784, 128, 128, 128, 10], weight_scale=1.0, graft_fraction=0.3
         )
-        if take:
-            slope, icpt = float(rng.uniform(-0.5, 1.0)), float(rng.uniform(-0.5, 0.5))
-            net = apply_graft(net, GraftPlan(take, ((len(take) / net.num_hidden, 0.0),), slope, icpt))
-        box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.05, 0.5)))
-        signed = (None,) + _sign_split(net.layers[1:])  # as BaB passes it
+        rng = np.random.default_rng(7400)
+        box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
         split = SplitAssignment.free(net)
-        raw = ibp(net, box, split)
-        # a CROWN-refined root, as the pipeline gives BaB
-        inter = intersect_bounds(raw, compute_bounds(net, box, None, "crown"))
-        for step in range(3 * depth):
-            h = step % depth
-            free = np.flatnonzero((split.codes[h] == FREE) & ~net.grafted[h])
-            l, u = raw.lower[h][free], raw.upper[h][free]
-            stable = free[(u < 0.0) | (l > 0.0)]
-            pick_stable = step % 2 == 1 and stable.size > 0
-            k = int(rng.choice(stable if pick_stable else free))
-            children = []
-            for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
-                child_split = split.force(net, offs[h] + k, direction)
-                want = ibp(net, box, child_split)
-                got = _child_ibp(net, signed, raw, child_split, h)
-                assert _same_bytes(got, want)
-                assert _same_bytes(
-                    intersect_bounds(got, inter, start=h), intersect_bounds(want, inter)
-                )
-                if pick_stable and (raw.upper[h][k] < 0.0) == (direction == FORCED_ACTIVE):
-                    # forcing a stable neuron against its sign empties the region
-                    assert not got.feasible
-                if got.feasible:
-                    children.append((child_split, got))
-            if not children:
-                break
-            split, child_raw = children[int(rng.integers(len(children)))]
-            inter = intersect_bounds(child_raw, inter, start=h)
-            raw = child_raw
-            if not inter.feasible:
-                break
+        got = compute_bounds(net, box, split, "crown")
+        assert _same_bytes(got, _reference_compute_bounds(net, box, split))
 
 
 def _reference_relaxation_lines(net, inter, split):

@@ -137,6 +137,24 @@ class TestBadSpecs:
              "dataset 'dim' must be >= 1, got -1"),
             ({"kind": "synthetic", "generator": "blobs", "clusters_per_class": 0},
              "dataset 'clusters_per_class' must be >= 1, got 0"),
+            ({"kind": "synthetic", "seed": -1}, "dataset 'seed' must be >= 0, got -1"),
+            ({"kind": "synthetic", "seed": None}, "dataset 'seed' must be an integer, got None"),
+            ({"kind": "synthetic", "generator": "blobs", "center_seed": -2},
+             "dataset 'center_seed' must be >= 0, got -2"),
+            ({"kind": "synthetic", "noise": "abc"}, "dataset 'noise' must be a number, got 'abc'"),
+            ({"kind": "synthetic", "noise": -0.1},
+             "dataset 'noise' must be a finite number >= 0.0, got -0.1"),
+            ({"kind": "synthetic", "generator": "blobs", "std": "wide"},
+             "dataset 'std' must be a number, got 'wide'"),
+            ({"kind": "synthetic", "generator": "blobs", "std_max": [0.1]},
+             "dataset 'std_max' must be a number, got [0.1]"),
+            ({"kind": "synthetic", "generator": "blobs", "center_low": "low"},
+             "dataset 'center_low' must be a number, got 'low'"),
+            ({"kind": "synthetic", "generator": "blobs", "center_high": float("inf")},
+             "dataset 'center_high' must be a finite number, got inf"),
+            ({"kind": "csv", "path": None}, "csv dataset 'path' must be a file path, got None"),
+            ({"kind": "idx", "images": 3, "labels": "l.idx"},
+             "idx dataset 'images' must be a file path, got 3"),
         ],
     )
     def test_plain_message(self, spec, message):

@@ -433,6 +433,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "stage 'data' failed: csv dataset spec has no 'path' entry" in err, err
 
+    def test_bad_dataset_value_fails_in_data_stage(self, tmp_path, capsys):
+        spec = {"kind": "synthetic", "n": 20, "seed": -1}
+        cfg = _write_cfg(tmp_path, dataset={"train": spec, "test": spec})
+        assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'data' failed: dataset 'seed' must be >= 0, got -1" in err, err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"method\": \"banana\"}")

@@ -289,8 +289,13 @@ class TestBabVerify:
 
     # sha256 of one "status|bound.hex()|domains|counterexample hex" line per
     # case of _pin_cases, recorded with every child bounded by a full IBP
-    # pass; bounding children incrementally must not move a bit of it
+    # pass; bounding children incrementally, or in batches of one domain's
+    # children, must not move a bit of it
     PIN_DIGEST = "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a"
+    # the same at the default batch size, recorded when BaB first popped
+    # several domains per step; it differs from PIN_DIGEST only in timeout
+    # bounds and where falsified searches stop
+    BATCHED_PIN_DIGEST = "ccdb6e6f735091e935096eb63619031ce5e13bdd5d327f1daeb908dbff3e51c8"
 
     @staticmethod
     def _pin_cases():
@@ -312,7 +317,21 @@ class TestBabVerify:
         spec, box = Specification(np.array([1.0])), Box(np.zeros(2), np.ones(2))
         yield net, spec, box, VerifyBudget(None, 100), 0, None
 
+    @staticmethod
+    def _pin_line(v):
+        cex = b"" if v.counterexample is None else v.counterexample.tobytes()
+        return f"{v.status.value}|{v.bound.hex()}|{v.domains_explored}|{cex.hex()}"
+
+    def _pin_verdicts(self):
+        return [
+            bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
+            for net, spec, box, budget, seed, root_inter in self._pin_cases()
+        ]
+
     def test_characterization_pin(self, monkeypatch):
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
         split_layers = set()
         force = SplitAssignment.force
 
@@ -322,16 +341,43 @@ class TestBabVerify:
             return force(split, net, neuron_id, direction)
 
         monkeypatch.setattr(SplitAssignment, "force", recording_force)
-        lines, kinds = [], set()
-        for net, spec, box, budget, seed, root_inter in self._pin_cases():
-            v = bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
-            cex = b"" if v.counterexample is None else v.counterexample.tobytes()
-            lines.append(f"{v.status.value}|{v.bound.hex()}|{v.domains_explored}|{cex.hex()}")
-            kinds.add((v.status, v.domains_explored > 1))
+        verdicts = self._pin_verdicts()
+        kinds = {(v.status, v.domains_explored > 1) for v in verdicts}
         assert split_layers == {0, 1, 2}
         assert {(s, True) for s in VerdictStatus} <= kinds
+        lines = [self._pin_line(v) for v in verdicts]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PIN_DIGEST
+
+    def test_characterization_pin_batched(self):
+        lines = [self._pin_line(v) for v in self._pin_verdicts()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.BATCHED_PIN_DIGEST
+
+    def test_batch_size_moves_no_verdict(self, monkeypatch):
+        # a domain's children depend only on that domain, so popping eight
+        # domains per step closes the same tree as popping one: verified
+        # results keep bound and work, timeouts stop at the same budget,
+        # and a falsified search returns a genuine counterexample
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", 8)
+        batched = self._pin_verdicts()
+        monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
+        single = self._pin_verdicts()
+        statuses = set()
+        for (net, spec, box, *_), a, b in zip(self._pin_cases(), batched, single):
+            assert a.status == b.status
+            statuses.add(a.status)
+            if a.status == VerdictStatus.VERIFIED:
+                assert (a.bound.hex(), a.domains_explored) == (b.bound.hex(), b.domains_explored)
+            elif a.status == VerdictStatus.TIMEOUT:
+                assert a.domains_explored == b.domains_explored
+            else:
+                for v in (a, b):
+                    assert box.contains(v.counterexample)
+                    assert spec.value(forward(net, v.counterexample)[0]) < 0.0
+        assert statuses == set(VerdictStatus)
 
     def test_branching_classifies_each_domain_once(self, monkeypatch):
         # BaB classifies each popped domain once and hands that status to
