@@ -133,9 +133,6 @@ class SplitAssignment:
         new[h][j] = direction
         return SplitAssignment(new)
 
-    def num_forced(self) -> int:
-        return int(sum(int(np.count_nonzero(c)) for c in self.codes))
-
     def flat(self) -> np.ndarray:
         if not self.codes:
             return np.zeros(0, dtype=np.int8)

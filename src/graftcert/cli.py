@@ -69,7 +69,10 @@ def _load_config(args) -> ExperimentConfig:
     doc = default_config()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config must be a JSON object, got {type(loaded).__name__}")
+        doc.update(loaded)
     if args.seed is not None:
         doc["seed"] = args.seed
         doc.setdefault("train", {})

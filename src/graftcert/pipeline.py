@@ -144,12 +144,12 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
         try:
-            if "train" in doc and isinstance(doc["train"], dict):
-                doc["train"] = TrainConfig(**doc["train"])
-            if "finetune" in doc and isinstance(doc["finetune"], dict):
-                doc["finetune"] = FinetuneConfig(**doc["finetune"])
-            if "budget" in doc and isinstance(doc["budget"], dict):
-                doc["budget"] = VerifyBudget(**doc["budget"])
+            for key, section in (
+                ("train", TrainConfig), ("finetune", FinetuneConfig), ("budget", VerifyBudget)
+            ):
+                # a section that is not an object fails here, as a TypeError
+                if key in doc and not isinstance(doc[key], section):
+                    doc[key] = section(**doc[key])
             if "architecture" in doc:
                 doc["architecture"] = tuple(int(w) for w in doc["architecture"])
             if doc.get("clip") is not None:
@@ -450,13 +450,17 @@ def _load_split(cfg: ExperimentConfig, split: str) -> Dataset:
     """One dataset split, checked against the architecture.  Every stage
     that reads data loads it here, so a bad file fails as stage 'data'."""
     with _stage("data"):
+        if not isinstance(cfg.dataset, dict) or split not in cfg.dataset:
+            raise UsageError(f"config 'dataset' has no {split!r} split spec")
         ds = load_dataset(cfg.dataset[split])
+        if len(ds) == 0:
+            raise UsageError(f"{split} dataset has no examples")
         if ds.dim != cfg.architecture[0]:
             raise UsageError(
                 f"{split} dataset dim {ds.dim} != input width {cfg.architecture[0]}"
             )
         classes = cfg.architecture[-1]
-        if len(ds) and not (ds.labels.min() >= 0 and ds.labels.max() < classes):
+        if not (ds.labels.min() >= 0 and ds.labels.max() < classes):
             raise UsageError(
                 f"{split} labels span [{ds.labels.min()}, {ds.labels.max()}], "
                 f"outside [0, {classes}) for {classes} output classes"

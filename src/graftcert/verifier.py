@@ -79,12 +79,14 @@ class Specification:
 
 @dataclass
 class Domain:
-    """One branch-and-bound subproblem: a split assignment plus its current
-    certified lower bound.  ``depth`` equals the number of forced neurons."""
+    """One branch-and-bound subproblem: its splits, its certified lower
+    bound, its pre-activation bounds ``inter``, and the raw IBP ``raw``
+    (before intersection) from which its children's IBP restarts."""
 
     split: SplitAssignment
     bound: float
-    depth: int
+    inter: LayerBounds
+    raw: LayerBounds
 
 
 class VerdictStatus(str, Enum):
@@ -139,6 +141,26 @@ def build_specs(num_classes: int, label: int) -> list[Specification]:
 # PGD
 
 
+def _descend(net, C, c0, box, starts, step, steps):
+    """Signed-gradient descent over the box, batched over start points, of
+    each start's worst value ``min_k C[k] @ logits + c0``.
+
+    Yields ``(x, worst)`` before each step and once after the last; stops
+    after the first iteration where some start's worst value is below
+    zero.  Every attack in this module runs this one loop."""
+    x = box.clip(np.atleast_2d(np.asarray(starts, dtype=np.float64)))
+    for it in range(steps + 1):
+        logits, pre, _ = forward_batch(net, x)
+        vals = logits @ C.T + c0
+        worst = vals.min(axis=1)
+        yield x, worst
+        if it == steps or np.any(worst < 0.0):
+            return
+        # each start steps down its currently worst row
+        g = input_grad_batch(net, pre, C[vals.argmin(axis=1)])
+        x = box.clip(x - step * np.sign(g))
+
+
 def _minimize_spec(
     net: Network,
     spec: Specification,
@@ -147,25 +169,15 @@ def _minimize_spec(
     starts: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Signed-gradient descent on the spec value over the box, batched over
-    start points.  Returns (best input, best value); stops early once the
+    start points, stepping a quarter of the box's half-width.  Returns
+    (best input, best value) over all iterations; stops early once the
     value dips below zero."""
-    x = box.clip(np.atleast_2d(np.asarray(starts, dtype=np.float64)))
-    step = 0.125 * (box.upper - box.lower)  # a quarter of the half-width
-    best_val = np.inf
-    best_x = x[0].copy()
-    k = x.shape[0]
-    grad_seed = np.tile(spec.coeffs, (k, 1))
-    for it in range(steps + 1):
-        logits, pre, _ = forward_batch(net, x)
-        vals = logits @ spec.coeffs + spec.const
+    best_x, best_val = None, np.inf
+    step = 0.125 * (box.upper - box.lower)
+    for x, vals in _descend(net, spec.coeffs[None, :], spec.const, box, starts, step, steps):
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_x = x[i].copy()
-        if best_val < 0.0 or it == steps:
-            break
-        g = input_grad_batch(net, pre, grad_seed)
-        x = box.clip(x - step * np.sign(g))
+            best_x, best_val = x[i].copy(), float(vals[i])
     return best_x, best_val
 
 
@@ -176,40 +188,22 @@ def pgd_attack(
     cfg: AttackConfig,
     seed: int = 0,
 ) -> np.ndarray | None:
-    """Multi-restart PGD on the class margins.
+    """Multi-restart PGD on the class margins, stepping eps / 4.
 
     Returns the first perturbed input that gets misclassified (any margin
     below zero), or None.  The returned input always lies inside the
     eps-ball intersected with the clip range.  The first restart starts at
-    the clean point, the rest at uniform random points of the box.
+    the clean point, the rest at uniform random points of the box; each
+    descends its tightest margin.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     box = input_region(x0, cfg.eps, cfg.clip)
-    rng = np.random.default_rng(seed)
-    step = cfg.eps / 4.0
-    starts = [box.clip(x0)]
-    if cfg.restarts > 1:
-        starts.append(box.sample(rng, cfg.restarts - 1))
-    x = np.vstack([np.atleast_2d(s) for s in starts])
-    k = x.shape[0]
-    classes = net.output_dim
-    others = [t for t in range(classes) if t != label]
-    for it in range(cfg.steps + 1):
-        logits, pre, _ = forward_batch(net, x)
-        margins = logits[:, label][:, None] - logits[:, others]
-        worst = margins.min(axis=1)
+    starts = np.vstack([x0[None, :], box.sample(np.random.default_rng(seed), cfg.restarts - 1)])
+    C = np.array([s.coeffs for s in build_specs(net.output_dim, label)])
+    for x, worst in _descend(net, C, 0.0, box, starts, cfg.eps / 4.0, cfg.steps):
         hit = np.flatnonzero(worst < 0.0)
         if hit.size:
             return x[hit[0]].copy()
-        if it == cfg.steps:
-            break
-        # ascend on the currently tightest margin's violation
-        tstar = np.asarray(others)[margins.argmin(axis=1)]
-        seedg = np.zeros((k, classes))
-        seedg[np.arange(k), tstar] = 1.0
-        seedg[np.arange(k), label] = -1.0
-        g = input_grad_batch(net, pre, seedg)
-        x = box.clip(x + step * np.sign(g))
     return None
 
 
@@ -276,8 +270,9 @@ def bab_verify(
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
     A PGD attack from the box center plus seeded random restarts runs once
-    at the root; then a worst-bound-first worklist of split domains is
-    searched.  Each step pops up to ``_BAB_BATCH`` (8) worst domains, and
+    at the root; then a worst-bound-first worklist of ``Domain`` records,
+    ordered by (bound, insertion counter), is searched.  Each step pops up
+    to ``_BAB_BATCH`` (8) worst domains, and
     each popped domain's worst unstable neuron is forced both ways.  The
     children of all popped domains are bounded in one batched call: each
     is re-bounded by IBP restarted at its split neuron's layer from its
@@ -286,7 +281,8 @@ def bab_verify(
     positive.  Domains with no unstable neurons are resolved exactly by the
     linear closed form, which falsifies from its witness corner or, when
     the witness leaves the split region, from a PGD attack seeded at the
-    witness.
+    witness.  Both attacks are ``pgd_attack``'s descent loop run on the
+    spec alone.
 
     ``max_domains`` counts bounded domains: a step pops at most half the
     budget left.  A domain's children depend only on that domain, so a
@@ -330,7 +326,7 @@ def bab_verify(
         # as they are (intersecting with the same IBP again is a no-op)
         raw = ibp(net, box, root_split)
         inter = intersect_bounds(raw, inter)
-    heap: list[tuple] = [(root_bound, 0, Domain(root_split, root_bound, 0), inter, raw)]
+    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw))]
     counter = 1
     verified_floor = np.inf
     while heap:
@@ -338,17 +334,19 @@ def bab_verify(
         room = min(_BAB_BATCH, (budget.max_domains - explored) // 2)
         if room < 1:
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
-        parents = []
+        # one entry per child: each popped parent's active child, then its
+        # inactive one
+        parents, splits, layers = [], [], []
         for _ in range(room):
             if not heap:
                 break
             if budget.time_limit is not None and time.perf_counter() - t0 > budget.time_limit:
                 # popped in bound order, so the first pending parent is the worst
-                return verdict(VerdictStatus.TIMEOUT, (parents[0] if parents else heap[0])[0])
-            bound, _, dom, dinter, draw = heapq.heappop(heap)
-            status = classify_neurons(dinter, dom.split)
+                return verdict(VerdictStatus.TIMEOUT, (parents[0] if parents else heap[0][2]).bound)
+            dom = heapq.heappop(heap)[2]
+            status = classify_neurons(dom.inter, dom.split)
             if not np.any(status == NeuronStatus.UNSTABLE):
-                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dinter, spec)
+                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
                 if kind == "verified":
                     verified_floor = min(verified_floor, leaf_val)
                     continue
@@ -360,35 +358,30 @@ def bab_verify(
                 if val < 0.0:
                     return verdict(VerdictStatus.FALSIFIED, val, x_adv)
                 continue
-            j = _branch_on(status, dinter)
-            parents.append((bound, dom, dinter, draw, j, net.neuron_location(j)[0]))
+            j = _branch_on(status, dom.inter)
+            h = net.neuron_location(j)[0]
+            for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
+                parents.append(dom)
+                splits.append(dom.split.force(net, j, direction))
+                layers.append(h)
         if not parents:
             continue
-        rows, splits = [], []
-        for parent in parents:
-            _, dom, _, _, j, _ = parent
-            for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
-                rows.append(parent)
-                splits.append(dom.split.force(net, j, direction))
         child_raw, child, lower = _bound_children(
-            net, signed, box, [(draw, dinter) for _, _, dinter, draw, _, _ in rows],
-            splits, [h for *_, h in rows], spec.coeffs, spec.const,
+            net, signed, box, [(p.raw, p.inter) for p in parents], splits, layers,
+            spec.coeffs, spec.const,
         )
-        explored += len(rows)
-        for r, (bound, dom, dinter, draw, _, h) in enumerate(rows):
+        explored += len(parents)
+        for r, (p, split, h) in enumerate(zip(parents, splits, layers)):
             # the child's region is nested in the parent's, so the parent
             # bound stays valid
-            cb = max(float(lower[r]), bound)
+            cb = max(float(lower[r]), p.bound)
             if cb > 0.0:
                 # +inf marks an empty region, verified vacuously
                 if np.isfinite(cb):
                     verified_floor = min(verified_floor, cb)
                 continue
-            entry = Domain(splits[r], cb, dom.depth + 1)
-            heapq.heappush(
-                heap,
-                (cb, counter, entry, _row(child, r, dinter, h), _row(child_raw, r, draw, h)),
-            )
+            kid = Domain(split, cb, _row(child, r, p.inter, h), _row(child_raw, r, p.raw, h))
+            heapq.heappush(heap, (cb, counter, kid))
             counter += 1
     return verdict(VerdictStatus.VERIFIED, verified_floor)
 

@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import re
+import struct
 import subprocess
 import sys
 import time
@@ -398,10 +399,21 @@ class TestCli:
         pytest.param({"architecture": [2, 0, 2]}, id="architecture=2,0,2"),
         pytest.param({"train": {"epochs": 2, "batch_size": 0}}, id="train.batch_size=0"),
         pytest.param({"finetune": {"epochs": 2, "batch_size": 0}}, id="finetune.batch_size=0"),
+        pytest.param({"train": 3}, id="train=3"),
+        pytest.param({"finetune": "x"}, id="finetune=x"),
+        pytest.param({"budget": [30.0, 300]}, id="budget=list"),
+        # not a dict: the whole document
+        pytest.param([1, 2], id="document=list"),
+        pytest.param([["seed", 3]], id="document=pairs"),
+        pytest.param(3, id="document=3"),
     ])
     def test_bad_value_fails_at_config_load(self, tmp_path, capsys, over):
         out = tmp_path / "out"
-        cfg = _write_cfg(tmp_path, **over)
+        if isinstance(over, dict):
+            cfg = _write_cfg(tmp_path, **over)
+        else:
+            cfg = str(tmp_path / "cfg.json")
+            pathlib.Path(cfg).write_text(json.dumps(over))
         assert main(["pipeline", "--out", str(out), "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
@@ -439,6 +451,33 @@ class TestCli:
         assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "stage 'data' failed: dataset 'seed' must be >= 0, got -1" in err, err
+
+    @pytest.mark.parametrize("case, command, message", [
+        ("no train", "train", "config 'dataset' has no 'train' split spec"),
+        ("no test", "attack", "config 'dataset' has no 'test' split spec"),
+        ("not a dict", "train", "config 'dataset' has no 'train' split spec"),
+        ("empty train", "train", "train dataset has no examples"),
+        ("empty test", "attack", "test dataset has no examples"),
+    ])
+    def test_bad_split_fails_in_data_stage(self, tmp_path, capsys, case, command, message):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 0, 1, 2))  # zero 1 x 2 images
+        labels.write_bytes(struct.pack(">II", 0x801, 0))
+        empty = {"kind": "idx", "images": str(images), "labels": str(labels)}
+        moons = default_config()["dataset"]
+        dataset = {
+            "no train": {"test": moons["test"]},
+            "no test": {"train": moons["train"]},
+            "not a dict": "abc",
+            "empty train": dict(moons, train=empty),
+            "empty test": dict(moons, test=empty),
+        }[case]
+        cfg = _write_cfg(tmp_path, dataset=dataset)
+        # the first stage that reads the split, then the whole chain
+        for cmd in [command, "pipeline"]:
+            assert main([cmd, "--out", str(tmp_path / cmd), "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert f"stage 'data' failed: {message}" in err, err
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

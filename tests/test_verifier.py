@@ -30,6 +30,7 @@ from graftcert import (
     pgd_attack,
 )
 from graftcert.bounds import FORCED_ACTIVE, FORCED_INACTIVE, FREE, _relaxation_lines
+from graftcert.network import input_grad_batch
 from graftcert.verifier import (
     _ROOT_ATTACK_RESTARTS,
     _ROOT_ATTACK_STEPS,
@@ -74,7 +75,7 @@ class TestBranchSelect:
         net = Network([manual_layer(W, b), manual_layer(np.ones((1, n)), [0.0])])
         box = Box(np.array([0.0]), np.array([1.0]))
         inter = ibp(net, box)
-        dom = Domain(SplitAssignment.free(net), -1.0, 0)
+        dom = Domain(SplitAssignment.free(net), -1.0, inter, inter)
         return net, dom, inter
 
     def test_single_unstable_forced_choice(self):
@@ -155,6 +156,105 @@ class TestPgdAttack:
                 assert v.status != VerdictStatus.VERIFIED or spec.value(forward(net, adv)[0]) > 0
             checked += 1
         assert checked > 0
+
+
+def _reference_pgd_attack(net, x0, label, cfg, seed=0):
+    # pgd_attack's own ascent loop on the margins' violation, from before
+    # every attack shared one descent loop; the bytes must not change
+    x0 = np.asarray(x0, dtype=np.float64)
+    box = input_region(x0, cfg.eps, cfg.clip)
+    rng = np.random.default_rng(seed)
+    starts = [box.clip(x0)]
+    if cfg.restarts > 1:
+        starts.append(box.sample(rng, cfg.restarts - 1))
+    x = np.vstack([np.atleast_2d(s) for s in starts])
+    k = x.shape[0]
+    classes = net.output_dim
+    others = [t for t in range(classes) if t != label]
+    for it in range(cfg.steps + 1):
+        logits, pre, _ = forward_batch(net, x)
+        margins = logits[:, label][:, None] - logits[:, others]
+        hit = np.flatnonzero(margins.min(axis=1) < 0.0)
+        if hit.size:
+            return x[hit[0]].copy()
+        if it == cfg.steps:
+            break
+        tstar = np.asarray(others)[margins.argmin(axis=1)]
+        seedg = np.zeros((k, classes))
+        seedg[np.arange(k), tstar] = 1.0
+        seedg[np.arange(k), label] = -1.0
+        g = input_grad_batch(net, pre, seedg)
+        x = box.clip(x + cfg.eps / 4.0 * np.sign(g))
+    return None
+
+
+def _reference_minimize_spec(net, spec, box, steps, starts):
+    # _minimize_spec's own descent loop, from the same time
+    x = box.clip(np.atleast_2d(np.asarray(starts, dtype=np.float64)))
+    step = 0.125 * (box.upper - box.lower)
+    best_val = np.inf
+    best_x = x[0].copy()
+    grad_seed = np.tile(spec.coeffs, (x.shape[0], 1))
+    for it in range(steps + 1):
+        logits, pre, _ = forward_batch(net, x)
+        vals = logits @ spec.coeffs + spec.const
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_x = x[i].copy()
+        if best_val < 0.0 or it == steps:
+            break
+        g = input_grad_batch(net, pre, grad_seed)
+        x = box.clip(x - step * np.sign(g))
+    return best_x, best_val
+
+
+def _descent_cases(base):
+    """Random nets with 3-5 classes and one to three hidden layers, points
+    near the clip range's edges (so a clipped box's (u - l) / 8 is not
+    eps / 4), eps 0 included, 1-4 starts and 1-12 steps."""
+    for seed in range(60):
+        rng = np.random.default_rng(base + seed)
+        classes = int(rng.integers(3, 6))
+        widths = [int(rng.integers(2, 6))]
+        widths += [int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 4)))]
+        widths += [classes]
+        net = random_net(base + seed, widths=widths, weight_scale=1.0)
+        x0 = rng.choice([0.02, 0.5, 0.97], widths[0]) + rng.uniform(-0.02, 0.02, widths[0])
+        eps = (0.0, 0.05, 0.15, 0.3)[seed % 4]
+        yield seed, rng, net, x0, eps, int(rng.integers(1, 5)), int(rng.integers(1, 13))
+
+
+class TestDescentLoop:
+    def test_pgd_attack_matches_its_old_loop(self):
+        outcomes = set()
+        for seed, rng, net, x0, eps, restarts, steps in _descent_cases(7000):
+            # mostly the clean prediction, so the attack has to move
+            label = int(np.argmax(forward(net, x0)[0])) if seed % 3 else int(rng.integers(net.output_dim))
+            cfg = AttackConfig(eps, steps=steps, restarts=restarts, clip=(0, 1))
+            got = pgd_attack(net, x0, label, cfg, seed=seed)
+            want = _reference_pgd_attack(net, x0, label, cfg, seed=seed)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+            outcomes.add((got is None, eps == 0.0, restarts > 1))
+        # hits and misses, at eps 0 and above, with one start and several
+        assert outcomes == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+
+    def test_minimize_spec_matches_its_old_loop(self):
+        outcomes = set()
+        for seed, rng, net, x0, eps, restarts, steps in _descent_cases(7100):
+            box = input_region(x0, eps, (0, 1))
+            starts = np.vstack([box.center()[None, :], box.sample(rng, restarts - 1)])
+            specs = build_specs(net.output_dim, int(rng.integers(net.output_dim)))
+            specs.append(Specification(rng.normal(0, 1, net.output_dim), float(rng.normal(0, 0.5))))
+            for spec in specs:
+                got_x, got_val = _minimize_spec(net, spec, box, steps, starts)
+                want_x, want_val = _reference_minimize_spec(net, spec, box, steps, starts)
+                assert got_val.hex() == want_val.hex()
+                assert got_x.tobytes() == want_x.tobytes()
+                outcomes.add((got_val < 0.0, eps == 0.0, restarts > 1))
+        assert outcomes == {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)}
 
 
 class TestBabVerify:
@@ -402,7 +502,7 @@ class TestBabVerify:
             with monkeypatch.context() as m:
                 m.setattr(verifier, "classify_neurons", classify)
                 m.setattr(verifier, "_branch_on", branch_on)
-                assert j == branch_select(Domain(split, 0.0, 0), inter)
+                assert j == branch_select(Domain(split, 0.0, inter, inter), inter)
             return j
 
         def counting_leaf(*args):
@@ -479,7 +579,7 @@ class TestLinearLeaf:
             ])
             box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.05, 0.5)))
             inter = compute_bounds(net, box, None, "crown") if seed % 3 == 0 else ibp(net, box)
-            dom = Domain(split, 0.0, split.num_forced())
+            dom = Domain(split, 0.0, inter, inter)
             for spec in build_specs(3, int(rng.integers(3))):
                 got = _resolve_linear_leaf(net, box, dom, inter, spec)
                 want = _reference_linear_leaf(net, box, dom, inter, spec)
