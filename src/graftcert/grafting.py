@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import tally_stability
 from .errors import UsageError
 from .network import Network, backward_batch, forward_batch
+from .training import _ce_loss_grad
 
 __all__ = [
     "NeuronScore",
@@ -30,7 +31,6 @@ __all__ = [
     "significance_scores",
     "score_neurons",
     "select_neurons",
-    "select_top_neurons",
     "baseline_select",
     "default_gamma_schedule",
     "plan_to_dict",
@@ -137,11 +137,7 @@ def significance_scores(
     for s in range(0, n, batch_size):
         xb, yb = X[s : s + batch_size], y[s : s + batch_size]
         logits, pre, post = forward_batch(net, xb)
-        z = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(xb.shape[0]), yb] -= 1.0  # per-example CE gradient
-        bundle = backward_batch(net, xb, pre, post, p)
+        bundle = backward_batch(net, xb, pre, post, _ce_loss_grad(logits, yb)[1])
         for h, off in enumerate(offs):
             g = bundle.postact_grads[h]
             acc[off : off + g.shape[1]] += np.abs(g).sum(axis=0)
@@ -226,24 +222,6 @@ def select_neurons(
         chosen[take] = True
         picked.extend(int(i) for i in take)
     return GraftPlan(tuple(picked), tuple(schedule), init_slope, init_intercept)
-
-
-def select_top_neurons(
-    scores: NeuronScore,
-    count: int,
-    gamma: float,
-    init_slope: float = 0.25,
-    init_intercept: float = 0.0,
-) -> GraftPlan:
-    """One selection batch of a fixed size at a fixed gamma."""
-    if count < 1:
-        raise UsageError("count must be >= 1")
-    if count > int(scores.relu_mask.sum()):
-        raise UsageError("count exceeds the remaining ReLU neurons")
-    ranked = _ranked_candidates(scores, np.zeros(scores.num_neurons, dtype=bool), gamma)
-    take = ranked[:count]
-    frac = count / scores.num_neurons
-    return GraftPlan(tuple(int(i) for i in take), ((frac, gamma),), init_slope, init_intercept)
 
 
 def baseline_select(

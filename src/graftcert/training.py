@@ -1,6 +1,6 @@
-"""Training loops: standard and PGD-adversarial SGD, grafted-network
-fine-tuning with two parameter groups, gradual grafting, and an optional
-l1 weight penalty.
+"""Training: one SGD loop behind standard and PGD-adversarial training,
+grafted-network fine-tuning with two parameter groups, and gradual
+grafting, each with an optional l1 weight penalty.
 
 Reproducibility: identical configs and seeds give identical final
 parameters (single worker); all randomness flows through one generator in
@@ -36,9 +36,7 @@ class TrainConfig:
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 5e-4
-    schedule: str = "step"  # "step" or "cosine"
-    milestones: tuple[int, ...] = ()
-    decay_factor: float = 0.1
+    milestones: tuple[int, ...] = ()  # each one passed multiplies lr by 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -46,8 +44,6 @@ class TrainConfig:
             raise UsageError("epochs must be >= 1")
         if self.lr <= 0:
             raise UsageError("learning rate must be > 0")
-        if self.schedule not in ("step", "cosine"):
-            raise UsageError(f"unknown schedule {self.schedule!r}")
         if self.batch_size < 1:
             raise UsageError("batch_size must be >= 1")
 
@@ -92,21 +88,15 @@ class FinetuneConfig:
 # loss primitives
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient on the logits."""
-    n = logits.shape[0]
-    p = _softmax(logits)
-    eps = 1e-12
-    loss = float(-np.log(p[np.arange(n), y] + eps).mean())
-    g = p
-    g[np.arange(n), y] -= 1.0
-    return loss, g / n
+def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example cross-entropy and its gradient on the logits (softmax
+    minus one-hot)."""
+    rows = np.arange(logits.shape[0])
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    loss = -np.log(p[rows, y] + 1e-12)
+    p[rows, y] -= 1.0
+    return loss, p
 
 
 def _pgd_batch(
@@ -128,9 +118,7 @@ def _pgd_batch(
     x = np.clip(X + rng.uniform(-atk.eps, atk.eps, X.shape), lo, hi)
     for _ in range(atk.steps):
         logits, pre, _ = forward_batch(net, x)
-        p = _softmax(logits)
-        p[np.arange(x.shape[0]), y] -= 1.0
-        g = input_grad_batch(net, pre, p)
+        g = input_grad_batch(net, pre, _ce_loss_grad(logits, y)[1])
         x = np.clip(x + step * np.sign(g), lo, hi)
     return x
 
@@ -142,20 +130,6 @@ def _accuracy(net: Network, X: np.ndarray, y: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # SGD core
-
-
-def _step_lr(cfg: TrainConfig, epoch: int) -> float:
-    if cfg.schedule == "cosine":
-        return _cosine_lr(cfg.lr, epoch, cfg.epochs)
-    k = sum(1 for m in cfg.milestones if epoch >= m)
-    return cfg.lr * (cfg.decay_factor**k)
-
-
-def _cosine_lr(lr0: float, epoch: int, epochs: int) -> float:
-    # anneals to exactly zero on the final epoch
-    if epochs <= 1:
-        return lr0
-    return 0.5 * lr0 * (1.0 + math.cos(math.pi * epoch / (epochs - 1)))
 
 
 class _Momentum:
@@ -170,60 +144,57 @@ class _Momentum:
 
 def _sgd_run(
     net: Network,
-    X: np.ndarray,
-    y: np.ndarray,
-    *,
-    epochs: int,
-    batch_size: int,
-    momentum: float,
-    weight_decay: float,
-    weight_lr: Callable[[int], float],
-    graft_lr: Callable[[int], float],
-    tune_weights: bool,
+    dataset,
+    cfg: TrainConfig | FinetuneConfig,
+    rates: Callable[[int], tuple[float, float]],
     adversarial: AttackConfig | None,
-    seed: int,
-    l1: float = 0.0,
+    *,
+    l1: float,
+    log_path,
+    holdout=None,
     epoch_callback: Callable[[Network, int], Network] | None = None,
-    log_path=None,
-    holdout: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[Network, list[float]]:
-    """Shared SGD loop.  Mutates and returns a private copy of ``net``."""
+) -> Network:
+    """The one SGD loop: momentum and weight decay on the cross-entropy
+    loss.  ``rates(epoch)`` gives the (weight, graft) learning rates; a
+    group at rate 0 keeps its values bit for bit.  Mutates and returns a
+    private copy of ``net``."""
+    X, y = _dataset_arrays(dataset)
+    hold = None if holdout is None else _dataset_arrays(holdout)
     net = net.copy()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     vel = _Momentum(net)
     n = X.shape[0]
-    losses: list[float] = []
     log_rows: list[list] = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         if epoch_callback is not None:
             net = epoch_callback(net, epoch)
-        lr_w = weight_lr(epoch)
-        lr_g = graft_lr(epoch)
+        lr_w, lr_g = rates(epoch)
         perm = rng.permutation(n)
         epoch_loss = 0.0
         batches = 0
-        for s in range(0, n, batch_size):
-            idx = perm[s : s + batch_size]
+        for s in range(0, n, cfg.batch_size):
+            idx = perm[s : s + cfg.batch_size]
             xb, yb = X[idx], y[idx]
             if adversarial is not None:
                 xb = _pgd_batch(net, xb, yb, adversarial, rng)
             logits, pre, post = forward_batch(net, xb)
-            loss, dlogits = _ce_loss_grad(logits, yb)
+            example_loss, dlogits = _ce_loss_grad(logits, yb)
+            loss = float(example_loss.mean())
             if l1 > 0.0:
                 loss += l1 * float(sum(np.abs(l.weight).sum() for l in net.layers))
             if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss {loss} at epoch {epoch}, batch {batches}"
                 )
-            grads = backward_batch(net, xb, pre, post, dlogits)
-            if tune_weights and lr_w > 0.0:
+            grads = backward_batch(net, xb, pre, post, dlogits / xb.shape[0])
+            if lr_w > 0.0:
                 for i, layer in enumerate(net.layers):
-                    gw = grads.weight_grads[i] + weight_decay * layer.weight
+                    gw = grads.weight_grads[i] + cfg.weight_decay * layer.weight
                     if l1 > 0.0:
                         gw = gw + l1 * np.sign(layer.weight)
-                    gb = grads.bias_grads[i] + weight_decay * layer.bias
-                    vel.w[i] = momentum * vel.w[i] + gw
-                    vel.b[i] = momentum * vel.b[i] + gb
+                    gb = grads.bias_grads[i] + cfg.weight_decay * layer.bias
+                    vel.w[i] = cfg.momentum * vel.w[i] + gw
+                    vel.b[i] = cfg.momentum * vel.b[i] + gb
                     layer.weight -= lr_w * vel.w[i]
                     layer.bias -= lr_w * vel.b[i]
             if lr_g > 0.0:
@@ -231,32 +202,42 @@ def _sgd_run(
                     mask = net.grafted[h]
                     if not mask.any():
                         continue
-                    vel.s[h] = momentum * vel.s[h] + grads.slope_grads[h]
-                    vel.c[h] = momentum * vel.c[h] + grads.intercept_grads[h]
+                    vel.s[h] = cfg.momentum * vel.s[h] + grads.slope_grads[h]
+                    vel.c[h] = cfg.momentum * vel.c[h] + grads.intercept_grads[h]
                     net.slopes[h][mask] -= lr_g * vel.s[h][mask]
                     net.intercepts[h][mask] -= lr_g * vel.c[h][mask]
             epoch_loss += loss
             batches += 1
         epoch_loss /= max(batches, 1)
-        losses.append(epoch_loss)
         if log_path is not None:
             sa = ra = ""
-            if holdout is not None:
-                hx, hy = holdout
-                sa = f"{100.0 * _accuracy(net, hx, hy):.2f}"
+            if hold is not None:
+                hx, hy = hold
+                sa = ra = f"{100.0 * _accuracy(net, hx, hy):.2f}"
                 if adversarial is not None:
                     adv = _pgd_batch(net, hx, hy, adversarial, rng)
-                    logits, _, _ = forward_batch(net, adv)
-                    ra = f"{100.0 * float((logits.argmax(axis=1) == hy).mean()):.2f}"
-                else:
-                    ra = sa
+                    ra = f"{100.0 * _accuracy(net, adv, hy):.2f}"
             log_rows.append([epoch, f"{epoch_loss:.6f}", sa, ra])
     if log_path is not None:
         with open(log_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss", "sa", "ra"])
             writer.writerows(log_rows)
-    return net, losses
+    return net
+
+
+def _cosine_rates(cfg: FinetuneConfig) -> Callable[[int], tuple[float, float]]:
+    """Fine-tuning's (weight, graft) rates, cosine-annealed to exactly
+    zero on the final epoch; ``tune_weights=False`` gives weights rate 0."""
+    lrs = (cfg.weight_lr if cfg.tune_weights else 0.0, cfg.graft_lr)
+
+    def rates(epoch: int) -> tuple[float, float]:
+        if cfg.epochs <= 1:
+            return lrs
+        c = 1.0 + math.cos(math.pi * epoch / (cfg.epochs - 1))
+        return 0.5 * lrs[0] * c, 0.5 * lrs[1] * c
+
+    return rates
 
 
 def _dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -291,28 +272,14 @@ def train(
     attack before the loss step.  ``l1`` switches on an l1 weight penalty.
     Raises DivergenceError when the loss goes non-finite.
     """
-    X, y = _dataset_arrays(dataset)
-    hold = None
-    if holdout is not None:
-        hold = _dataset_arrays(holdout)
-    trained, _ = _sgd_run(
-        net,
-        X,
-        y,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        weight_lr=lambda e: _step_lr(cfg, e),
-        graft_lr=lambda e: _step_lr(cfg, e),
-        tune_weights=True,
-        adversarial=adversarial,
-        seed=cfg.seed,
-        l1=l1,
-        log_path=log_path,
-        holdout=hold,
+
+    def rates(epoch: int) -> tuple[float, float]:
+        lr = cfg.lr * 0.1 ** sum(epoch >= m for m in cfg.milestones)
+        return lr, lr
+
+    return _sgd_run(
+        net, dataset, cfg, rates, adversarial, l1=l1, log_path=log_path, holdout=holdout
     )
-    return trained
 
 
 def finetune_grafted(
@@ -335,24 +302,7 @@ def finetune_grafted(
     """
     if not any(g.any() for g in net.grafted):
         raise UsageError("finetune_grafted needs at least one grafted neuron")
-    X, y = _dataset_arrays(dataset)
-    tuned, _ = _sgd_run(
-        net,
-        X,
-        y,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        weight_lr=lambda e: _cosine_lr(cfg.weight_lr, e, cfg.epochs),
-        graft_lr=lambda e: _cosine_lr(cfg.graft_lr, e, cfg.epochs),
-        tune_weights=cfg.tune_weights,
-        adversarial=adversarial,
-        seed=cfg.seed,
-        l1=l1,
-        log_path=log_path,
-    )
-    return tuned
+    return _sgd_run(net, dataset, cfg, _cosine_rates(cfg), adversarial, l1=l1, log_path=log_path)
 
 
 def gradual_graft(
@@ -373,17 +323,19 @@ def gradual_graft(
     """Interleave scoring, small graft increments, and fine-tuning.
 
     Cumulative graft counts follow the cubic front-loaded sparsity ramp
-    over the first half of the epochs; the selection weight decays from 2
-    to 0 as the grafted share grows.  The second half only fine-tunes.
-    ``l1`` is the weight penalty of :func:`train`.
+    over the first half of the epochs up to the one-shot count
+    ``select_neurons`` would graft; each increment is one selection batch
+    whose weight decays from 2 to 0 as the grafted share grows.  The second
+    half only fine-tunes.  ``l1`` is the weight penalty of :func:`train`.
     """
-    from .grafting import score_neurons, select_top_neurons
+    from .grafting import _ceil, score_neurons, select_neurons
 
     if not 0.0 < fraction <= 1.0:
         raise UsageError("fraction must be in (0, 1]")
     X, y = _dataset_arrays(dataset)
     Xs, ys = X[:score_size], y[:score_size]
-    total = math.ceil(fraction * net.num_hidden)
+    n = net.num_hidden
+    total = _ceil(fraction * n)
     graft_epochs = max(1, cfg.epochs // 2)
     state = {"count": 0}
 
@@ -397,27 +349,11 @@ def gradual_graft(
             return working
         gamma = 2.0 * (1.0 - state["count"] / total)
         scores = score_neurons(working, Xs, ys, eps, clip=clip)
-        plan = select_top_neurons(
-            scores, need, gamma, init_slope=init_slope, init_intercept=init_intercept
-        )
+        plan = select_neurons(scores, need / n, ((need / n, gamma),), init_slope, init_intercept)
         state["count"] += len(plan.neuron_ids)
         return apply_graft(working, plan)
 
-    tuned, _ = _sgd_run(
-        net,
-        X,
-        y,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        weight_lr=lambda e: _cosine_lr(cfg.weight_lr, e, cfg.epochs),
-        graft_lr=lambda e: _cosine_lr(cfg.graft_lr, e, cfg.epochs),
-        tune_weights=cfg.tune_weights,
-        adversarial=adversarial,
-        seed=cfg.seed,
-        l1=l1,
-        epoch_callback=callback,
-        log_path=log_path,
+    return _sgd_run(
+        net, (X, y), cfg, _cosine_rates(cfg), adversarial,
+        l1=l1, log_path=log_path, epoch_callback=callback,
     )
-    return tuned

@@ -269,11 +269,12 @@ def bab_verify(
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
-    A PGD attack from the box center plus seeded random restarts runs once
-    at the root; then a worst-bound-first worklist of ``Domain`` records,
-    ordered by (bound, insertion counter), is searched.  Each step pops up
-    to ``_BAB_BATCH`` (8) worst domains, and
-    each popped domain's worst unstable neuron is forced both ways.  The
+    The root is bounded by CROWN first; only when that bound is not
+    positive does a PGD attack from the box center plus seeded random
+    restarts run, once.  Then a worst-bound-first worklist of ``Domain``
+    records, ordered by (bound, insertion counter), is searched.  Each step
+    pops up to ``_BAB_BATCH`` (8) worst domains, and each popped domain's
+    worst unstable neuron is forced both ways.  The
     children of all popped domains are bounded in one batched call: each
     is re-bounded by IBP restarted at its split neuron's layer from its
     parent's own IBP (the layers below it cannot change), intersected with
@@ -306,14 +307,15 @@ def bab_verify(
         )
 
     inter = root_inter if root_inter is not None else ibp(net, box, root_split)
+    root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
+    if root_bound > 0.0:
+        # a sound positive bound admits no counterexample to attack
+        return verdict(VerdictStatus.VERIFIED, root_bound)
     restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
     starts = np.vstack([box.center()[None, :], restarts])
     x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
-    root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
-    if root_bound > 0.0:
-        return verdict(VerdictStatus.VERIFIED, root_bound)
     # undecided at the root: from here on every domain keeps its raw IBP
     # (before intersection), from which its children restart.  A child
     # starts from its split layer's pre-activations, so it never needs the

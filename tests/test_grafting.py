@@ -19,7 +19,7 @@ from graftcert import (
     significance_scores,
 )
 from graftcert.data import gaussian_blobs
-from graftcert.grafting import NeuronScore, plan_from_dict, plan_to_dict, select_top_neurons
+from graftcert.grafting import NeuronScore, plan_from_dict, plan_to_dict
 
 from conftest import random_net
 
@@ -224,7 +224,7 @@ class TestSelect:
 
     def test_select_top_single_batch(self):
         scores = toy_scores([0.9, 0.1, 0.5, 0.7], [0.1, 0.9, 0.5, 0.2])
-        plan = select_top_neurons(scores, 2, 2.0)
+        plan = select_neurons(scores, 0.5, ((0.5, 2.0),))
         assert plan.neuron_ids == (0, 3)
 
 

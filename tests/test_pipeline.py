@@ -12,7 +12,16 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from graftcert import Dataset, Network, PipelineError, UsageError, VerifyBudget, load_checkpoint
+from graftcert import (
+    Dataset,
+    FinetuneConfig,
+    Network,
+    PipelineError,
+    TrainConfig,
+    UsageError,
+    VerifyBudget,
+    load_checkpoint,
+)
 from graftcert import pipeline
 from graftcert.cli import default_config, main
 from graftcert.data import load_dataset
@@ -386,6 +395,15 @@ class TestCli:
         cfg = _write_cfg(tmp_path, train_rs=0.0)
         assert main(["train", "--out", str(tmp_path), "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("field, value", [("schedule", "step"), ("decay_factor", 0.1)])
+    def test_removed_train_field_is_config_error(self, tmp_path, capsys, field, value):
+        train = {"epochs": 2, "batch_size": 64, "lr": 0.05, "seed": 0, field: value}
+        cfg = _write_cfg(tmp_path, train=train)
+        assert main(["train", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "bad config: " in err and "unexpected keyword argument" in err, err
+        assert field in err, err
+
     @pytest.mark.parametrize("over", [
         pytest.param({"budget": {"time_limit": 30.0, "max_domains": 0}}, id="max_domains=0"),
         pytest.param({"budget": {"time_limit": 30.0, "max_domains": -3}}, id="max_domains=-3"),
@@ -423,10 +441,11 @@ class TestCli:
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         block = re.search(r"```jsonc\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
         assert block is not None, "README has no jsonc config block"
-        missing = [
-            f.name for f in dataclasses.fields(ExperimentConfig)
-            if f'"{f.name}":' not in block.group(1)
-        ]
+        doc = json.loads(re.sub(r"//.*", "", block.group(1)))
+        missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in doc]
+        # each section's fields inside that section's own object
+        for key, section in (("train", TrainConfig), ("finetune", FinetuneConfig), ("budget", VerifyBudget)):
+            missing += [f"{key}.{f.name}" for f in dataclasses.fields(section) if f.name not in doc[key]]
         assert not missing, missing
 
     def test_bad_labels_fail_in_data_stage(self, tmp_path, capsys):

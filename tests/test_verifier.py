@@ -278,6 +278,40 @@ class TestBabVerify:
         assert v.domains_explored == 1
         assert v.bound > 0
 
+    def test_root_attack_runs_only_when_root_bound_not_positive(self, monkeypatch):
+        from graftcert import verifier
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _minimize_spec(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "_minimize_spec", counted)
+        net = Network([manual_layer([[1.0], [0.0]], [5.0, 0.0])])
+        box = Box(np.array([0.0]), np.array([1.0]))
+        v = bab_verify(net, build_specs(2, 0)[0], box, VerifyBudget(None, 100), seed=0)
+        assert v.status == VerdictStatus.VERIFIED and calls == []
+        # the reversed margin is negative everywhere: the root attack runs
+        v = bab_verify(net, build_specs(2, 1)[0], box, VerifyBudget(None, 100), seed=0)
+        assert v.status == VerdictStatus.FALSIFIED and len(calls) == 1
+        # random nets: a margin verified at the root was never attacked
+        rng = np.random.default_rng(3)
+        root_verified = 0
+        for seed in range(20):
+            net = random_net(900 + seed, widths=[2, 6, 6, 3])
+            x0 = rng.uniform(0.2, 0.8, 2)
+            label = int(np.argmax(forward(net, x0)[0]))
+            for spec in build_specs(3, label):
+                del calls[:]
+                v = bab_verify(net, spec, input_region(x0, 0.02, (0, 1)), VerifyBudget(None, 50), seed=seed)
+                if v.status == VerdictStatus.VERIFIED and v.domains_explored == 1:
+                    root_verified += 1
+                    assert calls == []
+                else:
+                    assert len(calls) >= 1
+        assert root_verified > 0
+
     def test_falsified_has_valid_counterexample(self):
         rng = np.random.default_rng(7)
         falsified = 0
