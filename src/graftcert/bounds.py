@@ -49,7 +49,9 @@ class NeuronStatus(IntEnum):
 
 @dataclass(frozen=True)
 class Box:
-    """An axis-aligned input region ``lower <= x <= upper``."""
+    """An axis-aligned input region ``lower <= x <= upper``, or a stack of
+    E such regions with ``(E, 1, d)`` bounds (see ``Box.stack``), which
+    ``compute_bounds`` and ``_spec_lower`` bound row by row."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -59,16 +61,24 @@ class Box:
         hi = np.asarray(self.upper, dtype=np.float64)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise StructuralError("box bounds must be equal-length vectors")
+        if lo.shape != hi.shape or not (lo.ndim == 1 or lo.ndim == 3 and lo.shape[1] == 1):
+            raise StructuralError("box bounds must be equal-length vectors, or (E, 1, d) stacks")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise DomainError("box bounds must be finite")
         if np.any(lo > hi):
             raise DomainError("box has lower > upper")
 
+    @classmethod
+    def stack(cls, boxes: Sequence["Box"]) -> "Box":
+        """The stack of one-region boxes, one row each."""
+        return cls(
+            np.stack([b.lower for b in boxes])[:, None, :],
+            np.stack([b.upper for b in boxes])[:, None, :],
+        )
+
     @property
     def dim(self) -> int:
-        return self.lower.shape[0]
+        return self.lower.shape[-1]
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -413,11 +423,12 @@ def crown_lower_bound(
 def _spec_lower(net, box, split, inter, c, const):
     """The CROWN lower bound of ``c @ logits + const``, floored by the
     interval bound: shape (1,) for one region's 1-D bounds, (R, 1) for a
-    stack of ``(R, 1, d)`` bounds with per-row codes."""
+    stack of ``(R, 1, d)`` bounds with per-row codes, or per-row boxes
+    (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const`` (R, 1)."""
     lines = _relaxation_lines(net, inter, split)
     lo, hi = inter.lower[-1], inter.upper[-1]
     lead = lo.shape[:-1] or (1,)
-    C = np.broadcast_to(c, lead + c.shape)
+    C = np.broadcast_to(c, lead + c.shape[-1:])
     vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1, sense=-1)
     floor = _interval_lower(lo, hi, c, const)
     # max(vals, floor) that keeps vals on a tie, as Python's max does
@@ -479,17 +490,25 @@ def compute_bounds(
     The refinement rewrites each hidden layer's bounds as the tighter of
     the IBP interval and the backward-propagated bound, reusing already
     refined earlier layers, then re-applies any forced-split intersections.
+
+    A stack of E boxes (``Box.stack``) gives ``(E, 1, d)`` bounds per layer
+    and an (E, 1) ``feasible``.  Each layer's identity ``C`` becomes
+    ``(E, d, d)``, so every product runs per box and each row holds the
+    floats of its own one-box call bit for bit (see ``_backward``); a row
+    whose IBP is already infeasible is refined all the same, and its
+    bounds are vacuous either way.
     """
     if method not in ("ibp", "crown"):
         raise UsageError(f"unknown bound method {method!r}")
     base = ibp(net, box, split)
-    if method == "ibp" or not base.feasible:
+    if method == "ibp" or not np.any(base.feasible):
         return base
     if split is None:
         split = SplitAssignment.free(net)
     lowers = [b.copy() for b in base.lower]
     uppers = [b.copy() for b in base.upper]
-    feasible = True
+    stack = box.lower.shape[:-2]
+    feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
     lines = []
     for i in range(1, len(net.layers)):
@@ -497,23 +516,24 @@ def compute_bounds(
         # only its lines are new
         lines += _relaxation_lines(net, refined, split, [i - 1])
         d = net.layers[i].out_dim
-        C = np.eye(d)
-        c0 = np.zeros(d)
+        C = np.broadcast_to(np.eye(d), stack + (d, d))
+        c0 = np.zeros(stack + (d,))
         # [0]: the input coefficients are not needed, so not kept alive
-        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0]
-        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0]
+        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0].reshape(lowers[i].shape)
+        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0].reshape(uppers[i].shape)
         lo = np.maximum(lo, lowers[i])
         hi = np.minimum(hi, uppers[i])
         if i < len(net.layers) - 1:
             lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
-            feasible = feasible and ok
+            feasible = feasible & ok
         # a backward bound can cross the IBP bound by rounding, forced or not
-        if np.any(lo > hi):
-            feasible = False
+        crossed = np.any(lo > hi, axis=-1)
+        if crossed.any():
+            feasible = feasible & ~crossed
             lo = np.minimum(lo, hi)
         lowers[i] = lo
         uppers[i] = hi
-        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
     return refined
 
 

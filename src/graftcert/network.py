@@ -229,16 +229,20 @@ def _activation_grad(net: Network, h: int, z: np.ndarray, ga: np.ndarray) -> np.
 def forward_batch(
     net: Network, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Evaluate a batch ``x`` of shape (n, input_dim).
+    """Evaluate a batch ``x`` of shape (n, input_dim), or a stack of
+    batches (E, n, input_dim).
 
     Returns (logits, preacts, postacts) where preacts[i] is the batch of
     pre-activations of affine layer i and postacts[h] the batch of hidden
-    post-activations.
+    post-activations, each with ``x``'s leading axes.  A stacked product
+    runs each batch's own product, so every batch of a stack gets the
+    floats of its own 2-D call bit for bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != net.input_dim:
         raise StructuralError(
-            f"expected batch of shape (n, {net.input_dim}), got {x.shape}"
+            f"expected batch of shape (n, {net.input_dim}) or (E, n, {net.input_dim}), "
+            f"got {x.shape}"
         )
     if not np.isfinite(x).all():
         raise DomainError("input contains non-finite values")
@@ -314,12 +318,13 @@ def backward_batch(
 def input_grad_batch(
     net: Network, preacts: list[np.ndarray], loss_grad: np.ndarray
 ) -> np.ndarray:
-    """Per-example gradient of the loss on the input, shape (n, input_dim).
+    """Per-example gradient of the loss on the input, shape (n, input_dim)
+    (or (E, n, input_dim) for a stack).
 
     ``preacts`` is the pre-activation cache of :func:`forward_batch` and
-    ``loss_grad`` the (n, output_dim) gradient on the logits.  Bitwise equal
-    to ``backward_batch(...).input_grad`` but builds no parameter or
-    post-activation gradients, so it is the pass attacks use.
+    ``loss_grad`` the (n, output_dim) (or stacked) gradient on the logits.
+    Bitwise equal to ``backward_batch(...).input_grad`` but builds no
+    parameter or post-activation gradients, so it is the pass attacks use.
     """
     g = np.asarray(loss_grad, dtype=np.float64)
     if g.shape != preacts[-1].shape:

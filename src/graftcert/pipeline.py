@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import compute_bounds, input_region, tally_stability
+from .bounds import (
+    Box,
+    LayerBounds,
+    SplitAssignment,
+    _spec_lower,
+    compute_bounds,
+    input_region,
+    tally_stability,
+)
 from .data import Dataset, load_dataset
 from .errors import PipelineError, UsageError
 from .grafting import (
@@ -57,9 +65,9 @@ from .training import (
 from .verifier import (
     VerdictStatus,
     VerifyBudget,
+    attack_examples,
     bab_verify,
     build_specs,
-    pgd_attack,
 )
 
 __all__ = [
@@ -228,70 +236,98 @@ def _dump_json(doc, path) -> None:
 # evaluation
 
 
-def _verify_example(payload: dict) -> dict:
-    """Evaluate one test example: correctness, PGD attack, then complete
-    verification of every class margin.  Standalone for worker pools."""
-    net = payload["net"]
-    x0 = payload["x0"]
-    label = payload["label"]
-    eps = payload["eps"]
-    clip = payload["clip"]
-    seed = payload["seed"]
-    time_limit = payload["time_limit"]
-    record = {
-        "index": payload["index"],
-        "label": label,
-        "sa": False,
-        "ra": False,
-        "verified": False,
-        "verdict": "misclassified",
-        "bound": 0.0,
-        "time_seconds": 0.0,
-        "work_units": 0,
-    }
-    logits, _, _ = forward_batch(net, x0[None, :])
-    pred = int(np.argmax(logits[0]))
-    record["predicted"] = pred
-    margins = build_specs(net.output_dim, label)
-    if pred != label:
-        record["bound"] = float(min(s.value(logits[0]) for s in margins))
-        return record
-    record["sa"] = True
-    atk = AttackConfig(
-        eps,
-        steps=payload["attack_steps"],
-        restarts=payload["attack_restarts"],
-        clip=clip,
+# examples per root-phase group: a group's largest stacked coefficient
+# array in compute_bounds stays within this many bytes.  One MiB keeps the
+# 2-D protocol's examples in one group and a 784-wide net's one per group:
+# stacking two of those was slower than one at a time (the arrays leave
+# the cache)
+_ROOT_GROUP_BYTES = 1 << 20
+
+
+def _root_group_size(net: Network) -> int:
+    """Examples per root-phase group.  Refining affine layer i
+    back-substitutes an (E, d_i, d_i) identity to the input through
+    (E, d_i, in_j) for every layer j <= i."""
+    floats = max(
+        (
+            layer.out_dim * max([layer.out_dim] + [l.in_dim for l in net.layers[: i + 1]])
+            for i, layer in enumerate(net.layers)
+            if i > 0
+        ),
+        default=1,
     )
-    adv = pgd_attack(net, x0, label, atk, seed=seed)
-    if adv is not None:
-        adv_logits, _, _ = forward_batch(net, adv[None, :])
-        record["verdict"] = "attacked"
-        record["bound"] = float(min(s.value(adv_logits[0]) for s in margins))
-        return record
-    record["ra"] = True
-    box = input_region(x0, eps, clip)
-    # the root's bounds are verification work: they count in time_seconds
-    # and in the wall-clock budget
-    t0 = time.perf_counter()
-    root_inter = compute_bounds(net, box, None, method=payload["intermediate"])
+    return max(1, _ROOT_GROUP_BYTES // (8 * floats))
+
+
+def _attack_phase(net: Network, X: np.ndarray, labels: np.ndarray, atk: AttackConfig, seeds):
+    """Phases 1 and 2 over a stack of examples: the clean logits (E, K) of
+    one stacked forward pass, which examples they classify correctly, and
+    PGD on those in one stacked descent.  Entry e of the adversarial
+    inputs is None when example e was not attacked or held."""
+    logits = forward_batch(net, X[:, None, :])[0][:, 0]
+    correct = np.argmax(logits, axis=-1) == labels
+    ok = np.flatnonzero(correct)
+    advs = [None] * len(X)
+    if ok.size:
+        found = attack_examples(net, X[ok], labels[ok], atk, [seeds[e] for e in ok])
+        for e, adv in zip(ok, found):
+            advs[e] = adv
+    return logits, correct, advs
+
+
+def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> np.ndarray:
+    """Phase 4: the root CROWN bound of every margin of every example of a
+    group (``box`` stacks their boxes), one row per margin in one stacked
+    ``_spec_lower`` call; +inf where the example's root bounds are
+    infeasible, as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
+    rows = np.repeat(np.arange(len(margins)), len(margins[0]))
+    specs = [s for ms in margins for s in ms]
+    vals = _spec_lower(
+        net,
+        Box(box.lower[rows], box.upper[rows]),
+        SplitAssignment.free(net),
+        LayerBounds(
+            tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted
+        ),
+        np.stack([s.coeffs for s in specs])[:, None, :],
+        np.array([[s.const] for s in specs]),
+    )
+    feasible = np.broadcast_to(inter.feasible, (len(margins), 1))[rows]
+    return np.where(feasible, vals, np.inf).reshape(len(margins), -1)
+
+
+def _verify_example(payload: dict) -> dict:
+    """Phase 5 for one example that held against PGD: its margins in
+    order, each with its own seed.  A margin whose root CROWN bound
+    (``payload["root"]``) is positive is verified there as one domain, as
+    ``bab_verify`` would decide it; any other goes to ``bab_verify`` from
+    the root bounds.  Stops at the first falsified or timed-out margin.
+    The example's share of its group's root-phase seconds counts in its
+    time and against its time limit.  Returns the record fields it sets.
+    Standalone, so that one example's spans can be told apart."""
+    time_limit = payload["time_limit"]
+    t0 = time.perf_counter() - payload["share"]
     work = 0
     worst = math.inf
     verdict = "verified"
-    for k, spec in enumerate(margins):
+    for k, (spec, root) in enumerate(zip(payload["margins"], payload["root"])):
         remaining = None
         if time_limit is not None:
             remaining = time_limit - (time.perf_counter() - t0)
             if remaining <= 0:
                 verdict = "timeout"
                 break
+        if root > 0.0:
+            work += 1
+            worst = min(worst, float(root))
+            continue
         v = bab_verify(
-            net,
+            payload["net"],
             spec,
-            box,
+            payload["box"],
             VerifyBudget(remaining, payload["max_domains"]),
-            seed=seed + 7919 * (k + 1),
-            root_inter=root_inter,
+            seed=payload["seed"] + 7919 * (k + 1),
+            root_inter=payload["root_inter"],
         )
         work += v.domains_explored
         worst = min(worst, v.bound)
@@ -301,12 +337,81 @@ def _verify_example(payload: dict) -> dict:
         if v.status == VerdictStatus.TIMEOUT:
             verdict = "timeout"
             break
-    record["time_seconds"] = time.perf_counter() - t0
-    record["work_units"] = work
-    record["bound"] = float(worst)
-    record["verdict"] = verdict
-    record["verified"] = verdict == "verified"
-    return record
+    return {
+        "time_seconds": time.perf_counter() - t0,
+        "work_units": work,
+        "bound": float(worst),
+        "verdict": verdict,
+        "verified": verdict == "verified",
+    }
+
+
+def _evaluate_chunk(payload: dict) -> list[dict]:
+    """Records of a contiguous chunk of test examples, each phase run once
+    over the whole chunk (see ``evaluate_network``).  Standalone for
+    worker pools."""
+    net, X, labels = payload["net"], payload["features"], payload["labels"]
+    eps, clip = payload["eps"], payload["clip"]
+    indices = range(payload["first"], payload["first"] + len(X))
+    seeds = [payload["seed"] * 1_000_003 + i for i in indices]
+    atk = AttackConfig(
+        eps, steps=payload["attack_steps"], restarts=payload["attack_restarts"], clip=clip
+    )
+    logits, correct, advs = _attack_phase(net, X, labels, atk, seeds)
+    margins = [build_specs(net.output_dim, int(y)) for y in labels]
+    records = []
+    for e, i in enumerate(indices):
+        records.append({
+            "index": i,
+            "label": int(labels[e]),
+            "sa": bool(correct[e]),
+            "ra": False,
+            "verified": False,
+            "verdict": "attacked" if correct[e] else "misclassified",
+            "bound": float(min(s.value(logits[e]) for s in margins[e])),
+            "time_seconds": 0.0,
+            "work_units": 0,
+            "predicted": int(np.argmax(logits[e])),
+        })
+    attacked = [e for e, adv in enumerate(advs) if adv is not None]
+    if attacked:
+        adv_logits = forward_batch(net, np.stack([advs[e] for e in attacked])[:, None, :])[0]
+        for e, row in zip(attacked, adv_logits[:, 0]):
+            records[e]["bound"] = float(min(s.value(row) for s in margins[e]))
+    robust = [e for e in range(len(X)) if correct[e] and advs[e] is None]
+    size = _root_group_size(net)
+    for g in range(0, len(robust), size):
+        group = robust[g : g + size]
+        boxes = [input_region(X[e], eps, clip) for e in group]
+        # the root's bounds are verification work: each example is charged
+        # an equal share of its group's seconds
+        t0 = time.perf_counter()
+        stacked = Box.stack(boxes)
+        inter = compute_bounds(net, stacked, None, method=payload["intermediate"])
+        root = _root_margins(net, stacked, inter, [margins[e] for e in group])
+        share = (time.perf_counter() - t0) / len(group)
+        feasible = np.broadcast_to(inter.feasible, (len(group), 1))[:, 0]
+        for j, e in enumerate(group):
+            root_inter = LayerBounds(
+                tuple(x[j, 0] for x in inter.lower),
+                tuple(x[j, 0] for x in inter.upper),
+                net.grafted,
+                bool(feasible[j]),
+            )
+            records[e]["ra"] = True
+            records[e].update(_verify_example({
+                "index": indices[e],
+                "net": net,
+                "box": boxes[j],
+                "root_inter": root_inter,
+                "margins": margins[e],
+                "root": root[j],
+                "share": share,
+                "seed": seeds[e],
+                "time_limit": payload["time_limit"],
+                "max_domains": payload["max_domains"],
+            }))
+    return records
 
 
 def evaluate_network(
@@ -327,19 +432,31 @@ def evaluate_network(
     """Per-example verification records over the first ``num_verify`` test
     examples, plus the unstable-neuron ratio (percent) on that slice.
 
+    The examples go through phases, each run once over a stack of them:
+    the clean forward pass; PGD on the correctly classified ones; root
+    bounds (``compute_bounds``) of those that held, in groups of
+    ``_root_group_size``; the root CROWN bound of each of their margins;
+    then, per example, BaB on the margins whose root bound is not
+    positive.  Every example gets the floats of its own one-example run,
+    so the records do not depend on the stacking.
+
     Deterministic mode turns the wall clock off (only ``max_domains``
     bounds the work); otherwise a ``time_limit`` of None does the same.
-    With ``workers`` > 1 the examples are verified in a process pool; in
-    deterministic mode the records do not depend on ``workers``."""
+    With ``workers`` > 1 each process of a pool evaluates one contiguous
+    chunk of the examples; in deterministic mode the records do not
+    depend on ``workers``."""
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")
+    features = np.asarray(test.features[:k], dtype=np.float64)
+    labels = np.asarray(test.labels[:k])
+    chunks = np.array_split(np.arange(k), min(workers, k))
     payloads = [
         {
             "net": net,
-            "x0": test.features[i],
-            "label": int(test.labels[i]),
-            "index": i,
+            "features": features[c[0] : c[-1] + 1],
+            "labels": labels[c[0] : c[-1] + 1],
+            "first": int(c[0]),
             "eps": eps_verify,
             "clip": clip,
             "time_limit": None if deterministic else budget.time_limit,
@@ -347,17 +464,15 @@ def evaluate_network(
             "attack_steps": attack_steps,
             "attack_restarts": attack_restarts,
             "intermediate": intermediate,
-            "seed": seed * 1_000_003 + i,
+            "seed": seed,
         }
-        for i in range(k)
+        for c in chunks
     ]
-    pool_size = min(workers, k)
-    if pool_size > 1:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            records = list(pool.map(_verify_example, payloads))
+    if len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            records = [r for chunk in pool.map(_evaluate_chunk, payloads) for r in chunk]
     else:
-        records = [_verify_example(p) for p in payloads]
-    records.sort(key=lambda r: r["index"])
+        records = _evaluate_chunk(payloads[0])
     tally = tally_stability(net, test.features[:k], eps_verify, clip)
     unr = 100.0 * float(tally.times_unstable.sum()) / (k * max(net.num_hidden, 1))
     return records, unr
@@ -640,12 +755,17 @@ def attack_stage(cfg: ExperimentConfig, out: str) -> None:
         atk = AttackConfig(
             cfg.eps_verify, steps=cfg.attack_steps, restarts=cfg.attack_restarts, clip=cfg.clip
         )
-        results = []
-        for i in range(k):
-            x0, y = test_ds.features[i], int(test_ds.labels[i])
-            sa = int(np.argmax(forward_batch(net, x0[None, :])[0][0])) == y
-            ra = sa and pgd_attack(net, x0, y, atk, seed=cfg.seed * 1_000_003 + i) is None
-            results.append({"index": i, "sa": sa, "ra": ra})
+        _, correct, advs = _attack_phase(
+            net,
+            np.asarray(test_ds.features[:k], dtype=np.float64),
+            np.asarray(test_ds.labels[:k]),
+            atk,
+            [cfg.seed * 1_000_003 + i for i in range(k)],
+        )
+        results = [
+            {"index": i, "sa": bool(correct[i]), "ra": bool(correct[i]) and advs[i] is None}
+            for i in range(k)
+        ]
         doc = {
             "sa": 100.0 * sum(r["sa"] for r in results) / k,
             "ra": 100.0 * sum(r["ra"] for r in results) / k,

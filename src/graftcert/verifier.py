@@ -47,6 +47,7 @@ __all__ = [
     "branch_select",
     "oracle_input_split",
     "pgd_attack",
+    "attack_examples",
 ]
 
 # BaB falsifies by attack only at the root and from linear-leaf witnesses;
@@ -141,24 +142,40 @@ def build_specs(num_classes: int, label: int) -> list[Specification]:
 # PGD
 
 
-def _descend(net, C, c0, box, starts, step, steps):
-    """Signed-gradient descent over the box, batched over start points, of
-    each start's worst value ``min_k C[k] @ logits + c0``.
+def _descend(net, C, c0, lo, hi, starts, step, steps):
+    """Signed-gradient descent over boxes, batched over examples and their
+    start points, of each start's worst value ``min_k C[e, k] @ logits + c0``.
 
-    Yields ``(x, worst)`` before each step and once after the last; stops
+    ``starts`` is (E, S, d): example e's S starts, which descend over the
+    box ``[lo[e], hi[e]]`` on its own spec rows ``C[e]`` ((E, m, K)).
+    ``lo``, ``hi`` and ``step`` are (E, 1, d) per example, or broadcast to
+    every example.  Yields ``(ids, x, worst)`` before each step and once
+    after the last: the stack positions of the examples still descending,
+    their points (n, S, d) and worst values (n, S).  An example leaves
     after the first iteration where some start's worst value is below
-    zero.  Every attack in this module runs this one loop."""
-    x = box.clip(np.atleast_2d(np.asarray(starts, dtype=np.float64)))
+    zero.  Each example's floats are those of its own E = 1 run bit for
+    bit (see ``forward_batch``).  Every attack in this module runs this
+    one loop."""
+    ids = np.arange(len(starts))
+    x = np.clip(np.asarray(starts, dtype=np.float64), lo, hi)
     for it in range(steps + 1):
         logits, pre, _ = forward_batch(net, x)
-        vals = logits @ C.T + c0
-        worst = vals.min(axis=1)
-        yield x, worst
-        if it == steps or np.any(worst < 0.0):
+        vals = logits @ np.swapaxes(C, -1, -2) + c0
+        worst = vals.min(axis=-1)
+        yield ids, x, worst
+        if it == steps:
             return
+        keep = ~np.any(worst < 0.0, axis=-1)
+        if not keep.all():
+            if not keep.any():
+                return
+            ids, x, vals, C = ids[keep], x[keep], vals[keep], C[keep]
+            pre = [p[keep] for p in pre]
+            lo, hi, step = (a[keep] if np.ndim(a) == 3 else a for a in (lo, hi, step))
         # each start steps down its currently worst row
-        g = input_grad_batch(net, pre, C[vals.argmin(axis=1)])
-        x = box.clip(x - step * np.sign(g))
+        rows = np.take_along_axis(C, vals.argmin(axis=-1)[..., None], axis=1)
+        g = input_grad_batch(net, pre, rows)
+        x = np.clip(x - step * np.sign(g), lo, hi)
 
 
 def _minimize_spec(
@@ -174,11 +191,42 @@ def _minimize_spec(
     value dips below zero."""
     best_x, best_val = None, np.inf
     step = 0.125 * (box.upper - box.lower)
-    for x, vals in _descend(net, spec.coeffs[None, :], spec.const, box, starts, step, steps):
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_x, best_val = x[i].copy(), float(vals[i])
+    C = spec.coeffs[None, None, :]
+    starts = np.atleast_2d(starts)[None]
+    for _, x, vals in _descend(net, C, spec.const, box.lower, box.upper, starts, step, steps):
+        i = int(np.argmin(vals[0]))
+        if vals[0, i] < best_val:
+            best_x, best_val = x[0, i].copy(), float(vals[0, i])
     return best_x, best_val
+
+
+def attack_examples(
+    net: Network,
+    X0: np.ndarray,
+    labels,
+    cfg: AttackConfig,
+    seeds,
+) -> list[np.ndarray | None]:
+    """``pgd_attack`` of every row of ``X0`` (with its label and seed) in
+    one stacked descent; entry e is bit for bit
+    ``pgd_attack(net, X0[e], labels[e], cfg, seeds[e])``."""
+    X0 = np.asarray(X0, dtype=np.float64)
+    boxes = [input_region(x0, cfg.eps, cfg.clip) for x0 in X0]
+    starts = np.stack([
+        np.vstack([x0[None, :], box.sample(np.random.default_rng(seed), cfg.restarts - 1)])
+        for x0, box, seed in zip(X0, boxes, seeds)
+    ])
+    box = Box.stack(boxes)
+    C = np.stack([
+        np.array([s.coeffs for s in build_specs(net.output_dim, int(label))]) for label in labels
+    ])
+    found: list[np.ndarray | None] = [None] * len(X0)
+    for ids, x, worst in _descend(
+        net, C, 0.0, box.lower, box.upper, starts, cfg.eps / 4.0, cfg.steps
+    ):
+        for j in np.flatnonzero(np.any(worst < 0.0, axis=-1)):
+            found[ids[j]] = x[j, np.flatnonzero(worst[j] < 0.0)[0]].copy()
+    return found
 
 
 def pgd_attack(
@@ -194,17 +242,11 @@ def pgd_attack(
     below zero), or None.  The returned input always lies inside the
     eps-ball intersected with the clip range.  The first restart starts at
     the clean point, the rest at uniform random points of the box; each
-    descends its tightest margin.
+    descends its tightest margin.  ``attack_examples`` runs it on many
+    examples at once.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    box = input_region(x0, cfg.eps, cfg.clip)
-    starts = np.vstack([x0[None, :], box.sample(np.random.default_rng(seed), cfg.restarts - 1)])
-    C = np.array([s.coeffs for s in build_specs(net.output_dim, label)])
-    for x, worst in _descend(net, C, 0.0, box, starts, cfg.eps / 4.0, cfg.steps):
-        hit = np.flatnonzero(worst < 0.0)
-        if hit.size:
-            return x[hit[0]].copy()
-    return None
+    return attack_examples(net, x0[None, :], [label], cfg, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,35 @@ class TestComputeBoundsLines:
         got = compute_bounds(net, box, split, "crown")
         assert _same_bytes(got, _reference_compute_bounds(net, box, split))
 
+    def test_stacked_boxes_equal_one_box_reference(self):
+        # eps 0 makes the backward bounds cross the IBP ones by rounding,
+        # which flags a row infeasible
+        feasible = set()
+        for seed in range(24):
+            rng = np.random.default_rng(7500 + seed)
+            if seed == 0:
+                net = random_net(7500, widths=[784, 128, 128, 10], weight_scale=0.05)
+            else:
+                net = _random_grafted_net(7500 + seed)
+            boxes = [
+                input_region(rng.uniform(0, 1, net.input_dim), float(rng.choice([0.0, 0.05, 0.3])),
+                             (0, 1) if seed % 2 else None)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            for method in ("ibp", "crown"):
+                got = compute_bounds(net, Box.stack(boxes), None, method)
+                flags = np.broadcast_to(got.feasible, (len(boxes), 1))[:, 0]
+                for e, box in enumerate(boxes):
+                    split = SplitAssignment.free(net)
+                    want = ibp(net, box) if method == "ibp" else _reference_compute_bounds(net, box, split)
+                    row = LayerBounds(
+                        tuple(x[e, 0] for x in got.lower), tuple(x[e, 0] for x in got.upper),
+                        net.grafted, bool(flags[e]),
+                    )
+                    assert _same_bytes(row, want), (seed, method, e)
+                    feasible.add(want.feasible)
+        assert feasible == {True, False}
+
 
 def _reference_relaxation_lines(net, inter, split):
     # the per-layer masked-assignment construction that the one-pass

@@ -218,6 +218,39 @@ class TestInputGrad:
             input_grad_batch(net, pre, np.zeros((2, 3)))
 
 
+class TestStackedBatches:
+    """A stack ``(E, n, d)`` of batches runs each batch's own product, so
+    the attacks and the pipeline can stack examples without moving a bit."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_stack_equals_per_batch_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed == 0:
+            net = random_net(seed, widths=[784, 128, 128, 10], weight_scale=0.05)
+        else:
+            net = random_net(1500 + seed, graft_fraction=(0.0, 0.3, 1.0)[seed % 3])
+        E, n = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        X = rng.uniform(-1, 1, (E, n, net.input_dim))
+        if seed % 2:
+            # one row per batch, laid out as the pipeline stacks examples
+            X = rng.uniform(-1, 1, (E, net.input_dim))[:, None, :]
+        G = rng.normal(0.0, 1.0, (E, n if seed % 2 == 0 else 1, net.output_dim))
+        logits, pre, post = forward_batch(net, X)
+        grad = input_grad_batch(net, pre, G)
+        for e in range(E):
+            one_logits, one_pre, one_post = forward_batch(net, X[e])
+            assert logits[e].tobytes() == one_logits.tobytes()
+            for a, b in zip(pre + post, one_pre + one_post):
+                assert a[e].tobytes() == b.tobytes()
+            assert grad[e].tobytes() == input_grad_batch(net, one_pre, G[e]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 1, 4), (0,), (1, 2, 1, 3)])
+    def test_bad_shapes_raise(self, shape):
+        net = random_net(2, widths=[3, 4, 2])
+        with pytest.raises(StructuralError):
+            forward_batch(net, np.zeros(shape))
+
+
 class TestApplyGraft:
     def test_empty_plan_is_identity(self):
         net = random_net(21)

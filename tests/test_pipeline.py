@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -26,7 +27,10 @@ from graftcert import pipeline
 from graftcert.cli import default_config, main
 from graftcert.data import load_dataset
 from graftcert.grafting import load_plan
+from graftcert.bounds import compute_bounds, input_region
 from graftcert.network import forward_batch
+from graftcert.training import AttackConfig
+from graftcert.verifier import VerdictStatus, bab_verify, build_specs, pgd_attack
 from graftcert.pipeline import (
     ExperimentConfig,
     evaluate_network,
@@ -34,7 +38,7 @@ from graftcert.pipeline import (
     run_pipeline,
 )
 
-from conftest import manual_layer, mask_forward
+from conftest import manual_layer, mask_forward, random_net
 
 
 def tiny_config(out, method="graft", seed=0, **over):
@@ -256,6 +260,169 @@ class TestRunPipeline:
             return [{k: v for k, v in r.items() if k != "time_seconds"} for r in recs]
 
         assert strip_wall(rec1) == strip_wall(rec2)
+
+
+def _reference_verify_example(payload):
+    # the per-example evaluation evaluate_network ran before it ran its
+    # phases over stacks of examples: the records must not change
+    net, x0, label = payload["net"], payload["x0"], payload["label"]
+    eps, clip, seed, time_limit = payload["eps"], payload["clip"], payload["seed"], payload["time_limit"]
+    record = {
+        "index": payload["index"], "label": label, "sa": False, "ra": False, "verified": False,
+        "verdict": "misclassified", "bound": 0.0, "time_seconds": 0.0, "work_units": 0,
+    }
+    logits, _, _ = forward_batch(net, x0[None, :])
+    pred = int(np.argmax(logits[0]))
+    record["predicted"] = pred
+    margins = build_specs(net.output_dim, label)
+    if pred != label:
+        record["bound"] = float(min(s.value(logits[0]) for s in margins))
+        return record
+    record["sa"] = True
+    atk = AttackConfig(eps, steps=payload["attack_steps"], restarts=payload["attack_restarts"], clip=clip)
+    adv = pgd_attack(net, x0, label, atk, seed=seed)
+    if adv is not None:
+        adv_logits, _, _ = forward_batch(net, adv[None, :])
+        record["verdict"] = "attacked"
+        record["bound"] = float(min(s.value(adv_logits[0]) for s in margins))
+        return record
+    record["ra"] = True
+    box = input_region(x0, eps, clip)
+    t0 = time.perf_counter()
+    root_inter = compute_bounds(net, box, None, method=payload["intermediate"])
+    work, worst, verdict = 0, math.inf, "verified"
+    for k, spec in enumerate(margins):
+        remaining = None
+        if time_limit is not None:
+            remaining = time_limit - (time.perf_counter() - t0)
+            if remaining <= 0:
+                verdict = "timeout"
+                break
+        v = bab_verify(
+            net, spec, box, VerifyBudget(remaining, payload["max_domains"]),
+            seed=seed + 7919 * (k + 1), root_inter=root_inter,
+        )
+        work += v.domains_explored
+        worst = min(worst, v.bound)
+        if v.status == VerdictStatus.FALSIFIED:
+            verdict = "falsified"
+            break
+        if v.status == VerdictStatus.TIMEOUT:
+            verdict = "timeout"
+            break
+    record.update(
+        time_seconds=time.perf_counter() - t0, work_units=work, bound=float(worst),
+        verdict=verdict, verified=verdict == "verified",
+    )
+    return record
+
+
+def _reference_records(net, test, *, eps_verify, clip, budget, num_verify, attack_steps=20,
+                       attack_restarts=2, intermediate="crown", seed=0, deterministic=True):
+    return [
+        _reference_verify_example({
+            "net": net, "x0": test.features[i], "label": int(test.labels[i]), "index": i,
+            "eps": eps_verify, "clip": clip,
+            "time_limit": None if deterministic else budget.time_limit,
+            "max_domains": budget.max_domains, "attack_steps": attack_steps,
+            "attack_restarts": attack_restarts, "intermediate": intermediate,
+            "seed": seed * 1_000_003 + i,
+        })
+        for i in range(min(num_verify, len(test)))
+    ]
+
+
+def _without_time(records):
+    return [{k: v for k, v in r.items() if k != "time_seconds"} for r in records]
+
+
+def _lockstep_cases():
+    """Random nets with 2-5 classes and one or two hidden layers; most
+    labels are the clean prediction.  Weak attacks leave counterexamples to
+    BaB's root attack (falsified), small domain budgets give timeouts."""
+    for seed in range(16):
+        rng = np.random.default_rng(8800 + seed)
+        classes = 2 + seed % 4
+        widths = [int(rng.integers(2, 5))]
+        widths += [int(rng.integers(3, 9)) for _ in range(1 + seed % 2)]
+        net = random_net(8800 + seed, widths=widths + [classes], weight_scale=1.0,
+                         graft_fraction=0.3 if seed % 3 == 0 else 0.0)
+        clip = (0.0, 1.0) if seed % 2 else None
+        X = rng.uniform(0.0, 1.0, (30, widths[0]))
+        labels = np.argmax(forward_batch(net, X)[0], axis=1)
+        wrong = rng.random(30) < 0.2
+        labels[wrong] = rng.integers(0, classes, int(wrong.sum()))
+        kwargs = dict(
+            eps_verify=float(rng.choice([0.0, 0.03, 0.1, 0.2])), clip=clip,
+            budget=VerifyBudget(30.0, (3, 60)[seed % 2 == 0 or seed % 5 == 0]),
+            num_verify=int(rng.integers(20, 31)),
+            attack_steps=(1, 20)[seed % 4 == 0], attack_restarts=(1, 2)[seed % 3 == 0],
+            intermediate=("crown", "ibp")[seed % 7 == 6], seed=seed,
+        )
+        yield seed, net, Dataset(X, labels), kwargs
+
+
+def _verdict_kind(record, classes):
+    if record["verdict"] == "verified":
+        return "verified at root" if record["work_units"] == classes - 1 else "verified by BaB"
+    return record["verdict"]
+
+
+class TestLockstepEvaluation:
+    """``evaluate_network`` runs each phase once over a stack of examples;
+    every record must equal that of the per-example loop it replaced."""
+
+    def test_records_equal_per_example_loop(self):
+        kinds, clips = set(), set()
+        for seed, net, test, kwargs in _lockstep_cases():
+            got, unr = evaluate_network(net, test, **kwargs)
+            want = _reference_records(net, test, **kwargs)
+            assert _without_time(got) == _without_time(want), seed
+            kinds |= {_verdict_kind(r, net.output_dim) for r in got}
+            clips.add(kwargs["clip"] is None)
+        assert kinds == {
+            "misclassified", "attacked", "verified at root", "verified by BaB",
+            "falsified", "timeout",
+        }
+        assert clips == {True, False}
+
+    def test_wall_clock_without_limit_equals_per_example_loop(self):
+        for seed, net, test, kwargs in list(_lockstep_cases())[:4]:
+            kwargs = dict(kwargs, budget=VerifyBudget(None, kwargs["budget"].max_domains),
+                          deterministic=False)
+            got, _ = evaluate_network(net, test, **kwargs)
+            assert _without_time(got) == _without_time(_reference_records(net, test, **kwargs))
+
+    def test_workers_equal_per_example_loop(self):
+        # each process takes one contiguous chunk of the examples
+        for seed, net, test, kwargs in list(_lockstep_cases())[:2]:
+            got, _ = evaluate_network(net, test, workers=2, **kwargs)
+            assert [r["index"] for r in got] == list(range(kwargs["num_verify"]))
+            assert _without_time(got) == _without_time(_reference_records(net, test, **kwargs))
+
+    def test_root_groups_stay_under_the_cap(self, monkeypatch):
+        net = random_net(8900, widths=[784, 128, 32, 10], weight_scale=0.05)
+        rng = np.random.default_rng(8900)
+        X = rng.uniform(0.0, 1.0, (7, 784))
+        test = Dataset(X, np.argmax(forward_batch(net, X)[0], axis=1))
+        real, groups = pipeline.compute_bounds, []
+
+        def counted(net, box, *args, **kwargs):
+            groups.append(box.lower.shape[0])
+            return real(net, box, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_bounds", counted)
+        kwargs = dict(eps_verify=0.001, clip=(0.0, 1.0), budget=VerifyBudget(None, 20), num_verify=7)
+        got, _ = evaluate_network(net, test, **kwargs)
+        # the largest coefficient array: the second affine layer's 32 rows
+        # (the first layer's bounds are IBP's) back-substituted to the 784
+        # inputs, per example
+        per_example = 8 * 32 * 784
+        assert groups and max(groups) * per_example <= pipeline._ROOT_GROUP_BYTES
+        assert max(groups) == pipeline._ROOT_GROUP_BYTES // per_example > 1
+        assert sum(groups) == sum(r["ra"] for r in got) == 7
+        monkeypatch.setattr(pipeline, "compute_bounds", real)
+        assert _without_time(got) == _without_time(_reference_records(net, test, **kwargs))
 
 
 def _strip_grafts(net):
