@@ -296,14 +296,14 @@ def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
 
 
 def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, hidden=None):
-    """Per hidden layer: (lower_slope, lower_icpt, upper_slope, upper_icpt).
+    """Per hidden layer: (slope, lower_icpt, upper_icpt).
 
     Stable-active neurons keep the identity line, stable-inactive the zero
     line, unstable ReLUs the secant upper line and a lower line through the
     origin with the same slope u/(u-l).  Grafted neurons use their exact
     line on both sides; forced neurons their forced linear form.  The
-    degenerate interval l = u = 0 counts as stable-inactive.  The lower and
-    upper slopes are always equal, so both are the same array.  Computed in
+    degenerate interval l = u = 0 counts as stable-inactive.  A neuron's
+    lower and upper lines always share one slope.  Computed in
     one pass over the hidden layers listed in ``hidden`` (default: all),
     then split per layer.  Each neuron's lines depend only on its own
     bounds, so building a layer alone gives the same floats.  Bounds and
@@ -330,7 +330,7 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, 
         ui = np.where(g, icpt, ui)
     ends = np.cumsum([0] + [net.hidden_sizes[h] for h in layers])
     return [
-        (slope[..., a:b], li[..., a:b], slope[..., a:b], ui[..., a:b])
+        (slope[..., a:b], li[..., a:b], ui[..., a:b])
         for a, b in zip(ends, ends[1:])
     ]
 
@@ -342,14 +342,15 @@ def _backward(
     C: np.ndarray,
     c0: np.ndarray,
     start: int,
-    sense: int,
 ):
-    """Propagate the linear functionals ``C @ z^(start) + c0`` back to the
-    input and concretize over the box.  ``sense=-1`` gives sound lower
-    bounds, ``sense=+1`` sound upper bounds.  Returns the bounds, shaped
-    like ``c0``, and the input coefficients ``A``, whose signs pick each
-    bound's box corner; where every lower line is its upper line, the
-    bound is exact there.
+    """Sound lower bounds of the linear functionals ``C @ z^(start) + c0``:
+    propagate them back to the input, each neuron's coefficient taking its
+    lower line where positive and its upper line elsewhere, and concretize
+    over the box.  An upper bound is minus the lower bound of ``-C``,
+    ``-c0`` (``compute_bounds`` takes 0 minus it, so a zero stays +0.0).
+    Returns the bounds, shaped like ``c0``, and the input coefficients
+    ``A``, whose signs pick each bound's box corner; where every lower line
+    is its upper line, the bound is exact there.
 
     ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
     shaped ``(R, 1, d_h)``: one row per domain.  A stacked product runs
@@ -358,27 +359,16 @@ def _backward(
     product would sum in another order).
     """
     A = np.asarray(C, dtype=np.float64)
-    const = np.asarray(c0, dtype=np.float64).copy()
+    const = np.asarray(c0, dtype=np.float64)
     for i in range(start, -1, -1):
         layer = net.layers[i]
         const = const + A @ layer.bias
         A = A @ layer.weight
         if i > 0:
-            ls, li, us, ui = lines[i - 1]
-            pos = A > 0.0
-            if sense < 0:
-                # lower bound: positive coefficients take the lower line
-                const = const + np.where(pos, A * li, A * ui).sum(axis=-1)
-                A = np.where(pos, A * ls, A * us)
-            else:
-                const = const + np.where(pos, A * ui, A * li).sum(axis=-1)
-                A = np.where(pos, A * us, A * ls)
-    pos = A > 0.0
-    if sense < 0:
-        vals = np.where(pos, A * box.lower, A * box.upper).sum(axis=-1)
-    else:
-        vals = np.where(pos, A * box.upper, A * box.lower).sum(axis=-1)
-    return vals + const, A
+            slope, li, ui = lines[i - 1]
+            const = _interval_lower(li, ui, A, const)
+            A = A * slope
+    return _interval_lower(box.lower, box.upper, A, const), A
 
 
 def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0.0) -> float:
@@ -429,7 +419,7 @@ def _spec_lower(net, box, split, inter, c, const):
     lo, hi = inter.lower[-1], inter.upper[-1]
     lead = lo.shape[:-1] or (1,)
     C = np.broadcast_to(c, lead + c.shape[-1:])
-    vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1, sense=-1)
+    vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1)
     floor = _interval_lower(lo, hi, c, const)
     # max(vals, floor) that keeps vals on a tie, as Python's max does
     return np.where(floor > vals, floor, vals)
@@ -516,13 +506,15 @@ def compute_bounds(
         # only its lines are new
         lines += _relaxation_lines(net, refined, split, [i - 1])
         d = net.layers[i].out_dim
-        C = np.broadcast_to(np.eye(d), stack + (d, d))
-        c0 = np.zeros(stack + (d,))
-        # [0]: the input coefficients are not needed, so not kept alive
-        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0].reshape(lowers[i].shape)
-        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0].reshape(uppers[i].shape)
-        lo = np.maximum(lo, lowers[i])
-        hi = np.minimum(hi, uppers[i])
+        eye, c0 = np.eye(d), np.zeros(stack + (d,))
+        # [0]: the input coefficients are not needed, so not kept alive.
+        # The identities are broadcast views, never (E, d, d) arrays.  Upper
+        # bounds are 0 minus the lower bounds of -I: a zero bound stays
+        # +0.0, as a direct upper pass gives it (plain negation gives -0.0)
+        lo = _backward(net, lines, box, np.broadcast_to(eye, stack + (d, d)), c0, i)[0]
+        hi = 0.0 - _backward(net, lines, box, np.broadcast_to(-eye, stack + (d, d)), c0, i)[0]
+        lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
+        hi = np.minimum(hi.reshape(uppers[i].shape), uppers[i])
         if i < len(net.layers) - 1:
             lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
             feasible = feasible & ok

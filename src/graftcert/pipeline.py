@@ -141,7 +141,17 @@ class ExperimentConfig:
         if self.num_verify < 1:
             raise UsageError(f"num_verify must be >= 1, got {self.num_verify}")
         if self.intermediate not in ("ibp", "crown"):
-            raise UsageError(f"intermediate must be 'ibp' or 'crown'")
+            raise UsageError(f"intermediate must be 'ibp' or 'crown', got {self.intermediate!r}")
+        if self.score_subset < 1:
+            raise UsageError(f"score_subset must be >= 1, got {self.score_subset}")
+        if self.score_eps is not None and self.score_eps < 0:
+            raise UsageError(f"score_eps must be null or >= 0, got {self.score_eps}")
+        if self.train_l1 < 0 or self.finetune_l1 < 0:
+            raise UsageError("train_l1 and finetune_l1 must be >= 0")
+        if self.warmup_epochs < 0:
+            raise UsageError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if self.warmup_lr is not None and self.warmup_lr <= 0:
+            raise UsageError(f"warmup_lr must be null or > 0, got {self.warmup_lr}")
         if self.gradual and self.method != "graft":
             # gradual grafting picks its neurons by graft scoring as it goes
             raise UsageError(f"gradual grafting needs method 'graft', got {self.method!r}")
@@ -165,17 +175,6 @@ class ExperimentConfig:
             return cls(**doc)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["architecture"] = list(self.architecture)
-        if self.clip is not None:
-            doc["clip"] = list(self.clip)
-        doc["finetune"] = dataclasses.asdict(self.finetune)
-        doc["train"] = dataclasses.asdict(self.train)
-        doc["train"]["milestones"] = list(self.train.milestones)
-        doc["budget"] = dataclasses.asdict(self.budget)
-        return doc
 
 
 @dataclass
@@ -201,19 +200,6 @@ class MetricsReport:
         counts = [c for _, c in self.curve]
         if any(b > a for b, a in zip(counts, counts[1:])):
             raise UsageError("verified-vs-time curve must be nondecreasing")
-
-    def to_dict(self) -> dict:
-        return {
-            "unr": self.unr,
-            "va": self.va,
-            "sa": self.sa,
-            "ra": self.ra,
-            "mean_verification_time": self.mean_verification_time,
-            "time_unit": self.time_unit,
-            "num_examples": self.num_examples,
-            "per_example": self.per_example,
-            "curve": [[t, c] for t, c in self.curve],
-        }
 
 
 def _json_safe(value):
@@ -523,7 +509,7 @@ def report(
         raise UsageError("report needs at least one verdict record")
     os.makedirs(out_dir, exist_ok=True)
     rep = _build_report(records, unr, time_unit, budget_top)
-    _dump_json(rep.to_dict(), os.path.join(out_dir, "metrics.json"))
+    _dump_json(dataclasses.asdict(rep), os.path.join(out_dir, "metrics.json"))
     key = "work_units" if time_unit == "work_units" else "time_seconds"
     with open(os.path.join(out_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
         fh.write("index,sa,ra,verdict,bound,time,branches\n")
@@ -825,7 +811,7 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     and finetune only when a method grafts) and return the metrics report.
     Artifacts land in ``cfg.out_dir``."""
     out = _out_dir(cfg)
-    _dump_json(cfg.to_dict(), os.path.join(out, "config.json"))
+    _dump_json(dataclasses.asdict(cfg), os.path.join(out, "config.json"))
     data_stage(cfg, out)
     train_stage(cfg, out)
     # the checkpoint stood in for the trained network; every later stage

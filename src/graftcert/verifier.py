@@ -25,7 +25,6 @@ from .bounds import (
     crown_lower_bound,
     ibp,
     input_region,
-    intersect_bounds,
     interval_spec_lower,
     _backward,
     _bound_children,
@@ -285,10 +284,10 @@ def _resolve_linear_leaf(
     when the witness corner genuinely violates the spec, and
     ("discard", min, witness) when the witness leaves the split region
     (infeasible-or-verified).  Every lower line here is its upper line, so
-    one lower-sense backward pass is exact."""
+    the CROWN lower-bound pass (``_backward``) is exact."""
     lines = _relaxation_lines(net, inter, dom.split)
     C, c0 = spec.coeffs[None, :], np.array([spec.const])
-    mins, A = _backward(net, lines, box, C, c0, len(net.layers) - 1, sense=-1)
+    mins, A = _backward(net, lines, box, C, c0, len(net.layers) - 1)
     exact_min = float(mins[0])
     witness = np.where(A[0] > 0.0, box.lower, box.upper)
     if exact_min > 0.0:
@@ -333,6 +332,9 @@ def bab_verify(
     size; a timeout's reported worst remaining bound, and where a
     falsified search stops, depend on the search order.
     ``root_inter`` supplies the root's intermediate bounds (default: IBP).
+    It must lie inside the box's IBP bounds, as ``compute_bounds`` output
+    does: it is used as given, and a child's bounds below its split layer
+    are its parent's.  Looser bounds stay sound.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -348,7 +350,10 @@ def bab_verify(
             explored,
         )
 
-    inter = root_inter if root_inter is not None else ibp(net, box, root_split)
+    # every domain keeps its raw IBP (before intersection), from which its
+    # children restart
+    raw = ibp(net, box, root_split)
+    inter = raw if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         # a sound positive bound admits no counterexample to attack
@@ -358,18 +363,9 @@ def bab_verify(
     x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
-    # undecided at the root: from here on every domain keeps its raw IBP
-    # (before intersection), from which its children restart.  A child
-    # starts from its split layer's pre-activations, so it never needs the
-    # first layer's weights, usually the largest (784 x 128 on MNIST)
+    # a child starts from its split layer's pre-activations, so it never
+    # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
-    if root_inter is None:
-        raw = inter
-    else:
-        # a child's bounds below its split layer are then the parent's
-        # as they are (intersecting with the same IBP again is a no-op)
-        raw = ibp(net, box, root_split)
-        inter = intersect_bounds(raw, inter)
     heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw))]
     counter = 1
     verified_floor = np.inf

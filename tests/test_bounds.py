@@ -173,12 +173,11 @@ class TestCrown:
         # the relaxation lines themselves: secant above, same slope below
         from graftcert.bounds import _relaxation_lines
 
-        (ls, li, us, ui), = _relaxation_lines(net, inter, SplitAssignment.free(net))
-        assert (ls[0], li[0]) == (0.5, 0.0)
-        assert (us[0], ui[0]) == (0.5, 0.5)
+        (slope, li, ui), = _relaxation_lines(net, inter, SplitAssignment.free(net))
+        assert (slope[0], li[0], ui[0]) == (0.5, 0.0, 0.5)
         # the upper line passes through (-1, 0) and (1, 1)
-        assert us[0] * -1 + ui[0] == pytest.approx(0.0)
-        assert us[0] * 1 + ui[0] == pytest.approx(1.0)
+        assert slope[0] * -1 + ui[0] == pytest.approx(0.0)
+        assert slope[0] * 1 + ui[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_sound_and_dominant_on_random_nets(self, seed):
@@ -448,10 +447,41 @@ class TestBoundChildren:
         assert kinds >= {"feasible", "l=u=0", "mixed starts"}
 
 
+def _reference_backward(net, lines, box, C, c0, start, sense):
+    # the back-substitution kernel as it was when it ran a lower (sense -1)
+    # and an upper (sense +1) copy of every step, on four-array lines
+    # (lower slope, lower intercept, upper slope, upper intercept); the
+    # one lower-bound kernel, negated on -C for upper bounds, must give
+    # its floats
+    A = np.asarray(C, dtype=np.float64)
+    const = np.asarray(c0, dtype=np.float64).copy()
+    for i in range(start, -1, -1):
+        layer = net.layers[i]
+        const = const + A @ layer.bias
+        A = A @ layer.weight
+        if i > 0:
+            ls, li, us, ui = lines[i - 1]
+            pos = A > 0.0
+            if sense < 0:
+                # lower bound: positive coefficients take the lower line
+                const = const + np.where(pos, A * li, A * ui).sum(axis=-1)
+                A = np.where(pos, A * ls, A * us)
+            else:
+                const = const + np.where(pos, A * ui, A * li).sum(axis=-1)
+                A = np.where(pos, A * us, A * ls)
+    pos = A > 0.0
+    if sense < 0:
+        vals = np.where(pos, A * box.lower, A * box.upper).sum(axis=-1)
+    else:
+        vals = np.where(pos, A * box.upper, A * box.lower).sum(axis=-1)
+    return vals + const, A
+
+
 def _reference_compute_bounds(net, box, split):
     # compute_bounds(..., "crown") as it was when every refinement step
-    # rebuilt every hidden layer's relaxation lines; building only the
-    # newly refined layer's lines must not move a bit
+    # rebuilt every hidden layer's relaxation lines and ran the two-sense
+    # kernel; building only the newly refined layer's lines, and taking
+    # upper bounds as negated lower bounds, must not move a bit
     base = ibp(net, box, split)
     if not base.feasible:
         return base
@@ -460,11 +490,11 @@ def _reference_compute_bounds(net, box, split):
     feasible = True
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
     for i in range(1, len(net.layers)):
-        lines = _relaxation_lines(net, refined, split)[:i]
+        lines = _reference_relaxation_lines(net, refined, split)[:i]
         d = net.layers[i].out_dim
         C, c0 = np.eye(d), np.zeros(d)
-        lo = _backward(net, lines, box, C, c0, i, sense=-1)[0]
-        hi = _backward(net, lines, box, C, c0, i, sense=+1)[0]
+        lo = _reference_backward(net, lines, box, C, c0, i, sense=-1)[0]
+        hi = _reference_backward(net, lines, box, C, c0, i, sense=+1)[0]
         lo = np.maximum(lo, lowers[i])
         hi = np.minimum(hi, uppers[i])
         if i < len(net.layers) - 1:
@@ -505,6 +535,22 @@ class TestComputeBoundsLines:
         got = compute_bounds(net, box, split, "crown")
         assert _same_bytes(got, _reference_compute_bounds(net, box, split))
 
+    def test_zero_upper_bound_is_positive_zero(self):
+        # relu(x) + relu(-x) - 1 on x in [-1, 1]: the secant upper lines
+        # cancel x exactly, so the backward upper bound is exactly 0, below
+        # the IBP bound 1; it must come out +0.0, as the reference's upper
+        # pass gives it
+        net = Network([
+            manual_layer([[1.0], [-1.0]], [0.0, 0.0]),
+            manual_layer([[1.0, 1.0]], [-1.0]),
+            manual_layer([[1.0]], [0.0]),
+        ])
+        box = Box(np.array([-1.0]), np.array([1.0]))
+        split = SplitAssignment.free(net)
+        got = compute_bounds(net, box, split, "crown")
+        assert got.upper[1].tobytes() == np.zeros(1).tobytes()
+        assert _same_bytes(got, _reference_compute_bounds(net, box, split))
+
     def test_stacked_boxes_equal_one_box_reference(self):
         # eps 0 makes the backward bounds cross the IBP ones by rounding,
         # which flags a row infeasible
@@ -533,6 +579,62 @@ class TestComputeBoundsLines:
                     assert _same_bytes(row, want), (seed, method, e)
                     feasible.add(want.feasible)
         assert feasible == {True, False}
+
+
+class TestLowerBoundKernel:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_two_sense_reference(self, seed):
+        # the kernel's pass is the reference's lower pass, and 0 minus its
+        # pass on -C, -c0 the reference's upper pass, bit for bit: on one
+        # region (1-D lines) and on a stack of R regions with per-row lines
+        # and codes, for identity functionals with zero constants (as
+        # compute_bounds runs them) and for random ones
+        rng = np.random.default_rng(7700 + seed)
+        if seed % 2:
+            net = _random_grafted_net(7700 + seed)
+        else:
+            widths = [int(rng.integers(2, 5))]
+            widths += [int(rng.integers(4, 8)) for _ in range(int(rng.integers(1, 4)))] + [3]
+            net, _ = _net_with_dead_neurons(7700 + seed, widths, 0.2 if seed % 4 else 0.0)
+        R = 4
+        boxes = [
+            input_region(rng.uniform(0, 1, net.input_dim), float(rng.uniform(0.05, 0.5)))
+            for _ in range(R)
+        ]
+        codes = [
+            np.where(g, FREE, rng.choice([FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], (R, 1, d)))
+            for g, d in zip(net.grafted, net.hidden_sizes)
+        ]
+        stacked = compute_bounds(net, Box.stack(boxes), None, "crown")
+        cases = [(Box.stack(boxes), stacked, SplitAssignment(codes))]
+        for r, box in enumerate(boxes):
+            row = LayerBounds(
+                tuple(x[r, 0] for x in stacked.lower), tuple(x[r, 0] for x in stacked.upper),
+                net.grafted,
+            )
+            cases.append((box, row, SplitAssignment([c[r, 0] for c in codes])))
+        zeros = 0
+        for box, inter, split in cases:
+            lines = _relaxation_lines(net, inter, split)
+            ref = _reference_relaxation_lines(net, inter, split)
+            stack = box.lower.shape[:-2]
+            for start in range(len(net.layers)):
+                d = net.layers[start].out_dim
+                for C, c0 in (
+                    (np.broadcast_to(np.eye(d), stack + (d, d)), np.zeros(stack + (d,))),
+                    (rng.normal(0, 1, stack + (2, d)), rng.normal(0, 1, stack + (2,))),
+                ):
+                    lo, A = _backward(net, lines[:start], box, C, c0, start)
+                    want_lo, want_A = _reference_backward(net, ref[:start], box, C, c0, start, -1)
+                    assert lo.tobytes() == want_lo.tobytes()
+                    assert A.tobytes() == want_A.tobytes()
+                    hi = 0.0 - _backward(net, lines[:start], box, -C, -c0, start)[0]
+                    want_hi = _reference_backward(net, ref[:start], box, C, c0, start, +1)[0]
+                    assert hi.tobytes() == want_hi.tobytes()
+                    zeros += int(np.sum(want_hi == 0.0))
+        if seed % 2 == 0:
+            # a dead neuron's own bounds are l = u = 0
+            assert zeros > 0
 
 
 def _reference_relaxation_lines(net, inter, split):
@@ -599,8 +701,11 @@ class TestRelaxationLines:
             got = _relaxation_lines(net, inter, split)
             want = _reference_relaxation_lines(net, inter, split)
             assert len(got) == len(want) == len(hidden)
-            for g_line, w_line in zip(got, want):
-                for x, y in zip(g_line, w_line):
+            for g_line, (ls, li, us, ui) in zip(got, want):
+                # the reference's lower and upper slopes are the one slope
+                assert ls.tobytes() == us.tobytes()
+                assert len(g_line) == 3
+                for x, y in zip(g_line, (ls, li, ui)):
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_no_hidden_layer(self):

@@ -587,6 +587,15 @@ class TestCli:
         pytest.param({"train": 3}, id="train=3"),
         pytest.param({"finetune": "x"}, id="finetune=x"),
         pytest.param({"budget": [30.0, 300]}, id="budget=list"),
+        pytest.param({"score_subset": 0}, id="score_subset=0"),
+        pytest.param({"score_subset": -5}, id="score_subset=-5"),
+        pytest.param({"train_l1": -1e-3}, id="train_l1=-1e-3"),
+        pytest.param({"finetune_l1": -1e-3}, id="finetune_l1=-1e-3"),
+        pytest.param({"warmup_epochs": -1}, id="warmup_epochs=-1"),
+        pytest.param({"score_eps": -0.1}, id="score_eps=-0.1"),
+        pytest.param({"warmup_lr": 0.0}, id="warmup_lr=0"),
+        pytest.param({"warmup_lr": -0.05}, id="warmup_lr=-0.05"),
+        pytest.param({"intermediate": "lp"}, id="intermediate=lp"),
         # not a dict: the whole document
         pytest.param([1, 2], id="document=list"),
         pytest.param([["seed", 3]], id="document=pairs"),
@@ -603,6 +612,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
         assert not out.exists()  # no stage ran
+
+    def test_intermediate_error_names_the_value(self, tmp_path):
+        with pytest.raises(UsageError, match="got 'lp'"):
+            tiny_config(tmp_path, intermediate="lp")
+
+    def test_score_eps_null_is_eps_verify(self, tmp_path):
+        # score_eps null scores neurons at eps_verify; another radius
+        # scores them at that radius
+        trained = tmp_path / "trained"
+        trained.mkdir()
+        assert main(["train", "--out", str(trained), "--config", _write_cfg(trained, epochs=4)]) == 0
+        eps = default_config()["eps_verify"]
+        scores = {}
+        for score_eps in (None, eps, 0.3):
+            out = tmp_path / str(score_eps)
+            out.mkdir()
+            cfg = _write_cfg(out, epochs=4, score_eps=score_eps)
+            args = ["--checkpoint", str(trained / "checkpoint.json"), "--out", str(out)]
+            assert main(["score", "--config", cfg] + args) == 0
+            scores[score_eps] = (out / "scores.json").read_bytes()
+        assert scores[None] == scores[eps]
+        unstable = [json.loads(scores[k])["raw_unstable_count"] for k in (eps, 0.3)]
+        assert unstable[0] != unstable[1]
 
     def test_readme_documents_every_config_field(self):
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

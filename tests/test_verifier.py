@@ -581,9 +581,9 @@ def _reference_linear_leaf(net, box, dom, inter, spec):
         const = const + A @ layer.bias
         A = A @ layer.weight
         if i > 0:
-            ls, li, _, _ = lines[i - 1]
+            slope, li, _ = lines[i - 1]
             const = const + (A * li).sum(axis=1)
-            A = A * ls
+            A = A * slope
     a = A[0]
     witness = np.where(a > 0.0, box.lower, box.upper)
     exact_min = float(np.where(a > 0.0, a * box.lower, a * box.upper).sum() + float(const[0]))
