@@ -118,7 +118,9 @@ class SplitAssignment:
     """Per hidden neuron: Free, ForcedActive or ForcedInactive.
 
     Stored as one int8 array per hidden layer (0 free, +1 active,
-    -1 inactive).  Grafted neurons are linear and never forced.
+    -1 inactive), or one ``(R, 1, d_h)`` stack per layer holding R
+    assignments, one per row (a batch of BaB children).  Grafted neurons
+    are linear and never forced.
     """
 
     __slots__ = ("codes",)
@@ -144,9 +146,11 @@ class SplitAssignment:
         return SplitAssignment(new)
 
     def flat(self) -> np.ndarray:
+        """The codes of every hidden neuron (flat ids), joined on the last
+        axis, so stacked codes stay stacked."""
         if not self.codes:
             return np.zeros(0, dtype=np.int8)
-        return np.concatenate(self.codes)
+        return np.concatenate(self.codes, axis=-1)
 
 
 @dataclass
@@ -379,7 +383,9 @@ def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0
 
 
 def _interval_lower(lo, hi, c, const):
-    return np.where(c > 0.0, c * lo, c * hi).sum(axis=-1) + const
+    # picking the corner before multiplying makes one temporary fewer;
+    # each element is still the product c * lo or c * hi
+    return (c * np.where(c > 0.0, lo, hi)).sum(axis=-1) + const
 
 
 def crown_lower_bound(
@@ -425,47 +431,51 @@ def _spec_lower(net, box, split, inter, c, const):
     return np.where(floor > vals, floor, vals)
 
 
-def _bound_children(net, signed, box, parents, splits, starts, coeffs, const):
+def _bound_children(net, signed, box, parents, split, starts, coeffs, const):
     """Bounds of a batch of BaB children in one pass, one child per row.
 
-    Row r is the domain ``splits[r]``, which forces one more neuron of
-    hidden layer ``starts[r]`` than its parent, whose ``(raw IBP, bounds)``
-    is ``parents[r]`` (1-D arrays; a parent must be feasible).  The rows'
-    IBP restarts at the lowest split layer in the batch, ``first``, from
-    their parents' raw IBP there; it is intersected with the parents'
-    bounds and bounded by CROWN, floored by the interval bound.
-    ``signed`` is ``_sign_split`` of the weights (layer 0 is never used).
+    Row r is the domain with split codes row r of ``split`` (``(R, 1, d_h)``
+    per layer), which forces one more neuron of hidden layer ``starts[r]``
+    than its parent, whose ``(raw IBP, bounds)`` is ``parents[r]`` (1-D
+    arrays; a parent must be feasible).  The rows' IBP restarts at the
+    lowest split layer in the batch, ``first``, from their parents' raw
+    IBP there; it is intersected with the parents' bounds and bounded by
+    CROWN, floored by the interval bound.  ``signed`` is ``_sign_split`` of
+    the weights (layer 0 is never used).
 
-    Returns ``(raw, bounds, lower)``: the children's raw IBP and bounds,
-    ``(R, 1, d)`` per layer with a per-row ``(R, 1)`` ``feasible`` (raw's
-    layers below ``first`` are None), and the lower bounds of
-    ``coeffs @ logits + const``, +inf where infeasible.  From its split
-    layer on, each row holds bit for bit what ``ibp``,
-    ``intersect_bounds`` and ``crown_lower_bound`` give that child alone:
-    every product is a one-row product (see ``_backward``), and a row that
-    splits above ``first`` recomputes its parent's layers up to its split
-    layer under its parent's clamps, which the parent's raw IBP already
-    took, so they come out as the parent's.  Below its split layer a row
-    holds its parent's values.
+    Returns ``(raw, bounds, lower, branch)``: the children's raw IBP and
+    bounds, ``(R, 1, d)`` per layer with a per-row ``(R, 1)`` ``feasible``
+    (raw's layers below ``first`` are None), the lower bounds of
+    ``coeffs @ logits + const``, +inf where infeasible, and per row the
+    neuron BaB splits when it pops that child (``_branch_on`` of its
+    status), -1 where it has no unstable neuron.  The branch is chosen
+    here, while the children's bounds are stacked, so that popping a
+    child classifies nothing.  From its split layer on, each row holds bit
+    for bit what ``ibp``, ``intersect_bounds`` and ``crown_lower_bound``
+    give that child alone: every product is a one-row product (see
+    ``_backward``), and a row that splits above ``first`` recomputes its
+    parent's layers up to its split layer under its parent's clamps, which
+    the parent's raw IBP already took, so they come out as the parent's.
+    Below its split layer a row holds its parent's values.
     """
 
     def stack(arrays):
         return np.stack(arrays)[:, None, :]
 
-    first = min(starts)
+    first = int(min(starts))
     inter = LayerBounds(
         tuple(map(stack, zip(*(p[1].lower for p in parents)))),
         tuple(map(stack, zip(*(p[1].upper for p in parents)))),
         net.grafted,
     )
-    split = SplitAssignment([stack(codes) for codes in zip(*(s.codes for s in splits))])
     zl = stack([p[0].lower[first] for p in parents])
     zu = stack([p[0].upper[first] for p in parents])
     below = (None,) * first
     child_raw = _ibp_from(net, signed, split, first, zl, zu, below, below)
     child = intersect_bounds(child_raw, inter, start=first)
     lower = _spec_lower(net, box, split, child, coeffs, const)
-    return child_raw, child, np.where(child.feasible, lower, np.inf)[:, 0]
+    branch = _branch_on(classify_neurons(child, split), child)[:, 0]
+    return child_raw, child, np.where(child.feasible, lower, np.inf)[:, 0], branch
 
 
 def compute_bounds(
@@ -565,7 +575,8 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     Forced neurons adopt their forced stable status regardless of the
     interval; free ReLUs classify by sign of [l, u] with the degenerate
     l = u = 0 interval counting as stable-inactive.  Bounds with a leading
-    batch axis, ``(n, d_i)`` per layer, give one row per box.
+    batch axis, ``(n, d_i)`` per layer, give one row per box; stacked
+    ``(R, 1, d_i)`` bounds may come with per-row ``(R, 1, d_i)`` codes.
     """
     if not inter.grafted:
         return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
@@ -574,11 +585,25 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
     status[l >= 0.0] = NeuronStatus.STABLE_ACTIVE
     status[u <= 0.0] = NeuronStatus.STABLE_INACTIVE
-    code = split.flat()
-    status[..., code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
-    status[..., code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
+    code = np.broadcast_to(split.flat(), status.shape)
+    status[code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
+    status[code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
     status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
     return status
+
+
+def _branch_on(status: np.ndarray, inter: LayerBounds) -> np.ndarray:
+    """Per row of ``status`` (``classify_neurons`` of ``inter``), the
+    unstable neuron with the largest relaxation-area proxy |l*u| / (u - l),
+    ties broken toward the lowest id; -1 where a row has no unstable
+    neuron.  A 1-D status gives a 0-d array."""
+    unstable = status == NeuronStatus.UNSTABLE
+    if not unstable.any():
+        return np.full(status.shape[:-1], -1)
+    l = np.concatenate(inter.lower[:-1], axis=-1)
+    u = np.concatenate(inter.upper[:-1], axis=-1)
+    score = np.where(unstable, np.abs(l * u) / np.where(unstable, u - l, 1.0), -np.inf)
+    return np.where(unstable.any(axis=-1), np.argmax(score, axis=-1), -1)
 
 
 def tally_stability(

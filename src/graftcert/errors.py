@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer check
+the config dataclasses share."""
+
+import numbers
 
 
 class GraftcertError(Exception):
@@ -39,3 +42,12 @@ class PipelineError(GraftcertError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}' failed: {message}")
         self.stage = stage
+
+
+def require_integers(**values) -> None:
+    """Raise ``UsageError`` naming the first key whose value is not an
+    integer (a bool is not one), so that a fractional count fails when the
+    config is built, not inside the stage that first uses it."""
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise UsageError(f"{key} must be an integer, got {value!r}")

@@ -33,11 +33,12 @@ from .bounds import (
     SplitAssignment,
     _spec_lower,
     compute_bounds,
+    ibp,
     input_region,
     tally_stability,
 )
 from .data import Dataset, load_dataset
-from .errors import PipelineError, UsageError
+from .errors import PipelineError, UsageError, require_integers
 from .grafting import (
     baseline_select,
     default_gamma_schedule,
@@ -130,8 +131,19 @@ class ExperimentConfig:
             raise UsageError("eps values must be >= 0")
         if not 0.0 < self.graft_fraction <= 1.0 and self.method != "none":
             raise UsageError("graft_fraction must be in (0, 1]")
+        require_integers(
+            attack_steps=self.attack_steps,
+            attack_restarts=self.attack_restarts,
+            train_attack_steps=self.train_attack_steps,
+            warmup_epochs=self.warmup_epochs,
+            num_verify=self.num_verify,
+            score_subset=self.score_subset,
+            seed=self.seed,
+            workers=self.workers,
+        )
         if len(self.architecture) < 2:
             raise UsageError("architecture needs at least input and output widths")
+        require_integers(**{f"architecture[{i}]": w for i, w in enumerate(self.architecture)})
         if min(self.architecture) < 1:
             raise UsageError(f"architecture widths must be >= 1, got {list(self.architecture)}")
         if self.clip is not None and (len(self.clip) != 2 or self.clip[0] > self.clip[1]):
@@ -167,9 +179,12 @@ class ExperimentConfig:
             ):
                 # a section that is not an object fails here, as a TypeError
                 if key in doc and not isinstance(doc[key], section):
-                    doc[key] = section(**doc[key])
+                    try:
+                        doc[key] = section(**doc[key])
+                    except UsageError as exc:
+                        raise UsageError(f"{key}: {exc}") from exc
             if "architecture" in doc:
-                doc["architecture"] = tuple(int(w) for w in doc["architecture"])
+                doc["architecture"] = tuple(doc["architecture"])
             if doc.get("clip") is not None:
                 doc["clip"] = tuple(float(v) for v in doc["clip"])
             return cls(**doc)
@@ -287,7 +302,9 @@ def _verify_example(payload: dict) -> dict:
     order, each with its own seed.  A margin whose root CROWN bound
     (``payload["root"]``) is positive is verified there as one domain, as
     ``bab_verify`` would decide it; any other goes to ``bab_verify`` from
-    the root bounds.  Stops at the first falsified or timed-out margin.
+    the root bounds and the box's raw IBP, computed once for the example
+    by the first such margin.  Stops at the first falsified or timed-out
+    margin.
     The example's share of its group's root-phase seconds counts in its
     time and against its time limit.  Returns the record fields it sets.
     Standalone, so that one example's spans can be told apart."""
@@ -296,6 +313,7 @@ def _verify_example(payload: dict) -> dict:
     work = 0
     worst = math.inf
     verdict = "verified"
+    raw = None
     for k, (spec, root) in enumerate(zip(payload["margins"], payload["root"])):
         remaining = None
         if time_limit is not None:
@@ -307,6 +325,8 @@ def _verify_example(payload: dict) -> dict:
             work += 1
             worst = min(worst, float(root))
             continue
+        if raw is None:
+            raw = ibp(payload["net"], payload["box"])
         v = bab_verify(
             payload["net"],
             spec,
@@ -314,6 +334,7 @@ def _verify_example(payload: dict) -> dict:
             VerifyBudget(remaining, payload["max_domains"]),
             seed=payload["seed"] + 7919 * (k + 1),
             root_inter=payload["root_inter"],
+            root_raw=raw,
         )
         work += v.domains_explored
         worst = min(worst, v.bound)

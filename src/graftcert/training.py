@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, UsageError
+from .errors import DivergenceError, DomainError, UsageError, require_integers
 from .network import Network, apply_graft, backward_batch, forward_batch, input_grad_batch
 
 __all__ = [
@@ -40,6 +40,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.milestones, (list, tuple)):
+            raise UsageError(f"milestones must be a list of integers, got {self.milestones!r}")
+        require_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
+        require_integers(**{f"milestones[{i}]": m for i, m in enumerate(self.milestones)})
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
         if self.lr <= 0:
@@ -76,6 +80,7 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         if self.graft_lr < 0 or self.weight_lr < 0:
             raise UsageError("learning rates must be >= 0")
         if self.epochs < 1:

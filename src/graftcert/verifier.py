@@ -19,7 +19,6 @@ from .bounds import (
     FORCED_INACTIVE,
     Box,
     LayerBounds,
-    NeuronStatus,
     SplitAssignment,
     classify_neurons,
     crown_lower_bound,
@@ -28,10 +27,11 @@ from .bounds import (
     interval_spec_lower,
     _backward,
     _bound_children,
+    _branch_on,
     _relaxation_lines,
     _sign_split,
 )
-from .errors import UndecidableRegion, UsageError
+from .errors import UndecidableRegion, UsageError, require_integers
 from .network import Network, forward_batch, input_grad_batch
 from .training import AttackConfig
 
@@ -80,13 +80,18 @@ class Specification:
 @dataclass
 class Domain:
     """One branch-and-bound subproblem: its splits, its certified lower
-    bound, its pre-activation bounds ``inter``, and the raw IBP ``raw``
-    (before intersection) from which its children's IBP restarts."""
+    bound, its pre-activation bounds ``inter``, the raw IBP ``raw`` (before
+    intersection) from which its children's IBP restarts, and ``branch``,
+    the neuron BaB splits when it pops the domain (``branch_select``'s
+    choice), or -1 when it has no unstable neuron (a linear leaf).  The
+    branch is chosen when the domain is bounded: the root's from its own
+    bounds, a child's in its batch's bounding pass (``_bound_children``)."""
 
     split: SplitAssignment
     bound: float
     inter: LayerBounds
     raw: LayerBounds
+    branch: int = -1
 
 
 class VerdictStatus(str, Enum):
@@ -113,6 +118,7 @@ class VerifyBudget:
     max_domains: int = 100_000
 
     def __post_init__(self):
+        require_integers(max_domains=self.max_domains)
         if self.max_domains < 1:
             raise UsageError(f"max_domains must be >= 1, got {self.max_domains}")
         if self.time_limit is not None and not self.time_limit > 0:
@@ -255,19 +261,27 @@ def pgd_attack(
 def branch_select(domain: Domain, inter: LayerBounds) -> int:
     """The unstable neuron with the largest relaxation-area proxy
     |l*u| / (u - l); ties break toward the lowest id."""
-    return _branch_on(classify_neurons(inter, domain.split), inter)
-
-
-def _branch_on(status: np.ndarray, inter: LayerBounds) -> int:
-    """``branch_select`` given the domain's neuron status, so that BaB,
-    which has already classified the domain, does not classify it again."""
-    unstable = np.flatnonzero(status == NeuronStatus.UNSTABLE)
-    if unstable.size == 0:
+    j = int(_branch_on(classify_neurons(inter, domain.split), inter))
+    if j < 0:
         raise UsageError("domain has no unstable neuron to branch on")
-    l = np.concatenate(inter.lower[:-1])[unstable]
-    u = np.concatenate(inter.upper[:-1])[unstable]
-    score = np.abs(l * u) / (u - l)
-    return int(unstable[int(np.argmax(score))])
+    return j
+
+
+def _split_children(net: Network, parents: list[Domain]):
+    """The split codes of the popped parents' children, ``(R, 1, d_h)``
+    per hidden layer, and each row's split layer: rows 2p and 2p + 1 force
+    parent p's branch neuron active and inactive.  The parents' codes are
+    stacked once and the forced neurons set in one indexed assignment; a
+    branch neuron is unstable, so it is free and not grafted, and the
+    checks of ``SplitAssignment.force`` hold by construction."""
+    neurons = np.repeat([p.branch for p in parents], 2)
+    codes = np.repeat(np.stack([p.split.flat() for p in parents]), 2, axis=0)
+    codes[np.arange(len(neurons)), neurons] = np.tile(
+        [FORCED_ACTIVE, FORCED_INACTIVE], len(parents)
+    )
+    offsets = net.layer_offsets()
+    layers = np.searchsorted(offsets, neurons, side="right") - 1
+    return SplitAssignment(np.split(codes[:, None, :], offsets[1:], axis=-1)), layers
 
 
 def _resolve_linear_leaf(
@@ -307,6 +321,7 @@ def bab_verify(
     *,
     seed: int = 0,
     root_inter: LayerBounds | None = None,
+    root_raw: LayerBounds | None = None,
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
@@ -315,16 +330,18 @@ def bab_verify(
     restarts run, once.  Then a worst-bound-first worklist of ``Domain``
     records, ordered by (bound, insertion counter), is searched.  Each step
     pops up to ``_BAB_BATCH`` (8) worst domains, and each popped domain's
-    worst unstable neuron is forced both ways.  The
-    children of all popped domains are bounded in one batched call: each
-    is re-bounded by IBP restarted at its split neuron's layer from its
-    parent's own IBP (the layers below it cannot change), intersected with
-    the parent's bounds, then bounded by CROWN; it is discarded once
-    positive.  Domains with no unstable neurons are resolved exactly by the
-    linear closed form, which falsifies from its witness corner or, when
-    the witness leaves the split region, from a PGD attack seeded at the
-    witness.  Both attacks are ``pgd_attack``'s descent loop run on the
-    spec alone.
+    branch neuron, its worst unstable neuron, is forced both ways.  The
+    branch is chosen when a domain is bounded, so a pop classifies
+    nothing.  The children of all popped domains are bounded in one
+    batched call: each is re-bounded by IBP restarted at its split
+    neuron's layer from its parent's own IBP (the layers below it cannot
+    change), intersected with the parent's bounds, then bounded by CROWN,
+    and its own branch neuron is chosen from those bounds; it is discarded
+    once positive.  Domains with no unstable neurons are resolved exactly
+    by the linear closed form, which falsifies from its witness corner or,
+    when the witness leaves the split region, from a PGD attack seeded at
+    the witness.  Both attacks are ``pgd_attack``'s descent loop run on
+    the spec alone.
 
     ``max_domains`` counts bounded domains: a step pops at most half the
     budget left.  A domain's children depend only on that domain, so a
@@ -334,7 +351,9 @@ def bab_verify(
     ``root_inter`` supplies the root's intermediate bounds (default: IBP).
     It must lie inside the box's IBP bounds, as ``compute_bounds`` output
     does: it is used as given, and a child's bounds below its split layer
-    are its parent's.  Looser bounds stay sound.
+    are its parent's.  Looser bounds stay sound.  ``root_raw`` supplies the
+    box's IBP (default: computed here), for callers that verify several
+    specs over one box.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -352,7 +371,7 @@ def bab_verify(
 
     # every domain keeps its raw IBP (before intersection), from which its
     # children restart
-    raw = ibp(net, box, root_split)
+    raw = ibp(net, box, root_split) if root_raw is None else root_raw
     inter = raw if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
@@ -366,7 +385,8 @@ def bab_verify(
     # a child starts from its split layer's pre-activations, so it never
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
-    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw))]
+    root_branch = int(_branch_on(classify_neurons(inter, root_split), inter))
+    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw, root_branch))]
     counter = 1
     verified_floor = np.inf
     while heap:
@@ -374,9 +394,7 @@ def bab_verify(
         room = min(_BAB_BATCH, (budget.max_domains - explored) // 2)
         if room < 1:
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
-        # one entry per child: each popped parent's active child, then its
-        # inactive one
-        parents, splits, layers = [], [], []
+        parents = []
         for _ in range(room):
             if not heap:
                 break
@@ -384,8 +402,7 @@ def bab_verify(
                 # popped in bound order, so the first pending parent is the worst
                 return verdict(VerdictStatus.TIMEOUT, (parents[0] if parents else heap[0][2]).bound)
             dom = heapq.heappop(heap)[2]
-            status = classify_neurons(dom.inter, dom.split)
-            if not np.any(status == NeuronStatus.UNSTABLE):
+            if dom.branch < 0:
                 kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
                 if kind == "verified":
                     verified_floor = min(verified_floor, leaf_val)
@@ -398,20 +415,19 @@ def bab_verify(
                 if val < 0.0:
                     return verdict(VerdictStatus.FALSIFIED, val, x_adv)
                 continue
-            j = _branch_on(status, dom.inter)
-            h = net.neuron_location(j)[0]
-            for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
-                parents.append(dom)
-                splits.append(dom.split.force(net, j, direction))
-                layers.append(h)
+            parents.append(dom)
         if not parents:
             continue
-        child_raw, child, lower = _bound_children(
-            net, signed, box, [(p.raw, p.inter) for p in parents], splits, layers,
+        # one row per child: each popped parent's active child, then its
+        # inactive one
+        split, layers = _split_children(net, parents)
+        rows = [p for p in parents for _ in range(2)]
+        child_raw, child, lower, branch = _bound_children(
+            net, signed, box, [(p.raw, p.inter) for p in rows], split, layers,
             spec.coeffs, spec.const,
         )
-        explored += len(parents)
-        for r, (p, split, h) in enumerate(zip(parents, splits, layers)):
+        explored += len(rows)
+        for r, (p, h) in enumerate(zip(rows, layers)):
             # the child's region is nested in the parent's, so the parent
             # bound stays valid
             cb = max(float(lower[r]), p.bound)
@@ -420,7 +436,13 @@ def bab_verify(
                 if np.isfinite(cb):
                     verified_floor = min(verified_floor, cb)
                 continue
-            kid = Domain(split, cb, _row(child, r, p.inter, h), _row(child_raw, r, p.raw, h))
+            kid = Domain(
+                SplitAssignment([c[r, 0] for c in split.codes]),
+                cb,
+                _row(child, r, p.inter, h),
+                _row(child_raw, r, p.raw, h),
+                int(branch[r]),
+            )
             heapq.heappush(heap, (cb, counter, kid))
             counter += 1
     return verdict(VerdictStatus.VERIFIED, verified_floor)

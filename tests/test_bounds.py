@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from graftcert import (
     Box,
+    Domain,
     DomainError,
     GraftPlan,
     Network,
@@ -12,6 +13,7 @@ from graftcert import (
     SplitAssignment,
     UsageError,
     apply_graft,
+    branch_select,
     classify_neurons,
     compute_bounds,
     crown_lower_bound,
@@ -28,6 +30,7 @@ from graftcert.bounds import (
     LayerBounds,
     _backward,
     _bound_children,
+    _branch_on,
     _clamp_split,
     _graft_interval,
     _ibp_boxes,
@@ -392,16 +395,28 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
         for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
             rows.append((praw, pinter, split.force(net, j, direction), h, j))
     signed = (None,) + _sign_split(net.layers[1:])
-    got_raw, got, lower = _bound_children(
-        net, signed, box, [(p, q) for p, q, *_ in rows], [row[2] for row in rows],
+    stacked = SplitAssignment([
+        np.stack(codes)[:, None, :] for codes in zip(*(row[2].codes for row in rows))
+    ])
+    got_raw, got, lower, branch = _bound_children(
+        net, signed, box, [(p, q) for p, q, *_ in rows], stacked,
         [row[3] for row in rows], c, const,
     )
     assert lower.shape == (len(rows),)
+    assert branch.shape == (len(rows),)
     kinds = {"mixed starts"} if len({row[3] for row in rows}) > 1 else set()
     for r, (praw, pinter, split, h, j) in enumerate(rows):
         want_raw, want, want_lower = _reference_child(net, box, praw, pinter, split, h, c, const)
         assert got.feasible[r, 0] == want.feasible
         assert lower[r].hex() == want_lower.hex()
+        # the branch column is branch_select on the row's one-domain bounds,
+        # -1 where that domain has no unstable neuron
+        try:
+            want_branch = branch_select(Domain(split, want_lower, want, want_raw), want)
+        except UsageError:
+            want_branch = -1
+            kinds.add("leaf")
+        assert branch[r] == want_branch
         for batch, ref, parent in ((got_raw, want_raw, praw), (got, want, pinter)):
             for side in ("lower", "upper"):
                 for i, (x, y) in enumerate(zip(getattr(batch, side), getattr(ref, side))):
@@ -953,6 +968,51 @@ class TestSharedKernels:
                     got = classify_neurons(row, split)
                     assert status[r].tobytes() == got.tobytes()
                     assert got.tobytes() == _reference_classify(row, split).tobytes()
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_per_row_codes_match_rows(self, seed):
+        # stacked (R, 1, d) bounds with per-row codes, as a BaB child batch
+        # has them: each row's status and branch neuron are the one-row
+        # call's, byte for byte, on grafted, forced and dead (l = u = 0)
+        # neurons
+        rng = np.random.default_rng(5400 + seed)
+        widths = [int(rng.integers(2, 5))] + [int(rng.integers(4, 8)) for _ in range(3)] + [3]
+        net, dead = _net_with_dead_neurons(5400 + seed, widths, 0.3 if seed % 2 else 0.0)
+        rows = 9
+        lo = rng.uniform(0, 1, (rows, 1, widths[0]))
+        box = Box(lo, lo + rng.uniform(0, 0.5, lo.shape))
+        splits = [
+            SplitAssignment([
+                np.where(g, FREE, rng.choice([FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], d))
+                for g, d in zip(net.grafted, net.hidden_sizes)
+            ])
+            for _ in range(rows)
+        ]
+        stacked = SplitAssignment([np.stack(c)[:, None, :] for c in zip(*(s.codes for s in splits))])
+        assert stacked.flat().shape == (rows, 1, net.num_hidden)
+        # free IBP: forced neurons are not clamped stable, so each row's
+        # status of a straddling forced neuron comes from its own codes
+        inter = ibp(net, box)
+        status = classify_neurons(inter, stacked)
+        assert status.shape == (rows, 1, net.num_hidden) and status.dtype == np.int8
+        branch = _branch_on(status, inter)
+        assert branch.shape == (rows, 1)
+        seen = set()
+        for r, split in enumerate(splits):
+            row = LayerBounds(
+                tuple(x[r, 0] for x in inter.lower), tuple(x[r, 0] for x in inter.upper), net.grafted
+            )
+            want = classify_neurons(row, split)
+            assert status[r, 0].tobytes() == want.tobytes()
+            assert want.tobytes() == _reference_classify(row, split).tobytes()
+            assert branch[r, 0] == _branch_on(want, row)
+            code = split.flat()
+            seen |= {NeuronStatus(k) for k in want}
+            l, u = np.concatenate(row.lower[:-1]), np.concatenate(row.upper[:-1])
+            seen |= {"forced straddling"} if np.any((code != FREE) & (l < 0.0) & (u > 0.0)) else set()
+            seen |= {"dead"} if np.any((l[dead] == 0.0) & (u[dead] == 0.0) & (code[dead] == FREE)) else set()
+        want_kinds = {"forced straddling", "dead", NeuronStatus.UNSTABLE, NeuronStatus.STABLE_INACTIVE}
+        assert want_kinds | ({NeuronStatus.GRAFTED} if seed % 2 else set()) <= seen
 
 
 def _reference_classify(inter, split):

@@ -475,6 +475,20 @@ class TestReport:
             report([], 0.0, tmp_path, time_unit="seconds", budget_top=30.0)
 
 
+# config values that are not integers where a count (or a list of them)
+# is needed: each config, the key its error names, and the value it shows
+_NON_INTEGER = [
+    ({"num_verify": 1.5}, "num_verify", "1.5"),
+    ({"train_attack_steps": 2.5}, "train_attack_steps", "2.5"),
+    ({"workers": True}, "workers", "True"),
+    ({"architecture": [2, 16.5, 2]}, "architecture[1]", "16.5"),
+    ({"finetune": {"epochs": 2, "batch_size": 64.5}}, "finetune: batch_size", "64.5"),
+    ({"train": {"epochs": 2, "batch_size": 64, "milestones": 5}}, "train: milestones", "5"),
+    ({"train": {"epochs": 2, "batch_size": 64, "milestones": [1, 1.5]}}, "train: milestones[1]", "1.5"),
+    ({"budget": {"time_limit": 30.0, "max_domains": 2.5}}, "budget: max_domains", "2.5"),
+]
+
+
 class TestCli:
     def test_pipeline_command(self, tmp_path, capsys):
         rc = main([
@@ -596,6 +610,7 @@ class TestCli:
         pytest.param({"warmup_lr": 0.0}, id="warmup_lr=0"),
         pytest.param({"warmup_lr": -0.05}, id="warmup_lr=-0.05"),
         pytest.param({"intermediate": "lp"}, id="intermediate=lp"),
+        *(pytest.param(over, id=named) for over, named, _ in _NON_INTEGER),
         # not a dict: the whole document
         pytest.param([1, 2], id="document=list"),
         pytest.param([["seed", 3]], id="document=pairs"),
@@ -612,6 +627,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err, err
         assert not out.exists()  # no stage ran
+
+    @pytest.mark.parametrize(
+        "over, named, value", [pytest.param(*case, id=case[1]) for case in _NON_INTEGER]
+    )
+    def test_non_integer_error_names_key_and_value(self, tmp_path, capsys, over, named, value):
+        cfg = _write_cfg(tmp_path, **over)
+        assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {named} must be ") and value in err, err
 
     def test_intermediate_error_names_the_value(self, tmp_path):
         with pytest.raises(UsageError, match="got 'lp'"):

@@ -467,14 +467,26 @@ class TestBabVerify:
 
         monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
         split_layers = set()
-        force = SplitAssignment.force
+        split_children = verifier._split_children
 
-        def recording_force(split, net, neuron_id, direction):
-            if net.output_dim == 3:
-                split_layers.add(net.neuron_location(neuron_id)[0])
-            return force(split, net, neuron_id, direction)
+        def recording_split_children(net, parents):
+            # each child's codes are its parent's plus the parent's branch
+            # neuron forced, active in the first row and inactive in the
+            # second; the split layers are read from those codes
+            split, layers = split_children(net, parents)
+            offs = net.layer_offsets()
+            for r, h in enumerate(layers):
+                parent = parents[r // 2]
+                code, old = split.flat()[r, 0], parent.split.flat()
+                changed = np.flatnonzero(code != old)
+                assert changed.tolist() == [parent.branch]
+                assert code[parent.branch] == (FORCED_ACTIVE, FORCED_INACTIVE)[r % 2]
+                assert offs[h] <= parent.branch < offs[h] + net.hidden_sizes[h]
+                if net.output_dim == 3:
+                    split_layers.add(int(h))
+            return split, layers
 
-        monkeypatch.setattr(SplitAssignment, "force", recording_force)
+        monkeypatch.setattr(verifier, "_split_children", recording_split_children)
         verdicts = self._pin_verdicts()
         kinds = {(v.status, v.domains_explored > 1) for v in verdicts}
         assert split_layers == {0, 1, 2}
@@ -513,43 +525,69 @@ class TestBabVerify:
                     assert spec.value(forward(net, v.counterexample)[0]) < 0.0
         assert statuses == set(VerdictStatus)
 
-    def test_branching_classifies_each_domain_once(self, monkeypatch):
-        # BaB classifies each popped domain once and hands that status to
-        # the branching helper, which must pick what branch_select picks
+    def test_branch_is_branch_select_of_each_domain(self, monkeypatch):
+        # the branch neuron a domain carries, chosen when it was bounded,
+        # is what branch_select picks on its bounds at the pop; a domain
+        # resolved as a linear leaf has none
         import graftcert.verifier as verifier
 
-        classify, branch_on, leaf = (
-            verifier.classify_neurons, verifier._branch_on, verifier._resolve_linear_leaf
-        )
-        last, calls = [], {"classify": 0, "branch": 0, "leaf": 0}
+        split_children, leaf = verifier._split_children, verifier._resolve_linear_leaf
+        calls = {"split": 0, "leaf": 0}
 
-        def recording_classify(inter, split):
-            calls["classify"] += 1
-            last[:] = [(inter, split)]
-            return classify(inter, split)
+        def checking_split_children(net, parents):
+            for dom in parents:
+                calls["split"] += 1
+                assert dom.branch == branch_select(dom, dom.inter)
+            return split_children(net, parents)
 
-        def checking_branch_on(status, inter):
-            calls["branch"] += 1
-            (seen_inter, split), = last
-            assert seen_inter is inter
-            j = branch_on(status, inter)
-            with monkeypatch.context() as m:
-                m.setattr(verifier, "classify_neurons", classify)
-                m.setattr(verifier, "_branch_on", branch_on)
-                assert j == branch_select(Domain(split, 0.0, inter, inter), inter)
-            return j
-
-        def counting_leaf(*args):
+        def checking_leaf(net, box, dom, inter, spec):
             calls["leaf"] += 1
-            return leaf(*args)
+            assert dom.branch == -1
+            with pytest.raises(UsageError):
+                branch_select(dom, inter)
+            return leaf(net, box, dom, inter, spec)
 
-        monkeypatch.setattr(verifier, "classify_neurons", recording_classify)
-        monkeypatch.setattr(verifier, "_branch_on", checking_branch_on)
-        monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting_leaf)
+        monkeypatch.setattr(verifier, "_split_children", checking_split_children)
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", checking_leaf)
         for net, spec, box, budget, seed, root_inter in self._pin_cases():
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
-        assert calls["branch"] > 500
-        assert calls["classify"] == calls["branch"] + calls["leaf"]
+        assert calls["split"] > 500 and calls["leaf"] > 0
+
+    def test_classify_runs_once_per_bounding_batch(self, monkeypatch):
+        # neuron status is computed once per batch of children, in their
+        # bounding pass, plus once at the root of a search; popping a
+        # domain classifies nothing
+        import graftcert.bounds as bounds
+        import graftcert.verifier as verifier
+
+        bound_children = verifier._bound_children
+        run = {}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                run[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(verifier, "classify_neurons", counting("root", verifier.classify_neurons))
+        monkeypatch.setattr(bounds, "classify_neurons", counting("batch", bounds.classify_neurons))
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting("leaf", verifier._resolve_linear_leaf))
+
+        def counting_bound_children(net, signed, box, parents, split, starts, coeffs, const):
+            run["bound"] += 1
+            run["split"] += len(parents) // 2
+            return bound_children(net, signed, box, parents, split, starts, coeffs, const)
+
+        monkeypatch.setattr(verifier, "_bound_children", counting_bound_children)
+        split = 0
+        for net, spec, box, budget, seed, root_inter in self._pin_cases():
+            run.update(root=0, batch=0, leaf=0, bound=0, split=0)
+            bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
+            # a search pops its root, which branches or is a linear leaf
+            assert run["root"] == int(run["bound"] + run["leaf"] > 0)
+            assert run["batch"] == run["bound"]
+            split += run["split"]
+        assert split > 500
 
     def test_zero_graft_never_increases_unstable_count(self):
         # slope-0 grafts shrink every downstream interval, so instability
