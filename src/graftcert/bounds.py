@@ -431,47 +431,38 @@ def _spec_lower(net, box, split, inter, c, const):
     return np.where(floor > vals, floor, vals)
 
 
-def _bound_children(net, signed, box, parents, split, starts, coeffs, const):
+def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
     """Bounds of a batch of BaB children in one pass, one child per row.
 
     Row r is the domain with split codes row r of ``split`` (``(R, 1, d_h)``
     per layer), which forces one more neuron of hidden layer ``starts[r]``
-    than its parent, whose ``(raw IBP, bounds)`` is ``parents[r]`` (1-D
-    arrays; a parent must be feasible).  The rows' IBP restarts at the
-    lowest split layer in the batch, ``first``, from their parents' raw
-    IBP there; it is intersected with the parents' bounds and bounded by
-    CROWN, floored by the interval bound.  ``signed`` is ``_sign_split`` of
-    the weights (layer 0 is never used).
+    than its parent.  ``inter`` holds the parents' bounds stacked the same
+    way, ``(R, 1, d_i)`` per layer (a parent must be feasible), and ``raw``
+    is ``(lower, upper)``, the parents' raw IBP at the lowest split layer
+    in the batch, ``first``, ``(R, 1, d_first)``.  The rows' IBP restarts
+    there; it is intersected with the parents' bounds and bounded by CROWN,
+    floored by the interval bound.  ``signed`` is ``_sign_split`` of the
+    weights (layer 0 is never used).
 
     Returns ``(raw, bounds, lower, branch)``: the children's raw IBP and
     bounds, ``(R, 1, d)`` per layer with a per-row ``(R, 1)`` ``feasible``
-    (raw's layers below ``first`` are None), the lower bounds of
-    ``coeffs @ logits + const``, +inf where infeasible, and per row the
-    neuron BaB splits when it pops that child (``_branch_on`` of its
-    status), -1 where it has no unstable neuron.  The branch is chosen
-    here, while the children's bounds are stacked, so that popping a
-    child classifies nothing.  From its split layer on, each row holds bit
-    for bit what ``ibp``, ``intersect_bounds`` and ``crown_lower_bound``
-    give that child alone: every product is a one-row product (see
-    ``_backward``), and a row that splits above ``first`` recomputes its
-    parent's layers up to its split layer under its parent's clamps, which
-    the parent's raw IBP already took, so they come out as the parent's.
-    Below its split layer a row holds its parent's values.
+    (raw's layers below ``first`` are None, and the bounds' layers below
+    ``first`` are ``inter``'s arrays), the lower bounds of ``coeffs @
+    logits + const``, +inf where infeasible, and per row the neuron BaB
+    splits when it pops that child (``_branch_on`` of its status), -1
+    where it has no unstable neuron.  The branch is chosen here, while the
+    children's bounds are stacked, so that popping a child classifies
+    nothing.  From its split layer on, each row holds bit for bit what
+    ``ibp``, ``intersect_bounds`` and ``crown_lower_bound`` give that child
+    alone: every product is a one-row product (see ``_backward``), and a
+    row that splits above ``first`` recomputes its parent's layers up to
+    its split layer under its parent's clamps, which the parent's raw IBP
+    already took, so they come out as the parent's.  Below its split layer
+    a row holds its parent's values.
     """
-
-    def stack(arrays):
-        return np.stack(arrays)[:, None, :]
-
-    first = int(min(starts))
-    inter = LayerBounds(
-        tuple(map(stack, zip(*(p[1].lower for p in parents)))),
-        tuple(map(stack, zip(*(p[1].upper for p in parents)))),
-        net.grafted,
-    )
-    zl = stack([p[0].lower[first] for p in parents])
-    zu = stack([p[0].upper[first] for p in parents])
+    first = int(np.min(starts))
     below = (None,) * first
-    child_raw = _ibp_from(net, signed, split, first, zl, zu, below, below)
+    child_raw = _ibp_from(net, signed, split, first, *raw, below, below)
     child = intersect_bounds(child_raw, inter, start=first)
     lower = _spec_lower(net, box, split, child, coeffs, const)
     branch = _branch_on(classify_neurons(child, split), child)[:, 0]
@@ -576,18 +567,21 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     interval; free ReLUs classify by sign of [l, u] with the degenerate
     l = u = 0 interval counting as stable-inactive.  Bounds with a leading
     batch axis, ``(n, d_i)`` per layer, give one row per box; stacked
-    ``(R, 1, d_i)`` bounds may come with per-row ``(R, 1, d_i)`` codes.
+    ``(R, 1, d_i)`` bounds may come with per-row ``(R, 1, d_i)`` codes, as
+    a BaB child batch has them.  The statuses come from two masks, active
+    and inactive, and one scatter for the grafted neurons.
     """
     if not inter.grafted:
         return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
     l = np.concatenate(inter.lower[:-1], axis=-1)
     u = np.concatenate(inter.upper[:-1], axis=-1)
-    status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
-    status[l >= 0.0] = NeuronStatus.STABLE_ACTIVE
-    status[u <= 0.0] = NeuronStatus.STABLE_INACTIVE
-    code = np.broadcast_to(split.flat(), status.shape)
-    status[code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
-    status[code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
+    code = split.flat()
+    forced_active = code == FORCED_ACTIVE
+    inactive = (code == FORCED_INACTIVE) | ((u <= 0.0) & ~forced_active)
+    active = (forced_active | (l >= 0.0)) & ~inactive
+    # UNSTABLE (2), less 2 where active (STABLE_ACTIVE, 0) and less 1 where
+    # inactive (STABLE_INACTIVE, 1); the int8 views keep the sum int8
+    status = int(NeuronStatus.UNSTABLE) - 2 * active.view(np.int8) - inactive.view(np.int8)
     status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
     return status
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, UsageError, require_integers
 
 __all__ = ["Dataset", "load_dataset", "load_idx_images", "load_idx_labels",
            "load_csv", "two_moons", "gaussian_blobs"]
@@ -182,12 +182,15 @@ def load_dataset(spec: dict) -> Dataset:
             raise UsageError(f"{kind} dataset spec has no {key!r} entry")
         return spec[key]
 
+    def integer(key, value):
+        # the rule of the experiment config's counts: a bool, a float or a
+        # string is not an integer, so 10.7 fails instead of truncating
+        require_integers(**{f"dataset {key!r}": value})
+        return int(value)
+
     def count(key, default):
         value = spec.get(key, default)
-        try:
-            n = int(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"dataset {key!r} must be an integer, got {value!r}") from None
+        n = integer(key, value)
         if n < 1:
             raise UsageError(f"dataset {key!r} must be >= 1, got {value!r}")
         return n
@@ -196,10 +199,7 @@ def load_dataset(spec: dict) -> Dataset:
         value = spec.get(key, default)
         if value is None and default is None:
             return None
-        try:
-            s = int(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"dataset {key!r} must be an integer, got {value!r}") from None
+        s = integer(key, value)
         if s < 0:
             raise UsageError(f"dataset {key!r} must be >= 0, got {value!r}")
         return s

@@ -11,6 +11,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,11 @@ class Domain:
     the neuron BaB splits when it pops the domain (``branch_select``'s
     choice), or -1 when it has no unstable neuron (a linear leaf).  The
     branch is chosen when the domain is bounded: the root's from its own
-    bounds, a child's in its batch's bounding pass (``_bound_children``)."""
+    bounds, a child's in its batch's bounding pass (``_bound_children``).
+
+    ``bab_verify`` keeps its pending domains as rows of stacked arrays, not
+    as records; it builds a ``Domain`` only for a linear leaf it resolves.
+    The record is what ``branch_select`` and the leaf resolution take."""
 
     split: SplitAssignment
     bound: float
@@ -267,23 +272,6 @@ def branch_select(domain: Domain, inter: LayerBounds) -> int:
     return j
 
 
-def _split_children(net: Network, parents: list[Domain]):
-    """The split codes of the popped parents' children, ``(R, 1, d_h)``
-    per hidden layer, and each row's split layer: rows 2p and 2p + 1 force
-    parent p's branch neuron active and inactive.  The parents' codes are
-    stacked once and the forced neurons set in one indexed assignment; a
-    branch neuron is unstable, so it is free and not grafted, and the
-    checks of ``SplitAssignment.force`` hold by construction."""
-    neurons = np.repeat([p.branch for p in parents], 2)
-    codes = np.repeat(np.stack([p.split.flat() for p in parents]), 2, axis=0)
-    codes[np.arange(len(neurons)), neurons] = np.tile(
-        [FORCED_ACTIVE, FORCED_INACTIVE], len(parents)
-    )
-    offsets = net.layer_offsets()
-    layers = np.searchsorted(offsets, neurons, side="right") - 1
-    return SplitAssignment(np.split(codes[:, None, :], offsets[1:], axis=-1)), layers
-
-
 def _resolve_linear_leaf(
     net: Network,
     box: Box,
@@ -313,6 +301,100 @@ def _resolve_linear_leaf(
     return ("discard", exact_min, witness)
 
 
+class _Rows(NamedTuple):
+    """Domains stacked one per row: per affine layer their bounds and raw
+    IBP (before intersection), ``(n, 1, d_i)``; their split codes over
+    every hidden neuron (flat ids), ``(n, 1, H)``; their certified lower
+    bounds and branch neurons, ``(n,)``."""
+
+    lower: tuple
+    upper: tuple
+    raw_lower: tuple
+    raw_upper: tuple
+    codes: np.ndarray
+    bound: np.ndarray
+    branch: np.ndarray
+
+    def arrays(self):
+        for field in self:
+            yield from field if isinstance(field, tuple) else (field,)
+
+    def map(self, fn) -> "_Rows":
+        """``fn`` of every array, in the same layout."""
+        return _Rows(*(tuple(map(fn, f)) if isinstance(f, tuple) else fn(f) for f in self))
+
+
+def _layer_codes(net: Network, codes: np.ndarray) -> SplitAssignment:
+    """Flat split codes (every hidden neuron on the last axis) as one
+    assignment, its layers views of ``codes``."""
+    layers = np.split(codes, net.layer_offsets()[1:], axis=-1)
+    return SplitAssignment(layers[: len(net.hidden_sizes)])
+
+
+class _Frontier:
+    """BaB's pending domains as one ``_Rows`` of stacked arrays, one slot
+    (row) per domain.  ``take`` gathers rows and ``put`` writes them with
+    one indexed operation per array.  ``free`` lists the slots of popped
+    domains, which later children reuse; the capacity doubles when no slot
+    is free, so memory follows the live frontier, not ``max_domains``."""
+
+    def __init__(self, root: _Rows):
+        self.rows = root
+        self.free: list[int] = []
+        self.used = len(root.bound)
+
+    def take(self, slots) -> _Rows:
+        return self.rows.map(lambda a: a[slots])
+
+    def put(self, rows: _Rows) -> list[int]:
+        """Write ``rows`` into free slots and return the slots, in row order."""
+        n = len(rows.bound)
+        k = max(len(self.free) - n, 0)
+        slots = self.free[k:]
+        del self.free[k:]
+        fresh = n - len(slots)
+        slots += range(self.used, self.used + fresh)
+        self.used += fresh
+        cap = len(self.rows.bound)
+        if self.used > cap:
+            while cap < self.used:
+                cap *= 2
+            self._grow(cap)
+        index = np.array(slots)
+        for a, v in zip(self.rows.arrays(), rows.arrays()):
+            a[index] = v
+        return slots
+
+    def _grow(self, cap: int) -> None:
+        # one array at a time, so that at most one old array is alive beside
+        # the new ones; a new array's rows past the old ones stay unwritten,
+        # and so take no memory until a domain is put there
+        arrays = list(self.rows.arrays())
+        self.rows = layout = self.rows.map(lambda a: None)
+        for i, old in enumerate(arrays):
+            arrays[i] = np.empty((cap,) + old.shape[1:], old.dtype)
+            arrays[i][: len(old)] = old
+        fill = iter(arrays)
+        self.rows = layout.map(lambda _: next(fill))
+
+    def domain(self, slot: int, net: Network) -> Domain:
+        """The domain in ``slot`` as a ``Domain`` record (views of the store)."""
+        r = self.rows
+
+        def bounds(lower, upper):
+            return LayerBounds(
+                tuple(a[slot, 0] for a in lower), tuple(a[slot, 0] for a in upper), net.grafted
+            )
+
+        return Domain(
+            _layer_codes(net, r.codes[slot, 0]),
+            float(r.bound[slot]),
+            bounds(r.lower, r.upper),
+            bounds(r.raw_lower, r.raw_upper),
+            int(r.branch[slot]),
+        )
+
+
 def bab_verify(
     net: Network,
     spec: Specification,
@@ -327,17 +409,24 @@ def bab_verify(
 
     The root is bounded by CROWN first; only when that bound is not
     positive does a PGD attack from the box center plus seeded random
-    restarts run, once.  Then a worst-bound-first worklist of ``Domain``
-    records, ordered by (bound, insertion counter), is searched.  Each step
-    pops up to ``_BAB_BATCH`` (8) worst domains, and each popped domain's
-    branch neuron, its worst unstable neuron, is forced both ways.  The
-    branch is chosen when a domain is bounded, so a pop classifies
-    nothing.  The children of all popped domains are bounded in one
-    batched call: each is re-bounded by IBP restarted at its split
-    neuron's layer from its parent's own IBP (the layers below it cannot
-    change), intersected with the parent's bounds, then bounded by CROWN,
-    and its own branch neuron is chosen from those bounds; it is discarded
-    once positive.  Domains with no unstable neurons are resolved exactly
+    restarts run, once.  Then a worst-bound-first worklist of domains,
+    ordered by (bound, insertion counter), is searched.  The domains live
+    in one store of stacked arrays (``_Frontier``), one slot per domain:
+    per affine layer its bounds and raw IBP, its split codes, its bound and
+    its branch neuron; the heap holds ``(bound, counter, slot)``.  Each
+    step pops up to ``_BAB_BATCH`` (8) worst domains, gathers their rows
+    twice each with one indexed read per array, and forces each popped
+    domain's branch neuron, its worst unstable neuron, both ways in the
+    gathered codes.  The branch is chosen when a domain is bounded, so a
+    pop classifies nothing.  The children of all popped domains are
+    bounded in one batched call: each is re-bounded by IBP restarted at
+    its split neuron's layer from its parent's own IBP (the layers below
+    it cannot change), intersected with the parent's bounds, then bounded
+    by CROWN, and its own branch neuron is chosen from those bounds; it is
+    discarded once positive.  The kept children are written into free
+    slots with one indexed write per array; popped domains' slots are
+    reused, and the store doubles when full, so its memory follows the
+    live frontier.  Domains with no unstable neurons are resolved exactly
     by the linear closed form, which falsifies from its witness corner or,
     when the witness leaves the split region, from a PGD attack seeded at
     the witness.  Both attacks are ``pgd_attack``'s descent loop run on
@@ -385,8 +474,18 @@ def bab_verify(
     # a child starts from its split layer's pre-activations, so it never
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
-    root_branch = int(_branch_on(classify_neurons(inter, root_split), inter))
-    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw, root_branch))]
+    root_branch = _branch_on(classify_neurons(inter, root_split), inter)
+    # the store's rows are copies: it writes into them, and the caller may
+    # share ``root_inter`` and ``root_raw`` between specs
+    store = _Frontier(_Rows(
+        *(
+            tuple(x[None, None].copy() for x in side)
+            for side in (inter.lower, inter.upper, raw.lower, raw.upper)
+        ),
+        root_split.flat()[None, None], np.array([root_bound]), root_branch[None],
+    ))
+    offsets = net.layer_offsets()
+    heap = [(root_bound, 0, 0)]
     counter = 1
     verified_floor = np.inf
     while heap:
@@ -400,9 +499,12 @@ def bab_verify(
                 break
             if budget.time_limit is not None and time.perf_counter() - t0 > budget.time_limit:
                 # popped in bound order, so the first pending parent is the worst
-                return verdict(VerdictStatus.TIMEOUT, (parents[0] if parents else heap[0][2]).bound)
-            dom = heapq.heappop(heap)[2]
-            if dom.branch < 0:
+                worst = store.rows.bound[parents[0]] if parents else heap[0][0]
+                return verdict(VerdictStatus.TIMEOUT, worst)
+            slot = heapq.heappop(heap)[2]
+            if store.rows.branch[slot] < 0:
+                dom = store.domain(slot, net)
+                store.free.append(slot)
                 kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
                 if kind == "verified":
                     verified_floor = min(verified_floor, leaf_val)
@@ -415,49 +517,48 @@ def bab_verify(
                 if val < 0.0:
                     return verdict(VerdictStatus.FALSIFIED, val, x_adv)
                 continue
-            parents.append(dom)
+            parents.append(slot)
         if not parents:
             continue
         # one row per child: each popped parent's active child, then its
-        # inactive one
-        split, layers = _split_children(net, parents)
-        rows = [p for p in parents for _ in range(2)]
+        # inactive one.  A branch neuron is unstable, so it is free and not
+        # grafted, and the checks of ``SplitAssignment.force`` hold
+        rows = store.take(np.repeat(parents, 2))
+        store.free.extend(parents)
+        n = len(rows.bound)
+        rows.codes[np.arange(n), 0, rows.branch] = np.tile([FORCED_ACTIVE, FORCED_INACTIVE], n // 2)
+        layers = np.searchsorted(offsets, rows.branch, side="right") - 1
+        first = int(layers.min())
+        split = _layer_codes(net, rows.codes)
         child_raw, child, lower, branch = _bound_children(
-            net, signed, box, [(p.raw, p.inter) for p in rows], split, layers,
+            net, signed, box, LayerBounds(rows.lower, rows.upper, net.grafted),
+            (rows.raw_lower[first], rows.raw_upper[first]), split, layers,
             spec.coeffs, spec.const,
         )
-        explored += len(rows)
-        for r, (p, h) in enumerate(zip(rows, layers)):
-            # the child's region is nested in the parent's, so the parent
-            # bound stays valid
-            cb = max(float(lower[r]), p.bound)
-            if cb > 0.0:
-                # +inf marks an empty region, verified vacuously
-                if np.isfinite(cb):
-                    verified_floor = min(verified_floor, cb)
-                continue
-            kid = Domain(
-                SplitAssignment([c[r, 0] for c in split.codes]),
-                cb,
-                _row(child, r, p.inter, h),
-                _row(child_raw, r, p.raw, h),
-                int(branch[r]),
-            )
-            heapq.heappush(heap, (cb, counter, kid))
+        explored += n
+        # the child's region is nested in the parent's, so the parent bound
+        # stays valid; on a tie the child's bound is kept, as Python's max
+        # keeps its first argument
+        cb = np.where(rows.bound > lower, rows.bound, lower)
+        closed = cb > 0.0
+        # +inf marks an empty region, verified vacuously
+        floor = cb[closed & np.isfinite(cb)]
+        if floor.size:
+            verified_floor = min(verified_floor, floor.min())
+        if closed.all():
+            continue
+        kids = _Rows(
+            child.lower, child.upper,
+            rows.raw_lower[:first] + child_raw.lower[first:],
+            rows.raw_upper[:first] + child_raw.upper[first:],
+            rows.codes, cb, branch,
+        )
+        if closed.any():
+            kids = kids.map(lambda a: a[~closed])
+        for bound, slot in zip(kids.bound.tolist(), store.put(kids)):
+            heapq.heappush(heap, (bound, counter, slot))
             counter += 1
     return verdict(VerdictStatus.VERIFIED, verified_floor)
-
-
-def _row(batch: LayerBounds, r: int, parent: LayerBounds, h: int) -> LayerBounds:
-    """Row ``r`` of a child batch as one domain's bounds: the parent's
-    arrays below split layer ``h``, copies of the row from there on (a view
-    would keep the whole batch alive)."""
-    return LayerBounds(
-        parent.lower[:h] + tuple(x[r, 0].copy() for x in batch.lower[h:]),
-        parent.upper[:h] + tuple(x[r, 0].copy() for x in batch.upper[h:]),
-        parent.grafted,
-        True,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -398,9 +398,20 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
     stacked = SplitAssignment([
         np.stack(codes)[:, None, :] for codes in zip(*(row[2].codes for row in rows))
     ])
+    # the parents' bounds stacked one per row, and their raw IBP at the
+    # lowest split layer, from which the rows' IBP restarts
+    first = min(row[3] for row in rows)
+    inter = LayerBounds(
+        tuple(np.stack(x)[:, None, :] for x in zip(*(row[1].lower for row in rows))),
+        tuple(np.stack(x)[:, None, :] for x in zip(*(row[1].upper for row in rows))),
+        net.grafted,
+    )
+    raw = tuple(
+        np.stack([getattr(row[0], side)[first] for row in rows])[:, None, :]
+        for side in ("lower", "upper")
+    )
     got_raw, got, lower, branch = _bound_children(
-        net, signed, box, [(p, q) for p, q, *_ in rows], stacked,
-        [row[3] for row in rows], c, const,
+        net, signed, box, inter, raw, stacked, [row[3] for row in rows], c, const,
     )
     assert lower.shape == (len(rows),)
     assert branch.shape == (len(rows),)
@@ -1013,6 +1024,75 @@ class TestSharedKernels:
             seen |= {"dead"} if np.any((l[dead] == 0.0) & (u[dead] == 0.0) & (code[dead] == FREE)) else set()
         want_kinds = {"forced straddling", "dead", NeuronStatus.UNSTABLE, NeuronStatus.STABLE_INACTIVE}
         assert want_kinds | ({NeuronStatus.GRAFTED} if seed % 2 else set()) <= seen
+
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_mask_scatter_version(self, seed):
+        # the nested selections give the statuses the boolean-mask scatters
+        # gave, byte for byte: on dead (l = u = 0), grafted and forced
+        # neurons, forced-active ones with u <= 0 among them, for 1-D,
+        # (n, d) and per-row-code (R, 1, d) bounds
+        rng = np.random.default_rng(5500 + seed)
+        widths = [int(rng.integers(2, 5))] + [int(rng.integers(4, 8)) for _ in range(3)] + [3]
+        net, dead = _net_with_dead_neurons(5500 + seed, widths, 0.3 if seed % 2 else 0.0)
+        rows = 7
+        lo = rng.uniform(0, 1, (rows, 1, widths[0]))
+        hi = lo + rng.uniform(0, 0.5, lo.shape)
+        # free IBP, so a forced neuron keeps its interval: forcing
+        # active some neurons with u <= 0 gives forced-active u <= 0
+        stacked = ibp(net, Box(lo, hi))
+        u = np.concatenate(stacked.upper[:-1], axis=-1)
+        grafted = np.concatenate(net.grafted)
+
+        def codes(shape, u):
+            code = rng.choice([FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], shape).astype(np.int8)
+            code[(u <= 0.0) & (rng.random(shape) < 0.5)] = FORCED_ACTIVE
+            return np.where(grafted, FREE, code).astype(np.int8)
+
+        def layered(flat):
+            offs = list(net.layer_offsets()[1:])
+            return SplitAssignment(np.split(flat, offs, axis=-1))
+
+        row = LayerBounds(
+            tuple(x[0, 0] for x in stacked.lower), tuple(x[0, 0] for x in stacked.upper), net.grafted
+        )
+        boxes = _ibp_boxes(net, lo[:, 0], hi[:, 0], SplitAssignment.free(net))
+        cases = [
+            (row, layered(codes(net.num_hidden, u[0, 0]))),
+            (boxes, layered(codes(net.num_hidden, u[:, 0].min(axis=0)))),
+            (stacked, layered(codes(u.shape, u))),
+        ]
+        seen = set()
+        for inter, split in cases:
+            got = classify_neurons(inter, split)
+            want = _mask_scatter_classify(inter, split)
+            assert got.dtype == want.dtype == np.int8
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            l = np.concatenate(inter.lower[:-1], axis=-1)
+            u_ = np.concatenate(inter.upper[:-1], axis=-1)
+            code = np.broadcast_to(split.flat(), l.shape)
+            seen |= {"dead"} if np.any((l == 0.0) & (u_ == 0.0) & (code == FREE)) else set()
+            seen |= {"forced active, u <= 0"} if np.any((u_ <= 0.0) & (code == FORCED_ACTIVE)) else set()
+            seen |= {NeuronStatus(k) for k in np.unique(got)}
+        want_kinds = {"dead", "forced active, u <= 0", NeuronStatus.UNSTABLE}
+        assert want_kinds | ({NeuronStatus.GRAFTED} if seed % 2 else set()) <= seen
+
+
+def _mask_scatter_classify(inter, split):
+    # classify_neurons as it was when it scattered each status through a
+    # boolean mask
+    if not inter.grafted:
+        return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
+    l = np.concatenate(inter.lower[:-1], axis=-1)
+    u = np.concatenate(inter.upper[:-1], axis=-1)
+    status = np.full(l.shape, NeuronStatus.UNSTABLE, dtype=np.int8)
+    status[l >= 0.0] = NeuronStatus.STABLE_ACTIVE
+    status[u <= 0.0] = NeuronStatus.STABLE_INACTIVE
+    code = np.broadcast_to(split.flat(), status.shape)
+    status[code == FORCED_ACTIVE] = NeuronStatus.STABLE_ACTIVE
+    status[code == FORCED_INACTIVE] = NeuronStatus.STABLE_INACTIVE
+    status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
+    return status
 
 
 def _reference_classify(inter, split):

@@ -111,6 +111,12 @@ class TestSynthetic:
         spread = ds.features[ds.labels == 0].std(axis=0).max()
         assert spread > 0.05
 
+    def test_numpy_integers_are_integers(self):
+        # the integer rule takes any integral type, numpy's included
+        a = load_dataset({"kind": "synthetic", "n": np.int64(10), "seed": np.int32(1)})
+        b = load_dataset({"kind": "synthetic", "n": 10, "seed": 1})
+        assert a.features.tobytes() == b.features.tobytes() and len(a) == 10
+
     def test_unknown_generator_and_kind(self):
         with pytest.raises(UsageError):
             load_dataset({"kind": "synthetic", "generator": "spiral"})
@@ -155,6 +161,21 @@ class TestBadSpecs:
             ({"kind": "csv", "path": None}, "csv dataset 'path' must be a file path, got None"),
             ({"kind": "idx", "images": 3, "labels": "l.idx"},
              "idx dataset 'images' must be a file path, got 3"),
+            # fractions, bools and numeric strings are rejected, not truncated
+            ({"kind": "synthetic", "n": 10.7, "seed": 1}, "dataset 'n' must be an integer, got 10.7"),
+            ({"kind": "synthetic", "n": 10.0}, "dataset 'n' must be an integer, got 10.0"),
+            ({"kind": "synthetic", "n": True}, "dataset 'n' must be an integer, got True"),
+            ({"kind": "synthetic", "n": "12"}, "dataset 'n' must be an integer, got '12'"),
+            ({"kind": "synthetic", "n": 10, "seed": 1.9}, "dataset 'seed' must be an integer, got 1.9"),
+            ({"kind": "synthetic", "seed": False}, "dataset 'seed' must be an integer, got False"),
+            ({"kind": "synthetic", "generator": "blobs", "dim": 2.5},
+             "dataset 'dim' must be an integer, got 2.5"),
+            ({"kind": "synthetic", "generator": "blobs", "classes": True},
+             "dataset 'classes' must be an integer, got True"),
+            ({"kind": "synthetic", "generator": "blobs", "clusters_per_class": 1.5},
+             "dataset 'clusters_per_class' must be an integer, got 1.5"),
+            ({"kind": "synthetic", "generator": "blobs", "center_seed": 3.0},
+             "dataset 'center_seed' must be an integer, got 3.0"),
         ],
     )
     def test_plain_message(self, spec, message):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graftcert import (
     SplitAssignment,
     UndecidableRegion,
     UsageError,
+    VerdictRecord,
     VerdictStatus,
     VerifyBudget,
     apply_graft,
@@ -22,6 +24,7 @@ from graftcert import (
     build_specs,
     classify_neurons,
     compute_bounds,
+    crown_lower_bound,
     forward,
     forward_batch,
     ibp,
@@ -29,9 +32,19 @@ from graftcert import (
     oracle_input_split,
     pgd_attack,
 )
-from graftcert.bounds import FORCED_ACTIVE, FORCED_INACTIVE, FREE, _relaxation_lines
+from graftcert.bounds import (
+    FORCED_ACTIVE,
+    FORCED_INACTIVE,
+    FREE,
+    LayerBounds,
+    _bound_children,
+    _branch_on,
+    _relaxation_lines,
+    _sign_split,
+)
 from graftcert.network import input_grad_batch
 from graftcert.verifier import (
+    _LEAF_ATTACK_STEPS,
     _ROOT_ATTACK_RESTARTS,
     _ROOT_ATTACK_STEPS,
     _minimize_spec,
@@ -467,26 +480,32 @@ class TestBabVerify:
 
         monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
         split_layers = set()
-        split_children = verifier._split_children
+        taken = {}
+        bound_children = verifier._bound_children
 
-        def recording_split_children(net, parents):
+        class RecordingFrontier(verifier._Frontier):
+            def take(self, slots):
+                rows = super().take(slots)
+                taken.update(codes=rows.codes.copy(), branch=rows.branch.copy())
+                return rows
+
+        def recording_bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
             # each child's codes are its parent's plus the parent's branch
             # neuron forced, active in the first row and inactive in the
             # second; the split layers are read from those codes
-            split, layers = split_children(net, parents)
             offs = net.layer_offsets()
-            for r, h in enumerate(layers):
-                parent = parents[r // 2]
-                code, old = split.flat()[r, 0], parent.split.flat()
+            for r, h in enumerate(starts):
+                code, old, branch = split.flat()[r, 0], taken["codes"][r, 0], taken["branch"][r]
                 changed = np.flatnonzero(code != old)
-                assert changed.tolist() == [parent.branch]
-                assert code[parent.branch] == (FORCED_ACTIVE, FORCED_INACTIVE)[r % 2]
-                assert offs[h] <= parent.branch < offs[h] + net.hidden_sizes[h]
+                assert changed.tolist() == [branch]
+                assert code[branch] == (FORCED_ACTIVE, FORCED_INACTIVE)[r % 2]
+                assert offs[h] <= branch < offs[h] + net.hidden_sizes[h]
                 if net.output_dim == 3:
                     split_layers.add(int(h))
-            return split, layers
+            return bound_children(net, signed, box, inter, raw, split, starts, coeffs, const)
 
-        monkeypatch.setattr(verifier, "_split_children", recording_split_children)
+        monkeypatch.setattr(verifier, "_Frontier", RecordingFrontier)
+        monkeypatch.setattr(verifier, "_bound_children", recording_bound_children)
         verdicts = self._pin_verdicts()
         kinds = {(v.status, v.domains_explored > 1) for v in verdicts}
         assert split_layers == {0, 1, 2}
@@ -531,14 +550,18 @@ class TestBabVerify:
         # resolved as a linear leaf has none
         import graftcert.verifier as verifier
 
-        split_children, leaf = verifier._split_children, verifier._resolve_linear_leaf
+        leaf = verifier._resolve_linear_leaf
         calls = {"split": 0, "leaf": 0}
+        case = {}
 
-        def checking_split_children(net, parents):
-            for dom in parents:
-                calls["split"] += 1
-                assert dom.branch == branch_select(dom, dom.inter)
-            return split_children(net, parents)
+        class CheckingFrontier(verifier._Frontier):
+            def take(self, slots):
+                # each popped parent's slot comes twice, once per child
+                for slot in slots[::2]:
+                    calls["split"] += 1
+                    dom = self.domain(slot, case["net"])
+                    assert dom.branch == branch_select(dom, dom.inter)
+                return super().take(slots)
 
         def checking_leaf(net, box, dom, inter, spec):
             calls["leaf"] += 1
@@ -547,9 +570,10 @@ class TestBabVerify:
                 branch_select(dom, inter)
             return leaf(net, box, dom, inter, spec)
 
-        monkeypatch.setattr(verifier, "_split_children", checking_split_children)
+        monkeypatch.setattr(verifier, "_Frontier", CheckingFrontier)
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", checking_leaf)
         for net, spec, box, budget, seed, root_inter in self._pin_cases():
+            case["net"] = net
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
         assert calls["split"] > 500 and calls["leaf"] > 0
 
@@ -573,10 +597,10 @@ class TestBabVerify:
         monkeypatch.setattr(bounds, "classify_neurons", counting("batch", bounds.classify_neurons))
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting("leaf", verifier._resolve_linear_leaf))
 
-        def counting_bound_children(net, signed, box, parents, split, starts, coeffs, const):
+        def counting_bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
             run["bound"] += 1
-            run["split"] += len(parents) // 2
-            return bound_children(net, signed, box, parents, split, starts, coeffs, const)
+            run["split"] += len(starts) // 2
+            return bound_children(net, signed, box, inter, raw, split, starts, coeffs, const)
 
         monkeypatch.setattr(verifier, "_bound_children", counting_bound_children)
         split = 0
@@ -588,6 +612,60 @@ class TestBabVerify:
             assert run["batch"] == run["bound"]
             split += run["split"]
         assert split > 500
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_frontier_store_matches_record_loop(self, monkeypatch, batch):
+        # the stacked frontier runs the search the one-record-per-domain
+        # loop ran, byte for byte, while its capacity doubles and later
+        # children reuse popped domains' slots
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", batch)
+        seen = {"doublings": 0, "reused": 0}
+
+        class RecordingFrontier(verifier._Frontier):
+            def put(self, rows):
+                cap, used = len(self.rows.bound), self.used
+                slots = super().put(rows)
+                grown = len(self.rows.bound)
+                while cap < grown:
+                    cap *= 2
+                    seen["doublings"] += 1
+                seen["reused"] += sum(s < used for s in slots)
+                return slots
+
+        leaf = verifier._resolve_linear_leaf
+
+        def counting_leaf(*args):
+            seen["leaves"] += 1
+            return leaf(*args)
+
+        monkeypatch.setattr(verifier, "_Frontier", RecordingFrontier)
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting_leaf)
+        seen["leaves"] = 0
+        statuses, most = set(), 0
+        for seed in range(12):
+            rng = np.random.default_rng(8000 + seed)
+            widths = [2, 6, 6, 6, 3] if seed % 2 else [3, 10, 10, 3]
+            graft = 0.25 if seed % 3 else 0.0
+            net = random_net(8000 + seed, widths=widths, weight_scale=1.0, graft_fraction=graft)
+            box = input_region(rng.uniform(0.2, 0.8, widths[0]), float(rng.uniform(0.1, 0.4)), (0, 1))
+            label = int(np.argmax(forward(net, box.center())[0]))
+            root_inter = compute_bounds(net, box, None, "crown") if seed % 4 < 2 else None
+            given = None if root_inter is None else _bound_bytes(root_inter)
+            for spec in build_specs(3, label):
+                seen.update(doublings=0)
+                budget = VerifyBudget(None, 600)
+                got = bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
+                # the store copies the root's bounds, which callers share
+                # between specs
+                assert given is None or _bound_bytes(root_inter) == given
+                want = _record_loop_bab(net, spec, box, budget, seed, root_inter, batch)
+                assert self._pin_line(got) == self._pin_line(want)
+                statuses.add(got.status)
+                most = max(most, seen["doublings"])
+        assert statuses == set(VerdictStatus)
+        assert most >= 2 and seen["reused"] > 0 and seen["leaves"] > 0
 
     def test_zero_graft_never_increases_unstable_count(self):
         # slope-0 grafts shrink every downstream interval, so instability
@@ -606,6 +684,110 @@ class TestBabVerify:
             before = int((status == NeuronStatus.UNSTABLE).sum())
             after = int((st2 == NeuronStatus.UNSTABLE).sum())
             assert after <= before - len(take)
+
+
+def _bound_bytes(bounds):
+    return [x.tobytes() for x in bounds.lower + bounds.upper]
+
+
+def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
+    # bab_verify as it was when the frontier held one Domain record per
+    # pending domain: it stacked the popped parents' arrays into rows for
+    # the bounding call and copied each kept child back out of them (no
+    # wall clock: budgets here count domains only)
+    explored = 1
+
+    def verdict(status, bound, cex=None):
+        cex = None if cex is None else np.asarray(cex, dtype=np.float64)
+        return VerdictRecord(status, float(bound), cex, 0.0, explored)
+
+    root_split = SplitAssignment.free(net)
+    raw = ibp(net, box, root_split)
+    inter = raw if root_inter is None else root_inter
+    root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
+    if root_bound > 0.0:
+        return verdict(VerdictStatus.VERIFIED, root_bound)
+    restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
+    starts = np.vstack([box.center()[None, :], restarts])
+    x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
+    if val < 0.0:
+        return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+    signed = (None,) + _sign_split(net.layers[1:])
+    root_branch = int(_branch_on(classify_neurons(inter, root_split), inter))
+    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw, root_branch))]
+    counter = 1
+    verified_floor = np.inf
+    offsets = net.layer_offsets()
+
+    def stack(arrays):
+        return np.stack(arrays)[:, None, :]
+
+    def row(batch, r, parent, h):
+        return LayerBounds(
+            parent.lower[:h] + tuple(x[r, 0].copy() for x in batch.lower[h:]),
+            parent.upper[:h] + tuple(x[r, 0].copy() for x in batch.upper[h:]),
+            parent.grafted,
+            True,
+        )
+
+    while heap:
+        room = min(batch, (budget.max_domains - explored) // 2)
+        if room < 1:
+            return verdict(VerdictStatus.TIMEOUT, heap[0][0])
+        parents = []
+        for _ in range(room):
+            if not heap:
+                break
+            dom = heapq.heappop(heap)[2]
+            if dom.branch < 0:
+                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
+                if kind == "verified":
+                    verified_floor = min(verified_floor, leaf_val)
+                    continue
+                if kind == "falsified":
+                    return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
+                x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
+                if val < 0.0:
+                    return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+                continue
+            parents.append(dom)
+        if not parents:
+            continue
+        neurons = np.repeat([p.branch for p in parents], 2)
+        codes = np.repeat(np.stack([p.split.flat() for p in parents]), 2, axis=0)
+        codes[np.arange(len(neurons)), neurons] = np.tile(
+            [FORCED_ACTIVE, FORCED_INACTIVE], len(parents)
+        )
+        layers = np.searchsorted(offsets, neurons, side="right") - 1
+        split = SplitAssignment(np.split(codes[:, None, :], offsets[1:], axis=-1))
+        rows = [p for p in parents for _ in range(2)]
+        first = int(min(layers))
+        pinter = LayerBounds(
+            tuple(map(stack, zip(*(p.inter.lower for p in rows)))),
+            tuple(map(stack, zip(*(p.inter.upper for p in rows)))),
+            net.grafted,
+        )
+        praw = (stack([p.raw.lower[first] for p in rows]), stack([p.raw.upper[first] for p in rows]))
+        child_raw, child, lower, branch = _bound_children(
+            net, signed, box, pinter, praw, split, layers, spec.coeffs, spec.const
+        )
+        explored += len(rows)
+        for r, (p, h) in enumerate(zip(rows, layers)):
+            cb = max(float(lower[r]), p.bound)
+            if cb > 0.0:
+                if np.isfinite(cb):
+                    verified_floor = min(verified_floor, cb)
+                continue
+            kid = Domain(
+                SplitAssignment([c[r, 0] for c in split.codes]),
+                cb,
+                row(child, r, p.inter, h),
+                row(child_raw, r, p.raw, h),
+                int(branch[r]),
+            )
+            heapq.heappush(heap, (cb, counter, kid))
+            counter += 1
+    return verdict(VerdictStatus.VERIFIED, verified_floor)
 
 
 def _reference_linear_leaf(net, box, dom, inter, spec):
