@@ -70,13 +70,11 @@ from .training import (
     train,
 )
 from .verifier import (
-    Domain,
     Specification,
     VerdictRecord,
     VerdictStatus,
     VerifyBudget,
     bab_verify,
-    branch_select,
     build_specs,
     oracle_input_split,
     pgd_attack,

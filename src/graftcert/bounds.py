@@ -449,7 +449,7 @@ def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
     (raw's layers below ``first`` are None, and the bounds' layers below
     ``first`` are ``inter``'s arrays), the lower bounds of ``coeffs @
     logits + const``, +inf where infeasible, and per row the neuron BaB
-    splits when it pops that child (``_branch_on`` of its status), -1
+    splits when it pops that child (``_branch_on`` of its bounds), -1
     where it has no unstable neuron.  The branch is chosen here, while the
     children's bounds are stacked, so that popping a child classifies
     nothing.  From its split layer on, each row holds bit for bit what
@@ -465,8 +465,8 @@ def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
     child_raw = _ibp_from(net, signed, split, first, *raw, below, below)
     child = intersect_bounds(child_raw, inter, start=first)
     lower = _spec_lower(net, box, split, child, coeffs, const)
-    branch = _branch_on(classify_neurons(child, split), child)[:, 0]
-    return child_raw, child, np.where(child.feasible, lower, np.inf)[:, 0], branch
+    lower = np.where(child.feasible, lower, np.inf)[:, 0]
+    return child_raw, child, lower, _branch_on(child, split)[:, 0]
 
 
 def compute_bounds(
@@ -571,8 +571,15 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     a BaB child batch has them.  The statuses come from two masks, active
     and inactive, and one scatter for the grafted neurons.
     """
+    return _classify(inter, split)[0]
+
+
+def _classify(inter: LayerBounds, split: SplitAssignment):
+    """``classify_neurons`` of ``inter``, with the hidden bounds it joined
+    (every hidden neuron on the last axis): ``(status, l, u)``."""
     if not inter.grafted:
-        return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
+        empty = np.zeros(inter.lower[0].shape[:-1] + (0,))
+        return empty.astype(np.int8), empty, empty
     l = np.concatenate(inter.lower[:-1], axis=-1)
     u = np.concatenate(inter.upper[:-1], axis=-1)
     code = split.flat()
@@ -583,19 +590,18 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     # inactive (STABLE_INACTIVE, 1); the int8 views keep the sum int8
     status = int(NeuronStatus.UNSTABLE) - 2 * active.view(np.int8) - inactive.view(np.int8)
     status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
-    return status
+    return status, l, u
 
 
-def _branch_on(status: np.ndarray, inter: LayerBounds) -> np.ndarray:
-    """Per row of ``status`` (``classify_neurons`` of ``inter``), the
-    unstable neuron with the largest relaxation-area proxy |l*u| / (u - l),
-    ties broken toward the lowest id; -1 where a row has no unstable
-    neuron.  A 1-D status gives a 0-d array."""
+def _branch_on(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
+    """Per row of ``inter``, the neuron BaB splits: the unstable neuron
+    with the largest relaxation-area proxy |l*u| / (u - l), ties broken
+    toward the lowest id; -1 where a row has no unstable neuron (a linear
+    leaf).  1-D bounds give a 0-d array."""
+    status, l, u = _classify(inter, split)
     unstable = status == NeuronStatus.UNSTABLE
     if not unstable.any():
         return np.full(status.shape[:-1], -1)
-    l = np.concatenate(inter.lower[:-1], axis=-1)
-    u = np.concatenate(inter.upper[:-1], axis=-1)
     score = np.where(unstable, np.abs(l * u) / np.where(unstable, u - l, 1.0), -np.inf)
     return np.where(unstable.any(axis=-1), np.argmax(score, axis=-1), -1)
 

@@ -3,6 +3,9 @@ the config dataclasses share."""
 
 import numbers
 
+__all__ = ["GraftcertError", "StructuralError", "DomainError", "UsageError", "FormatError",
+           "DivergenceError", "UndecidableRegion", "PipelineError", "require_integers"]
+
 
 class GraftcertError(Exception):
     """Base class for all errors raised by this package."""

@@ -260,6 +260,11 @@ def _root_group_size(net: Network) -> int:
     return max(1, _ROOT_GROUP_BYTES // (8 * floats))
 
 
+def _example_seed(seed: int, index: int) -> int:
+    """The PGD seed of test example ``index`` in a run seeded ``seed``."""
+    return seed * 1_000_003 + index
+
+
 def _attack_phase(net: Network, X: np.ndarray, labels: np.ndarray, atk: AttackConfig, seeds):
     """Phases 1 and 2 over a stack of examples: the clean logits (E, K) of
     one stacked forward pass, which examples they classify correctly, and
@@ -360,7 +365,7 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
     net, X, labels = payload["net"], payload["features"], payload["labels"]
     eps, clip = payload["eps"], payload["clip"]
     indices = range(payload["first"], payload["first"] + len(X))
-    seeds = [payload["seed"] * 1_000_003 + i for i in indices]
+    seeds = [_example_seed(payload["seed"], i) for i in indices]
     atk = AttackConfig(
         eps, steps=payload["attack_steps"], restarts=payload["attack_restarts"], clip=clip
     )
@@ -767,7 +772,7 @@ def attack_stage(cfg: ExperimentConfig, out: str) -> None:
             np.asarray(test_ds.features[:k], dtype=np.float64),
             np.asarray(test_ds.labels[:k]),
             atk,
-            [cfg.seed * 1_000_003 + i for i in range(k)],
+            [_example_seed(cfg.seed, i) for i in range(k)],
         )
         results = [
             {"index": i, "sa": bool(correct[i]), "ra": bool(correct[i]) and advs[i] is None}

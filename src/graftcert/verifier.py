@@ -21,7 +21,6 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
-    classify_neurons,
     crown_lower_bound,
     ibp,
     input_region,
@@ -38,13 +37,11 @@ from .training import AttackConfig
 
 __all__ = [
     "Specification",
-    "Domain",
     "VerdictStatus",
     "VerdictRecord",
     "VerifyBudget",
     "build_specs",
     "bab_verify",
-    "branch_select",
     "oracle_input_split",
     "pgd_attack",
     "attack_examples",
@@ -76,27 +73,6 @@ class Specification:
 
     def value(self, logits: np.ndarray) -> float:
         return float(self.coeffs @ np.asarray(logits) + self.const)
-
-
-@dataclass
-class Domain:
-    """One branch-and-bound subproblem: its splits, its certified lower
-    bound, its pre-activation bounds ``inter``, the raw IBP ``raw`` (before
-    intersection) from which its children's IBP restarts, and ``branch``,
-    the neuron BaB splits when it pops the domain (``branch_select``'s
-    choice), or -1 when it has no unstable neuron (a linear leaf).  The
-    branch is chosen when the domain is bounded: the root's from its own
-    bounds, a child's in its batch's bounding pass (``_bound_children``).
-
-    ``bab_verify`` keeps its pending domains as rows of stacked arrays, not
-    as records; it builds a ``Domain`` only for a linear leaf it resolves.
-    The record is what ``branch_select`` and the leaf resolution take."""
-
-    split: SplitAssignment
-    bound: float
-    inter: LayerBounds
-    raw: LayerBounds
-    branch: int = -1
 
 
 class VerdictStatus(str, Enum):
@@ -263,35 +239,30 @@ def pgd_attack(
 # branch and bound
 
 
-def branch_select(domain: Domain, inter: LayerBounds) -> int:
-    """The unstable neuron with the largest relaxation-area proxy
-    |l*u| / (u - l); ties break toward the lowest id."""
-    j = int(_branch_on(classify_neurons(inter, domain.split), inter))
-    if j < 0:
-        raise UsageError("domain has no unstable neuron to branch on")
-    return j
-
-
 def _resolve_linear_leaf(
     net: Network,
     box: Box,
-    dom: Domain,
+    split: SplitAssignment,
     inter: LayerBounds,
     spec: Specification,
 ):
-    """Exact closed form for a domain with no unstable neurons.
+    """Exact closed form for a domain with no unstable neurons, from its
+    split and its bounds: 1-D per layer, or one stacked ``(1, 1, d)`` row.
 
     Returns ("verified", min, None) when the box minimum of the
     pattern-affine function is positive, ("falsified", value, witness)
     when the witness corner genuinely violates the spec, and
-    ("discard", min, witness) when the witness leaves the split region
-    (infeasible-or-verified).  Every lower line here is its upper line, so
-    the CROWN lower-bound pass (``_backward``) is exact."""
-    lines = _relaxation_lines(net, inter, dom.split)
-    C, c0 = spec.coeffs[None, :], np.array([spec.const])
-    mins, A = _backward(net, lines, box, C, c0, len(net.layers) - 1)
-    exact_min = float(mins[0])
-    witness = np.where(A[0] > 0.0, box.lower, box.upper)
+    ("discard", min, witness) when the witness leaves the split region.
+    The minimum is over the whole box, not the region, so a discarded
+    region may still hold a counterexample (README, "Soundness model").
+    Every lower line here is its upper line, so the CROWN lower-bound pass
+    (``_backward``) is exact."""
+    lines = _relaxation_lines(net, inter, split)
+    lead = inter.lower[-1].shape[:-1] or (1,)
+    C = np.broadcast_to(spec.coeffs, lead + spec.coeffs.shape)
+    mins, A = _backward(net, lines, box, C, np.full(lead, spec.const), len(net.layers) - 1)
+    exact_min = float(mins.reshape(-1)[0])
+    witness = np.where(A.reshape(-1) > 0.0, box.lower, box.upper)
     if exact_min > 0.0:
         return ("verified", exact_min, None)
     logits, _, _ = forward_batch(net, witness[None, :])
@@ -302,10 +273,14 @@ def _resolve_linear_leaf(
 
 
 class _Rows(NamedTuple):
-    """Domains stacked one per row: per affine layer their bounds and raw
-    IBP (before intersection), ``(n, 1, d_i)``; their split codes over
-    every hidden neuron (flat ids), ``(n, 1, H)``; their certified lower
-    bounds and branch neurons, ``(n,)``."""
+    """BaB domains, one per row: per affine layer their bounds, and per
+    hidden layer their raw IBP (before intersection), from which their
+    children's IBP restarts, ``(n, 1, d_i)``; their split codes (flat ids),
+    ``(n, 1, H)``; their certified lower bounds and ``branch``, ``(n,)``.
+    ``branch`` is the neuron BaB splits when it pops the domain, or -1 when
+    it has no unstable neuron (a linear leaf), chosen when the domain is
+    bounded: the root's from its own bounds, a child's in its batch's
+    bounding pass (``_bound_children``)."""
 
     lower: tuple
     upper: tuple
@@ -377,23 +352,6 @@ class _Frontier:
         fill = iter(arrays)
         self.rows = layout.map(lambda _: next(fill))
 
-    def domain(self, slot: int, net: Network) -> Domain:
-        """The domain in ``slot`` as a ``Domain`` record (views of the store)."""
-        r = self.rows
-
-        def bounds(lower, upper):
-            return LayerBounds(
-                tuple(a[slot, 0] for a in lower), tuple(a[slot, 0] for a in upper), net.grafted
-            )
-
-        return Domain(
-            _layer_codes(net, r.codes[slot, 0]),
-            float(r.bound[slot]),
-            bounds(r.lower, r.upper),
-            bounds(r.raw_lower, r.raw_upper),
-            int(r.branch[slot]),
-        )
-
 
 def bab_verify(
     net: Network,
@@ -410,27 +368,22 @@ def bab_verify(
     The root is bounded by CROWN first; only when that bound is not
     positive does a PGD attack from the box center plus seeded random
     restarts run, once.  Then a worst-bound-first worklist of domains,
-    ordered by (bound, insertion counter), is searched.  The domains live
-    in one store of stacked arrays (``_Frontier``), one slot per domain:
-    per affine layer its bounds and raw IBP, its split codes, its bound and
-    its branch neuron; the heap holds ``(bound, counter, slot)``.  Each
-    step pops up to ``_BAB_BATCH`` (8) worst domains, gathers their rows
-    twice each with one indexed read per array, and forces each popped
+    ordered by (bound, insertion counter), is searched.  The domains are
+    rows (``_Rows``) of one store (``_Frontier``); the heap holds
+    ``(bound, counter, slot)``.  Each step pops up to ``_BAB_BATCH`` (8)
+    worst domains, gathers their rows twice each, and forces each popped
     domain's branch neuron, its worst unstable neuron, both ways in the
-    gathered codes.  The branch is chosen when a domain is bounded, so a
-    pop classifies nothing.  The children of all popped domains are
-    bounded in one batched call: each is re-bounded by IBP restarted at
-    its split neuron's layer from its parent's own IBP (the layers below
-    it cannot change), intersected with the parent's bounds, then bounded
-    by CROWN, and its own branch neuron is chosen from those bounds; it is
-    discarded once positive.  The kept children are written into free
-    slots with one indexed write per array; popped domains' slots are
-    reused, and the store doubles when full, so its memory follows the
-    live frontier.  Domains with no unstable neurons are resolved exactly
-    by the linear closed form, which falsifies from its witness corner or,
-    when the witness leaves the split region, from a PGD attack seeded at
-    the witness.  Both attacks are ``pgd_attack``'s descent loop run on
-    the spec alone.
+    gathered codes.  The children of all popped domains are bounded in one
+    batched call: each is re-bounded by IBP restarted at its split
+    neuron's layer from its parent's own IBP (the layers below it cannot
+    change), intersected with the parent's bounds, then bounded by CROWN,
+    and its own branch neuron is chosen from those bounds; it is discarded
+    once positive.  The kept children are written into free slots, popped
+    domains' among them.  Domains with no unstable neurons are resolved
+    exactly by the linear closed form, which falsifies from its witness
+    corner or, when the witness leaves the split region, from a PGD attack
+    seeded at the witness.  Both attacks are ``pgd_attack``'s descent loop
+    run on the spec alone.
 
     ``max_domains`` counts bounded domains: a step pops at most half the
     budget left.  A domain's children depend only on that domain, so a
@@ -450,16 +403,9 @@ def bab_verify(
     explored = 1
 
     def verdict(status, bound, cex=None):
-        return VerdictRecord(
-            status,
-            float(bound),
-            None if cex is None else np.asarray(cex, dtype=np.float64),
-            time.perf_counter() - t0,
-            explored,
-        )
+        cex = None if cex is None else np.asarray(cex, dtype=np.float64)
+        return VerdictRecord(status, float(bound), cex, time.perf_counter() - t0, explored)
 
-    # every domain keeps its raw IBP (before intersection), from which its
-    # children restart
     raw = ibp(net, box, root_split) if root_raw is None else root_raw
     inter = raw if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
@@ -474,15 +420,15 @@ def bab_verify(
     # a child starts from its split layer's pre-activations, so it never
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
-    root_branch = _branch_on(classify_neurons(inter, root_split), inter)
     # the store's rows are copies: it writes into them, and the caller may
     # share ``root_inter`` and ``root_raw`` between specs
     store = _Frontier(_Rows(
         *(
             tuple(x[None, None].copy() for x in side)
-            for side in (inter.lower, inter.upper, raw.lower, raw.upper)
+            for side in (inter.lower, inter.upper, raw.lower[:-1], raw.upper[:-1])
         ),
-        root_split.flat()[None, None], np.array([root_bound]), root_branch[None],
+        root_split.flat()[None, None], np.array([root_bound]),
+        _branch_on(inter, root_split)[None],
     ))
     offsets = net.layer_offsets()
     heap = [(root_bound, 0, 0)]
@@ -503,16 +449,19 @@ def bab_verify(
                 return verdict(VerdictStatus.TIMEOUT, worst)
             slot = heapq.heappop(heap)[2]
             if store.rows.branch[slot] < 0:
-                dom = store.domain(slot, net)
                 store.free.append(slot)
-                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
+                leaf = store.rows.map(lambda a: a[slot : slot + 1])
+                kind, leaf_val, witness = _resolve_linear_leaf(
+                    net, box, _layer_codes(net, leaf.codes),
+                    LayerBounds(leaf.lower, leaf.upper, net.grafted), spec,
+                )
                 if kind == "verified":
                     verified_floor = min(verified_floor, leaf_val)
                     continue
                 if kind == "falsified":
                     return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
                 # witness left the split region: one seeded attempt, then the
-                # domain is discarded as infeasible-or-verified
+                # domain is discarded, though it may hold a counterexample
                 x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
                 if val < 0.0:
                     return verdict(VerdictStatus.FALSIFIED, val, x_adv)
@@ -542,15 +491,13 @@ def bab_verify(
         cb = np.where(rows.bound > lower, rows.bound, lower)
         closed = cb > 0.0
         # +inf marks an empty region, verified vacuously
-        floor = cb[closed & np.isfinite(cb)]
-        if floor.size:
-            verified_floor = min(verified_floor, floor.min())
+        verified_floor = min(verified_floor, cb[closed & np.isfinite(cb)].min(initial=np.inf))
         if closed.all():
             continue
         kids = _Rows(
             child.lower, child.upper,
-            rows.raw_lower[:first] + child_raw.lower[first:],
-            rows.raw_upper[:first] + child_raw.upper[first:],
+            rows.raw_lower[:first] + child_raw.lower[first:-1],
+            rows.raw_upper[:first] + child_raw.upper[first:-1],
             rows.codes, cb, branch,
         )
         if closed.any():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from graftcert import (
     Box,
-    Domain,
     DomainError,
     GraftPlan,
     Network,
@@ -13,7 +12,6 @@ from graftcert import (
     SplitAssignment,
     UsageError,
     apply_graft,
-    branch_select,
     classify_neurons,
     compute_bounds,
     crown_lower_bound,
@@ -420,12 +418,10 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
         want_raw, want, want_lower = _reference_child(net, box, praw, pinter, split, h, c, const)
         assert got.feasible[r, 0] == want.feasible
         assert lower[r].hex() == want_lower.hex()
-        # the branch column is branch_select on the row's one-domain bounds,
+        # the branch column is _branch_on of the row's one-domain bounds,
         # -1 where that domain has no unstable neuron
-        try:
-            want_branch = branch_select(Domain(split, want_lower, want, want_raw), want)
-        except UsageError:
-            want_branch = -1
+        want_branch = int(_branch_on(want, split))
+        if want_branch < 0:
             kinds.add("leaf")
         assert branch[r] == want_branch
         for batch, ref, parent in ((got_raw, want_raw, praw), (got, want, pinter)):
@@ -1006,7 +1002,7 @@ class TestSharedKernels:
         inter = ibp(net, box)
         status = classify_neurons(inter, stacked)
         assert status.shape == (rows, 1, net.num_hidden) and status.dtype == np.int8
-        branch = _branch_on(status, inter)
+        branch = _branch_on(inter, stacked)
         assert branch.shape == (rows, 1)
         seen = set()
         for r, split in enumerate(splits):
@@ -1016,7 +1012,7 @@ class TestSharedKernels:
             want = classify_neurons(row, split)
             assert status[r, 0].tobytes() == want.tobytes()
             assert want.tobytes() == _reference_classify(row, split).tobytes()
-            assert branch[r, 0] == _branch_on(want, row)
+            assert branch[r, 0] == _branch_on(row, split)
             code = split.flat()
             seen |= {NeuronStatus(k) for k in want}
             l, u = np.concatenate(row.lower[:-1]), np.concatenate(row.upper[:-1])

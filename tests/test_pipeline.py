@@ -82,6 +82,18 @@ class TestRunPipeline:
         ]:
             assert (out / name).exists(), name
 
+    def test_attack_stage_ra_equals_verify_stage_ra(self, graft_run, tmp_path):
+        # both stages attack test example i with the same seed; at one PGD
+        # step, whether some examples hold depends on their seeded start
+        cfg, _, out = graft_run
+        staged = dataclasses.replace(cfg, checkpoint=str(out / "grafted.json"), attack_steps=1)
+        pipeline.attack_stage(staged, str(tmp_path))
+        pipeline.verify_stage(staged, str(tmp_path))
+        attacked = json.loads((tmp_path / "attack.json").read_text())["per_example"]
+        verified = json.loads((tmp_path / "verdicts.json").read_text())["records"]
+        assert [r["ra"] for r in attacked] == [r["ra"] for r in verified]
+        assert {r["ra"] for r in attacked} == {True, False}
+
     def test_metric_ordering(self, graft_run):
         _, rep, _ = graft_run
         assert rep.va <= rep.ra <= rep.sa

@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from graftcert import (
     AttackConfig,
     Box,
-    Domain,
     GraftPlan,
     Network,
     NeuronStatus,
@@ -20,7 +20,6 @@ from graftcert import (
     VerifyBudget,
     apply_graft,
     bab_verify,
-    branch_select,
     build_specs,
     classify_neurons,
     compute_bounds,
@@ -47,6 +46,7 @@ from graftcert.verifier import (
     _LEAF_ATTACK_STEPS,
     _ROOT_ATTACK_RESTARTS,
     _ROOT_ATTACK_STEPS,
+    _layer_codes,
     _minimize_spec,
     _resolve_linear_leaf,
 )
@@ -79,35 +79,28 @@ class TestSpecs:
 
 
 class TestBranchSelect:
-    def _domain_with_bounds(self, lus):
-        """A synthetic one-layer net whose IBP bounds equal the given
-        per-neuron (l, u) pairs over the box [0, 1]."""
+    def _bounds_and_split(self, lus):
+        """A synthetic one-layer net's IBP bounds over the box [0, 1], which
+        equal the given per-neuron (l, u) pairs, and its free split."""
         n = len(lus)
         W = np.array([[u - l] + [0.0] * 0 for l, u in lus]).reshape(n, 1)
         b = np.array([l for l, _ in lus])
         net = Network([manual_layer(W, b), manual_layer(np.ones((1, n)), [0.0])])
         box = Box(np.array([0.0]), np.array([1.0]))
-        inter = ibp(net, box)
-        dom = Domain(SplitAssignment.free(net), -1.0, inter, inter)
-        return net, dom, inter
+        return ibp(net, box), SplitAssignment.free(net)
 
     def test_single_unstable_forced_choice(self):
-        net, dom, inter = self._domain_with_bounds([(-1.0, 1.0), (0.5, 2.0)])
-        assert branch_select(dom, inter) == 0
+        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (0.5, 2.0)])) == 0
 
     def test_score_arithmetic(self):
         # A: |l u| / (u - l) = 0.5; B: 0.05
-        net, dom, inter = self._domain_with_bounds([(-1.0, 1.0), (-0.1, 0.1)])
-        assert branch_select(dom, inter) == 0
+        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (-0.1, 0.1)])) == 0
 
     def test_tie_breaks_to_lowest_id(self):
-        net, dom, inter = self._domain_with_bounds([(-1.0, 1.0), (-1.0, 1.0)])
-        assert branch_select(dom, inter) == 0
+        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (-1.0, 1.0)])) == 0
 
-    def test_no_unstable_raises(self):
-        net, dom, inter = self._domain_with_bounds([(0.5, 1.0)])
-        with pytest.raises(UsageError):
-            branch_select(dom, inter)
+    def test_linear_leaf_gives_minus_one(self):
+        assert _branch_on(*self._bounds_and_split([(0.5, 1.0)])) == -1
 
 
 class TestPgdAttack:
@@ -544,10 +537,10 @@ class TestBabVerify:
                     assert spec.value(forward(net, v.counterexample)[0]) < 0.0
         assert statuses == set(VerdictStatus)
 
-    def test_branch_is_branch_select_of_each_domain(self, monkeypatch):
+    def test_branch_is_branch_on_of_each_domain(self, monkeypatch):
         # the branch neuron a domain carries, chosen when it was bounded,
-        # is what branch_select picks on its bounds at the pop; a domain
-        # resolved as a linear leaf has none
+        # is what _branch_on picks on its one-domain bounds at the pop; a
+        # domain resolved as a linear leaf has none
         import graftcert.verifier as verifier
 
         leaf = verifier._resolve_linear_leaf
@@ -557,18 +550,22 @@ class TestBabVerify:
         class CheckingFrontier(verifier._Frontier):
             def take(self, slots):
                 # each popped parent's slot comes twice, once per child
+                net, r = case["net"], self.rows
                 for slot in slots[::2]:
                     calls["split"] += 1
-                    dom = self.domain(slot, case["net"])
-                    assert dom.branch == branch_select(dom, dom.inter)
+                    inter = LayerBounds(
+                        tuple(a[slot, 0] for a in r.lower),
+                        tuple(a[slot, 0] for a in r.upper),
+                        net.grafted,
+                    )
+                    split = _layer_codes(net, r.codes[slot, 0])
+                    assert r.branch[slot] == _branch_on(inter, split) >= 0
                 return super().take(slots)
 
-        def checking_leaf(net, box, dom, inter, spec):
+        def checking_leaf(net, box, split, inter, spec):
             calls["leaf"] += 1
-            assert dom.branch == -1
-            with pytest.raises(UsageError):
-                branch_select(dom, inter)
-            return leaf(net, box, dom, inter, spec)
+            assert _branch_on(inter, split).tolist() == [[-1]]
+            return leaf(net, box, split, inter, spec)
 
         monkeypatch.setattr(verifier, "_Frontier", CheckingFrontier)
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", checking_leaf)
@@ -593,8 +590,9 @@ class TestBabVerify:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(verifier, "classify_neurons", counting("root", verifier.classify_neurons))
-        monkeypatch.setattr(bounds, "classify_neurons", counting("batch", bounds.classify_neurons))
+        monkeypatch.setattr(verifier, "_branch_on", counting("root", verifier._branch_on))
+        monkeypatch.setattr(bounds, "_branch_on", counting("batch", bounds._branch_on))
+        monkeypatch.setattr(bounds, "_classify", counting("classify", bounds._classify))
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting("leaf", verifier._resolve_linear_leaf))
 
         def counting_bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
@@ -605,11 +603,12 @@ class TestBabVerify:
         monkeypatch.setattr(verifier, "_bound_children", counting_bound_children)
         split = 0
         for net, spec, box, budget, seed, root_inter in self._pin_cases():
-            run.update(root=0, batch=0, leaf=0, bound=0, split=0)
+            run.update(root=0, batch=0, classify=0, leaf=0, bound=0, split=0)
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
             # a search pops its root, which branches or is a linear leaf
             assert run["root"] == int(run["bound"] + run["leaf"] > 0)
             assert run["batch"] == run["bound"]
+            assert run["classify"] == run["root"] + run["batch"]
             split += run["split"]
         assert split > 500
 
@@ -690,8 +689,18 @@ def _bound_bytes(bounds):
     return [x.tobytes() for x in bounds.lower + bounds.upper]
 
 
+@dataclass
+class _Record:
+    # one pending domain of the record-per-domain loop below
+    split: SplitAssignment
+    bound: float
+    inter: LayerBounds
+    raw: LayerBounds
+    branch: int = -1
+
+
 def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
-    # bab_verify as it was when the frontier held one Domain record per
+    # bab_verify as it was when the frontier held one record per
     # pending domain: it stacked the popped parents' arrays into rows for
     # the bounding call and copied each kept child back out of them (no
     # wall clock: budgets here count domains only)
@@ -713,8 +722,8 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
     signed = (None,) + _sign_split(net.layers[1:])
-    root_branch = int(_branch_on(classify_neurons(inter, root_split), inter))
-    heap = [(root_bound, 0, Domain(root_split, root_bound, inter, raw, root_branch))]
+    root_branch = int(_branch_on(inter, root_split))
+    heap = [(root_bound, 0, _Record(root_split, root_bound, inter, raw, root_branch))]
     counter = 1
     verified_floor = np.inf
     offsets = net.layer_offsets()
@@ -740,7 +749,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
                 break
             dom = heapq.heappop(heap)[2]
             if dom.branch < 0:
-                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom, dom.inter, spec)
+                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom.split, dom.inter, spec)
                 if kind == "verified":
                     verified_floor = min(verified_floor, leaf_val)
                     continue
@@ -778,7 +787,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
                 if np.isfinite(cb):
                     verified_floor = min(verified_floor, cb)
                 continue
-            kid = Domain(
+            kid = _Record(
                 SplitAssignment([c[r, 0] for c in split.codes]),
                 cb,
                 row(child, r, p.inter, h),
@@ -790,10 +799,10 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     return verdict(VerdictStatus.VERIFIED, verified_floor)
 
 
-def _reference_linear_leaf(net, box, dom, inter, spec):
+def _reference_linear_leaf(net, box, split, inter, spec):
     # the dedicated back-substitution loop that _resolve_linear_leaf ran
     # before it shared the CROWN backward pass; the floats must not change
-    lines = _relaxation_lines(net, inter, dom.split)
+    lines = _relaxation_lines(net, inter, split)
     A = spec.coeffs[None, :]
     const = np.array([spec.const])
     for i in range(len(net.layers) - 1, -1, -1):
@@ -833,14 +842,58 @@ class TestLinearLeaf:
             ])
             box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.05, 0.5)))
             inter = compute_bounds(net, box, None, "crown") if seed % 3 == 0 else ibp(net, box)
-            dom = Domain(split, 0.0, inter, inter)
+            # the domain as one stacked (1, 1, d) row, as bab_verify passes it
+            row = LayerBounds(
+                tuple(x[None, None] for x in inter.lower),
+                tuple(x[None, None] for x in inter.upper),
+                net.grafted,
+            )
+            row_split = SplitAssignment([c[None, None] for c in split.codes])
             for spec in build_specs(3, int(rng.integers(3))):
-                got = _resolve_linear_leaf(net, box, dom, inter, spec)
-                want = _reference_linear_leaf(net, box, dom, inter, spec)
+                got = _resolve_linear_leaf(net, box, split, inter, spec)
+                want = _reference_linear_leaf(net, box, split, inter, spec)
                 key = lambda r: (r[0], r[1].hex(), None if r[2] is None else r[2].tobytes())
                 assert key(got) == key(want)
+                assert key(_resolve_linear_leaf(net, box, row_split, row, spec)) == key(want)
                 kinds.add(got[0])
         assert kinds == {"verified", "falsified", "discard"}
+
+
+class TestDiscardedLeaf:
+    # on the box [0, 1] this net is 1 except for a V-shaped dip to -1 at
+    # x = -b1[1], 0.04 wide: its hidden neurons switch on at x = -b1
+    def _dip(self, b1):
+        net = Network([
+            manual_layer([[1.0], [1.0], [1.0]], b1),
+            manual_layer([[-100.0, 200.0, -100.0]], [1.0]),
+        ])
+        return net, Specification(np.array([1.0])), Box(np.array([0.0]), np.array([1.0]))
+
+    def test_off_center_dip_has_a_counterexample(self):
+        net, spec, box = self._dip([-0.28, -0.30, -0.32])
+        assert spec.value(forward(net, np.array([0.30]))[0]) < 0.0
+        assert oracle_input_split(net, spec, box, 1e-4) == VerdictStatus.FALSIFIED
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a linear leaf whose witness corner leaves its split region is "
+        "discarded after one seeded attack, though the region holds the dip",
+    )
+    def test_off_center_dip_is_not_verified(self):
+        net, spec, box = self._dip([-0.28, -0.30, -0.32])
+        for seed in range(10):
+            v = bab_verify(net, spec, box, VerifyBudget(None, 1000), seed=seed)
+            assert v.status != VerdictStatus.VERIFIED
+
+    def test_centered_dip_is_falsified_at_the_root(self):
+        # the root attack starts at the box center, the bottom of the dip;
+        # without it this case too comes back VERIFIED
+        net, spec, box = self._dip([-0.48, -0.50, -0.52])
+        for seed in range(10):
+            v = bab_verify(net, spec, box, VerifyBudget(None, 1000), seed=seed)
+            assert v.status == VerdictStatus.FALSIFIED and v.domains_explored == 1
+            assert box.contains(v.counterexample)
+            assert spec.value(forward(net, v.counterexample)[0]) < 0.0
 
 
 class TestOracle:
