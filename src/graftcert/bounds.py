@@ -307,36 +307,39 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, 
     origin with the same slope u/(u-l).  Grafted neurons use their exact
     line on both sides; forced neurons their forced linear form.  The
     degenerate interval l = u = 0 counts as stable-inactive.  A neuron's
-    lower and upper lines always share one slope.  Computed in
-    one pass over the hidden layers listed in ``hidden`` (default: all),
-    then split per layer.  Each neuron's lines depend only on its own
-    bounds, so building a layer alone gives the same floats.  Bounds and
-    codes with a leading row axis give lines with that axis.
+    lower and upper lines always share one slope.  Each layer listed in
+    ``hidden`` (default: all) is built from its own bounds and codes; a
+    neuron's lines depend on its own bounds only, so any grouping of the
+    layers gives the same floats.  Bounds and codes with a leading row
+    axis give lines with that axis.
     """
-    layers = range(len(net.hidden_sizes)) if hidden is None else hidden
-    if not layers:
-        return []
-    l = np.concatenate([inter.lower[h] for h in layers], axis=-1)
-    u = np.concatenate([inter.upper[h] for h in layers], axis=-1)
-    code = np.concatenate([split.codes[h] for h in layers], axis=-1)
-    inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
-    active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
-    unstable = ~(inactive | active)
-    d = np.where(unstable, u - l, 1.0)
-    slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
-    li = np.zeros_like(l)
-    ui = np.where(unstable, -u * l / d, 0.0)
-    g = np.concatenate([net.grafted[h] for h in layers])
-    if g.any():
-        icpt = np.concatenate([net.intercepts[h] for h in layers])
-        slope = np.where(g, np.concatenate([net.slopes[h] for h in layers]), slope)
-        li = np.where(g, icpt, li)
-        ui = np.where(g, icpt, ui)
-    ends = np.cumsum([0] + [net.hidden_sizes[h] for h in layers])
-    return [
-        (slope[..., a:b], li[..., a:b], ui[..., a:b])
-        for a, b in zip(ends, ends[1:])
-    ]
+    lines = []
+    for h in range(len(net.hidden_sizes)) if hidden is None else hidden:
+        l, u, code = inter.lower[h], inter.upper[h], split.codes[h]
+        inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
+        active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
+        unstable = ~(inactive | active)
+        d = np.where(unstable, u - l, 1.0)
+        slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
+        li = np.zeros_like(l)
+        ui = np.where(unstable, -u * l / d, 0.0)
+        g = net.grafted[h]
+        if g.any():
+            slope = np.where(g, net.slopes[h], slope)
+            li = np.where(g, net.intercepts[h], li)
+            ui = np.where(g, net.intercepts[h], ui)
+        lines.append((slope, li, ui))
+    return lines
+
+
+class _LazyLines:
+    """``_relaxation_lines``, each layer's built as ``_backward`` reaches it."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def __getitem__(self, h):
+        return _relaxation_lines(*self.args, [h])[0]
 
 
 def _backward(
@@ -371,7 +374,7 @@ def _backward(
         if i > 0:
             slope, li, ui = lines[i - 1]
             const = _interval_lower(li, ui, A, const)
-            A = A * slope
+            A *= slope
     return _interval_lower(box.lower, box.upper, A, const), A
 
 
@@ -383,9 +386,10 @@ def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0
 
 
 def _interval_lower(lo, hi, c, const):
-    # picking the corner before multiplying makes one temporary fewer;
+    # the corner is picked first and multiplied in place: one temporary;
     # each element is still the product c * lo or c * hi
-    return (c * np.where(c > 0.0, lo, hi)).sum(axis=-1) + const
+    t = np.where(c > 0.0, lo, hi)
+    return np.multiply(t, c, out=t).sum(axis=-1) + const
 
 
 def crown_lower_bound(
@@ -421,7 +425,8 @@ def _spec_lower(net, box, split, inter, c, const):
     interval bound: shape (1,) for one region's 1-D bounds, (R, 1) for a
     stack of ``(R, 1, d)`` bounds with per-row codes, or per-row boxes
     (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const`` (R, 1)."""
-    lines = _relaxation_lines(net, inter, split)
+    # built per layer as the pass goes, so it holds one layer's lines
+    lines = _LazyLines(net, inter, split)
     lo, hi = inter.lower[-1], inter.upper[-1]
     lead = lo.shape[:-1] or (1,)
     C = np.broadcast_to(c, lead + c.shape[-1:])

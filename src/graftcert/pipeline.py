@@ -31,6 +31,7 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
+    _branch_on,
     _spec_lower,
     compute_bounds,
     ibp,
@@ -307,9 +308,9 @@ def _verify_example(payload: dict) -> dict:
     order, each with its own seed.  A margin whose root CROWN bound
     (``payload["root"]``) is positive is verified there as one domain, as
     ``bab_verify`` would decide it; any other goes to ``bab_verify`` from
-    the root bounds and the box's raw IBP, computed once for the example
-    by the first such margin.  Stops at the first falsified or timed-out
-    margin.
+    that bound, the root bounds, and the box's raw IBP and the root's
+    branch neuron, both computed once for the example by the first such
+    margin.  Stops at the first falsified or timed-out margin.
     The example's share of its group's root-phase seconds counts in its
     time and against its time limit.  Returns the record fields it sets.
     Standalone, so that one example's spans can be told apart."""
@@ -332,6 +333,7 @@ def _verify_example(payload: dict) -> dict:
             continue
         if raw is None:
             raw = ibp(payload["net"], payload["box"])
+            branch = int(_branch_on(payload["root_inter"], SplitAssignment.free(payload["net"])))
         v = bab_verify(
             payload["net"],
             spec,
@@ -340,6 +342,8 @@ def _verify_example(payload: dict) -> dict:
             seed=payload["seed"] + 7919 * (k + 1),
             root_inter=payload["root_inter"],
             root_raw=raw,
+            root_bound=float(root),
+            root_branch=branch,
         )
         work += v.domains_explored
         worst = min(worst, v.bound)

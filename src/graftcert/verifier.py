@@ -53,9 +53,9 @@ __all__ = [
 _ROOT_ATTACK_STEPS = 20
 _ROOT_ATTACK_RESTARTS = 2
 _LEAF_ATTACK_STEPS = 20
-# domains popped per BaB step; their children are bounded in one batched
-# call (batched BaB as in Wang et al., NeurIPS 2021)
-_BAB_BATCH = 8
+# domains popped per BaB step; their children, up to 64, are bounded in one
+# batched call (batched BaB as in Wang et al., NeurIPS 2021)
+_BAB_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -318,8 +318,11 @@ class _Frontier:
         self.free: list[int] = []
         self.used = len(root.bound)
 
-    def take(self, slots) -> _Rows:
-        return self.rows.map(lambda a: a[slots])
+    def take(self, slots, first: int) -> _Rows:
+        # a step reads raw IBP only up to its lowest split layer, ``first``
+        r = self.rows
+        r = r._replace(raw_lower=r.raw_lower[: first + 1], raw_upper=r.raw_upper[: first + 1])
+        return r.map(lambda a: a[slots])
 
     def put(self, rows: _Rows) -> list[int]:
         """Write ``rows`` into free slots and return the slots, in row order."""
@@ -362,6 +365,8 @@ def bab_verify(
     seed: int = 0,
     root_inter: LayerBounds | None = None,
     root_raw: LayerBounds | None = None,
+    root_bound: float | None = None,
+    root_branch: int | None = None,
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
@@ -370,7 +375,7 @@ def bab_verify(
     restarts run, once.  Then a worst-bound-first worklist of domains,
     ordered by (bound, insertion counter), is searched.  The domains are
     rows (``_Rows``) of one store (``_Frontier``); the heap holds
-    ``(bound, counter, slot)``.  Each step pops up to ``_BAB_BATCH`` (8)
+    ``(bound, counter, slot)``.  Each step pops up to ``_BAB_BATCH`` (32)
     worst domains, gathers their rows twice each, and forces each popped
     domain's branch neuron, its worst unstable neuron, both ways in the
     gathered codes.  The children of all popped domains are bounded in one
@@ -389,13 +394,17 @@ def bab_verify(
     budget left.  A domain's children depend only on that domain, so a
     VERIFIED result, its bound and its work do not depend on the batch
     size; a timeout's reported worst remaining bound, and where a
-    falsified search stops, depend on the search order.
+    falsified search stops (or whether it runs out of budget first),
+    depend on the search order.  The clock is read before each pop, so a
+    search can overrun ``time_limit`` by one step (up to 64 children).
     ``root_inter`` supplies the root's intermediate bounds (default: IBP).
     It must lie inside the box's IBP bounds, as ``compute_bounds`` output
     does: it is used as given, and a child's bounds below its split layer
     are its parent's.  Looser bounds stay sound.  ``root_raw`` supplies the
     box's IBP (default: computed here), for callers that verify several
-    specs over one box.
+    specs over one box.  ``root_bound`` and ``root_branch`` supply the
+    root's ``crown_lower_bound`` of the spec and its ``_branch_on`` neuron
+    (default: computed here), for callers that have bounded the root.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -408,7 +417,8 @@ def bab_verify(
 
     raw = ibp(net, box, root_split) if root_raw is None else root_raw
     inter = raw if root_inter is None else root_inter
-    root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
+    if root_bound is None:
+        root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         # a sound positive bound admits no counterexample to attack
         return verdict(VerdictStatus.VERIFIED, root_bound)
@@ -428,7 +438,7 @@ def bab_verify(
             for side in (inter.lower, inter.upper, raw.lower[:-1], raw.upper[:-1])
         ),
         root_split.flat()[None, None], np.array([root_bound]),
-        _branch_on(inter, root_split)[None],
+        np.array([_branch_on(inter, root_split) if root_branch is None else root_branch]),
     ))
     offsets = net.layer_offsets()
     heap = [(root_bound, 0, 0)]
@@ -472,12 +482,13 @@ def bab_verify(
         # one row per child: each popped parent's active child, then its
         # inactive one.  A branch neuron is unstable, so it is free and not
         # grafted, and the checks of ``SplitAssignment.force`` hold
-        rows = store.take(np.repeat(parents, 2))
+        slots = np.repeat(parents, 2)
+        layers = np.searchsorted(offsets, store.rows.branch[slots], side="right") - 1
+        first = int(layers.min())
+        rows = store.take(slots, first)
         store.free.extend(parents)
         n = len(rows.bound)
         rows.codes[np.arange(n), 0, rows.branch] = np.tile([FORCED_ACTIVE, FORCED_INACTIVE], n // 2)
-        layers = np.searchsorted(offsets, rows.branch, side="right") - 1
-        first = int(layers.min())
         split = _layer_codes(net, rows.codes)
         child_raw, child, lower, branch = _bound_children(
             net, signed, box, LayerBounds(rows.lower, rows.upper, net.grafted),

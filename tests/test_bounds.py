@@ -468,6 +468,46 @@ class TestBoundChildren:
         kinds = _check_child_batch(net, box, rng, n_parents=4, n_rows=8, extra=dead)
         assert kinds >= {"feasible", "l=u=0", "mixed starts"}
 
+    # tracemalloc peak of the call below, its outputs included: 1,992,000
+    # bytes measured with numpy 2.4 (64 rows, every child split in layer 0,
+    # so every layer is re-bounded), plus 25%
+    WIDE_BATCH_PEAK_BYTES = 2_490_000
+
+    def test_wide_batch_memory(self):
+        # one BaB step's bounding call at its widest, so that per-row
+        # temporaries that pile up show here, not only in a benchmark's
+        # RSS; one (64, 1, 384) float array of all hidden layers is 192 KiB
+        import tracemalloc
+
+        rng = np.random.default_rng(7300)
+        net = random_net(7300, widths=[784, 128, 128, 128, 10], weight_scale=1.0,
+                         graft_fraction=0.25)
+        box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
+        root = ibp(net, box)
+        status = classify_neurons(root, SplitAssignment.free(net))
+        first_layer = np.flatnonzero(status[: net.hidden_sizes[0]] == NeuronStatus.UNSTABLE)
+        neurons = np.repeat(rng.choice(first_layer, 32), 2)
+        codes = np.zeros((64, 1, net.num_hidden), np.int8)
+        codes[np.arange(64), 0, neurons] = np.tile([FORCED_ACTIVE, FORCED_INACTIVE], 32)
+        split = SplitAssignment(np.split(codes, net.layer_offsets()[1:], axis=-1)[:3])
+        inter = LayerBounds(
+            tuple(np.repeat(x[None, None], 64, axis=0) for x in root.lower),
+            tuple(np.repeat(x[None, None], 64, axis=0) for x in root.upper),
+            net.grafted,
+        )
+        raw = (inter.lower[0].copy(), inter.upper[0].copy())
+        signed = (None,) + _sign_split(net.layers[1:])
+        c = np.eye(10)[0] - np.eye(10)[1]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _bound_children(net, signed, box, inter, raw, split, np.zeros(64, int), c, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out[2].shape == (64,) and np.all(out[0].feasible)
+        assert peak < self.WIDE_BATCH_PEAK_BYTES
+
 
 def _reference_backward(net, lines, box, C, c0, start, sense):
     # the back-substitution kernel as it was when it ran a lower (sense -1)

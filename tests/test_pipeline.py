@@ -412,6 +412,50 @@ class TestLockstepEvaluation:
             assert [r["index"] for r in got] == list(range(kwargs["num_verify"]))
             assert _without_time(got) == _without_time(_reference_records(net, test, **kwargs))
 
+    def test_root_margins_equal_crown_lower_bound(self):
+        # BaB takes each undecided margin's root bound from the stacked
+        # root phase, so it must be crown_lower_bound's float bit for bit
+        from graftcert.bounds import Box, LayerBounds, crown_lower_bound
+
+        checked = 0
+        cases = list(_lockstep_cases())
+        wide = random_net(8901, widths=[784, 128, 128, 10], weight_scale=0.05)
+        X = np.random.default_rng(8901).uniform(0.0, 1.0, (3, 784))
+        cases.append((0, wide, Dataset(X, np.zeros(3, int)), dict(eps_verify=0.1, clip=(0.0, 1.0))))
+        for _, net, test, kw in cases:
+            boxes = [input_region(x, kw["eps_verify"], kw["clip"]) for x in test.features[:6]]
+            inter = compute_bounds(net, Box.stack(boxes), None, "crown")
+            margins = [build_specs(net.output_dim, int(y)) for y in test.labels[:6]]
+            root = pipeline._root_margins(net, Box.stack(boxes), inter, margins)
+            for j, (box, specs) in enumerate(zip(boxes, margins)):
+                one = LayerBounds(
+                    tuple(x[j, 0] for x in inter.lower), tuple(x[j, 0] for x in inter.upper),
+                    net.grafted, bool(np.broadcast_to(inter.feasible, (len(boxes), 1))[j, 0]),
+                )
+                for spec, got in zip(specs, root[j]):
+                    want = crown_lower_bound(net, box, None, one, spec.coeffs, spec.const)
+                    assert float(got).hex() == want.hex()
+                    checked += 1
+        assert checked > 250
+
+    def test_bab_skips_the_root_work_it_is_given(self, monkeypatch):
+        # the evaluation hands BaB each margin's root bound and the root's
+        # branch neuron; BaB then computes neither again
+        import graftcert.verifier as verifier
+
+        calls = {"crown_lower_bound": 0, "_branch_on": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(verifier, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(verifier, name, counted)
+        searched = 0
+        for seed, net, test, kwargs in list(_lockstep_cases())[:6]:
+            records, _ = evaluate_network(net, test, **kwargs)
+            searched += sum(r["work_units"] > net.output_dim - 1 for r in records)
+        assert searched > 0
+        assert calls == {"crown_lower_bound": 0, "_branch_on": 0}
+
     def test_root_groups_stay_under_the_cap(self, monkeypatch):
         net = random_net(8900, widths=[784, 128, 32, 10], weight_scale=0.05)
         rng = np.random.default_rng(8900)

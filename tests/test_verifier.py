@@ -432,10 +432,13 @@ class TestBabVerify:
     # pass; bounding children incrementally, or in batches of one domain's
     # children, must not move a bit of it
     PIN_DIGEST = "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a"
-    # the same at the default batch size, recorded when BaB first popped
+    # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
     # bounds and where falsified searches stop
     BATCHED_PIN_DIGEST = "ccdb6e6f735091e935096eb63619031ce5e13bdd5d327f1daeb908dbff3e51c8"
+    # the same at the default of 32 domains per step, which differs from
+    # both only in timeout bounds and where falsified searches stop
+    WIDE_PIN_DIGEST = "b78fad0f63dd1063287ac96411f075e8e5cce4f04ff2cd5b80ba30a6ac01da41"
 
     @staticmethod
     def _pin_cases():
@@ -477,8 +480,8 @@ class TestBabVerify:
         bound_children = verifier._bound_children
 
         class RecordingFrontier(verifier._Frontier):
-            def take(self, slots):
-                rows = super().take(slots)
+            def take(self, slots, first):
+                rows = super().take(slots, first)
                 taken.update(codes=rows.codes.copy(), branch=rows.branch.copy())
                 return rows
 
@@ -507,24 +510,44 @@ class TestBabVerify:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PIN_DIGEST
 
-    def test_characterization_pin_batched(self):
+    def test_characterization_pin_batched(self, monkeypatch):
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", 8)
         lines = [self._pin_line(v) for v in self._pin_verdicts()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.BATCHED_PIN_DIGEST
 
-    def test_batch_size_moves_no_verdict(self, monkeypatch):
-        # a domain's children depend only on that domain, so popping eight
-        # domains per step closes the same tree as popping one: verified
-        # results keep bound and work, timeouts stop at the same budget,
-        # and a falsified search returns a genuine counterexample
+    def test_characterization_pin_wide(self):
         import graftcert.verifier as verifier
 
-        monkeypatch.setattr(verifier, "_BAB_BATCH", 8)
+        assert verifier._BAB_BATCH == 32
+        lines = [self._pin_line(v) for v in self._pin_verdicts()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.WIDE_PIN_DIGEST
+
+    @pytest.mark.parametrize("batch, budget_moves", [(8, 0), (32, 1)], ids=["8", "32"])
+    def test_batch_size_moves_no_verdict(self, monkeypatch, batch, budget_moves):
+        # a domain's children depend only on that domain, so popping many
+        # domains per step closes the same tree as popping one: verified
+        # results keep bound and work, timeouts stop at the same budget,
+        # and a falsified search returns a genuine counterexample.  A wide
+        # step bounds domains that one-domain steps never reach before the
+        # falsifying leaf, so a falsified search may instead use up its
+        # budget: this happens on exactly ``budget_moves`` cases
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", batch)
         batched = self._pin_verdicts()
         monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
         single = self._pin_verdicts()
-        statuses = set()
-        for (net, spec, box, *_), a, b in zip(self._pin_cases(), batched, single):
+        statuses, moves = set(), 0
+        for (net, spec, box, budget, *_), a, b in zip(self._pin_cases(), batched, single):
+            if (a.status, b.status) == (VerdictStatus.TIMEOUT, VerdictStatus.FALSIFIED):
+                # no room is left for another pair of children
+                assert a.domains_explored > budget.max_domains - 2
+                moves += 1
+                continue
             assert a.status == b.status
             statuses.add(a.status)
             if a.status == VerdictStatus.VERIFIED:
@@ -536,6 +559,7 @@ class TestBabVerify:
                     assert box.contains(v.counterexample)
                     assert spec.value(forward(net, v.counterexample)[0]) < 0.0
         assert statuses == set(VerdictStatus)
+        assert moves == budget_moves
 
     def test_branch_is_branch_on_of_each_domain(self, monkeypatch):
         # the branch neuron a domain carries, chosen when it was bounded,
@@ -548,7 +572,7 @@ class TestBabVerify:
         case = {}
 
         class CheckingFrontier(verifier._Frontier):
-            def take(self, slots):
+            def take(self, slots, first):
                 # each popped parent's slot comes twice, once per child
                 net, r = case["net"], self.rows
                 for slot in slots[::2]:
@@ -560,7 +584,7 @@ class TestBabVerify:
                     )
                     split = _layer_codes(net, r.codes[slot, 0])
                     assert r.branch[slot] == _branch_on(inter, split) >= 0
-                return super().take(slots)
+                return super().take(slots, first)
 
         def checking_leaf(net, box, split, inter, spec):
             calls["leaf"] += 1
@@ -612,7 +636,7 @@ class TestBabVerify:
             split += run["split"]
         assert split > 500
 
-    @pytest.mark.parametrize("batch", [1, 8])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
     def test_frontier_store_matches_record_loop(self, monkeypatch, batch):
         # the stacked frontier runs the search the one-record-per-domain
         # loop ran, byte for byte, while its capacity doubles and later
