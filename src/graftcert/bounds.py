@@ -349,15 +349,26 @@ def _backward(
     C: np.ndarray,
     c0: np.ndarray,
     start: int,
+    both: bool = False,
 ):
     """Sound lower bounds of the linear functionals ``C @ z^(start) + c0``:
     propagate them back to the input, each neuron's coefficient taking its
     lower line where positive and its upper line elsewhere, and concretize
-    over the box.  An upper bound is minus the lower bound of ``-C``,
-    ``-c0`` (``compute_bounds`` takes 0 minus it, so a zero stays +0.0).
-    Returns the bounds, shaped like ``c0``, and the input coefficients
-    ``A``, whose signs pick each bound's box corner; where every lower line
-    is its upper line, the bound is exact there.
+    over the box.  Returns the bounds, shaped like ``c0``, and the input
+    coefficients ``A``, whose signs pick each bound's box corner; where
+    every lower line is its upper line, the bound is exact there.
+
+    With ``both``, the bounds are a pair: those of ``C``, ``c0`` and those
+    of ``-C``, ``-c0``, from one chain of products.  An upper bound is
+    minus the lower bound of ``-C`` (``compute_bounds`` takes 0 minus it,
+    so a zero stays +0.0).  The ``-C`` chain is the ``C`` chain negated:
+    negation commutes with every product and sum, and a coefficient of
+    ``-A`` is positive where ``A``'s is negative, so its constant subtracts
+    each of the ``C`` chain's shifts and maxima (``_box_sums``).  Its
+    floats are those of a separate pass on ``-C``, ``-c0`` up to the sign
+    of an exact zero (a zero coefficient picks the other intercept, and a
+    product's zero sum can come out +0.0 on both chains), which 0 minus it
+    erases.
 
     ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
     shaped ``(R, 1, d_h)``: one row per domain.  A stacked product runs
@@ -367,15 +378,25 @@ def _backward(
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64)
+    neg = -const if both else None
     for i in range(start, -1, -1):
         layer = net.layers[i]
-        const = const + A @ layer.bias
+        shift = A @ layer.bias
+        const = const + shift
         A = A @ layer.weight
+        if both:
+            neg = neg - shift
         if i > 0:
             slope, li, ui = lines[i - 1]
-            const = _interval_lower(li, ui, A, const)
+            low, high = _box_sums(li, ui, A, both)
+            const = low + const
+            if both:
+                neg = neg - high
             A *= slope
-    return _interval_lower(box.lower, box.upper, A, const), A
+    low, high = _box_sums(box.lower, box.upper, A, both)
+    if both:
+        return (low + const, neg - high), A
+    return low + const, A
 
 
 def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0.0) -> float:
@@ -386,10 +407,39 @@ def interval_spec_lower(inter: LayerBounds, coeffs: np.ndarray, const: float = 0
 
 
 def _interval_lower(lo, hi, c, const):
-    # the corner is picked first and multiplied in place: one temporary;
-    # each element is still the product c * lo or c * hi
-    t = np.where(c > 0.0, lo, hi)
-    return np.multiply(t, c, out=t).sum(axis=-1) + const
+    return _box_sums(lo, hi, c)[0] + const
+
+
+def _corner(lo, hi, pick_lo):
+    """``np.where(pick_lo, lo, hi)`` bit for bit, as a fresh array."""
+    # a branch-free select of the bits, hi ^ ((lo ^ hi) * pick_lo): np.where
+    # branches per element where it broadcasts, and that branch mispredicts
+    # on a near-random sign mask, as BaB's rows and the rows of the identity
+    # that compute_bounds back-substitutes have.  C order, as np.where gives:
+    # a sum over the last axis adds in memory order, and a broadcast
+    # operand's strides could set another
+    lo_bits, hi_bits = lo.view(np.int64), hi.view(np.int64)
+    t = np.multiply(lo_bits ^ hi_bits, pick_lo, order="C")
+    t ^= hi_bits
+    return t.view(np.float64)
+
+
+def _box_sums(lo, hi, c, both=False):
+    """Per row (the last axis), the minimum of ``c @ x`` over the box
+    ``lo <= x <= hi``, the sum of ``c * where(c > 0, lo, hi)``, and with
+    ``both`` the maximum, the sum of ``c * where(c > 0, hi, lo)`` (else
+    None).  Box or line intercepts: ``_backward`` concretizes over both."""
+    pick_lo = c > 0.0
+    low = _corner_sum(lo, hi, pick_lo, c)
+    return low, (_corner_sum(hi, lo, pick_lo, c) if both else None)
+
+
+def _corner_sum(lo, hi, pick_lo, c):
+    # the corner is picked first and multiplied in place, and gone before
+    # the other side's is picked: one temporary at a time; each element is
+    # still the product c * lo or c * hi
+    t = _corner(lo, hi, pick_lo)
+    return np.multiply(t, c, out=t).sum(axis=-1)
 
 
 def crown_lower_bound(
@@ -486,6 +536,9 @@ def compute_bounds(
     The refinement rewrites each hidden layer's bounds as the tighter of
     the IBP interval and the backward-propagated bound, reusing already
     refined earlier layers, then re-applies any forced-split intersections.
+    One back-substitution of a layer's identity ``I`` gives both sides:
+    the lower bounds of ``I``, and the upper bounds as 0 minus the lower
+    bounds of ``-I``, read off the same chain (see ``_backward``).
 
     A stack of E boxes (``Box.stack``) gives ``(E, 1, d)`` bounds per layer
     and an (E, 1) ``feasible``.  Each layer's identity ``C`` becomes
@@ -494,11 +547,20 @@ def compute_bounds(
     whose IBP is already infeasible is refined all the same, and its
     bounds are vacuous either way.
     """
+    return _ibp_and_bounds(net, box, split, method)[1]
+
+
+def _ibp_and_bounds(
+    net: Network, box: Box, split: SplitAssignment | None, method: str
+) -> tuple[LayerBounds, LayerBounds]:
+    """``compute_bounds``' bounds after the box's IBP under ``split``, which
+    they refine (the same object for ``method="ibp"``), for callers that
+    keep that IBP as well."""
     if method not in ("ibp", "crown"):
         raise UsageError(f"unknown bound method {method!r}")
     base = ibp(net, box, split)
     if method == "ibp" or not np.any(base.feasible):
-        return base
+        return base, base
     if split is None:
         split = SplitAssignment.free(net)
     lowers = [b.copy() for b in base.lower]
@@ -512,15 +574,16 @@ def compute_bounds(
         # only its lines are new
         lines += _relaxation_lines(net, refined, split, [i - 1])
         d = net.layers[i].out_dim
-        eye, c0 = np.eye(d), np.zeros(stack + (d,))
         # [0]: the input coefficients are not needed, so not kept alive.
-        # The identities are broadcast views, never (E, d, d) arrays.  Upper
-        # bounds are 0 minus the lower bounds of -I: a zero bound stays
-        # +0.0, as a direct upper pass gives it (plain negation gives -0.0)
-        lo = _backward(net, lines, box, np.broadcast_to(eye, stack + (d, d)), c0, i)[0]
-        hi = 0.0 - _backward(net, lines, box, np.broadcast_to(-eye, stack + (d, d)), c0, i)[0]
+        # The identity is a broadcast view, never an (E, d, d) array.  0
+        # minus the lower bound of -I keeps a zero upper bound +0.0, as a
+        # direct upper pass gives it (plain negation gives -0.0)
+        lo, neg = _backward(
+            net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)),
+            np.zeros(stack + (d,)), i, both=True,
+        )[0]
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
-        hi = np.minimum(hi.reshape(uppers[i].shape), uppers[i])
+        hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])
         if i < len(net.layers) - 1:
             lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
             feasible = feasible & ok
@@ -532,7 +595,7 @@ def compute_bounds(
         lowers[i] = lo
         uppers[i] = hi
         refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
-    return refined
+    return base, refined
 
 
 def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBounds:

@@ -215,15 +215,15 @@ def _apply_activation(net: Network, h: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activation_grad(net: Network, h: int, z: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    """Chain ``ga``, the gradient on hidden layer ``h``'s post-activations,
-    through its activations to the pre-activations ``z``."""
-    # ReLU subgradient at 0 is 0, hence the strict comparison.
-    g_relu = ga * (z > 0.0)
+def _activation_slopes(net: Network, h: int, z: np.ndarray) -> np.ndarray:
+    """The derivative of hidden layer ``h``'s activations at the
+    pre-activations ``z``: 1 or 0 for a ReLU (its subgradient at 0 is 0,
+    hence the strict comparison), the slope for a grafted neuron.  A
+    gradient on the post-activations times it is the gradient on ``z``."""
     mask = net.grafted[h]
     if mask.any():
-        return np.where(mask, ga * net.slopes[h], g_relu)
-    return g_relu
+        return np.where(mask, net.slopes[h], z > 0.0)
+    return z > 0.0
 
 
 def forward_batch(
@@ -251,7 +251,8 @@ def forward_batch(
     a = x
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
-        z = a @ layer.weight.T + layer.bias
+        z = a @ layer.weight.T
+        z += layer.bias
         preacts.append(z)
         if i < last:
             a = _apply_activation(net, i, z)
@@ -290,8 +291,8 @@ def backward_batch(
             f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
         )
     L = len(net.layers)
-    weight_grads = [np.zeros_like(l.weight) for l in net.layers]
-    bias_grads = [np.zeros_like(l.bias) for l in net.layers]
+    weight_grads: list[np.ndarray] = [None] * L  # type: ignore[list-item]
+    bias_grads: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     slope_grads = [np.zeros_like(s) for s in net.slopes]
     intercept_grads = [np.zeros_like(c) for c in net.intercepts]
     postact_grads: list[np.ndarray] = [None] * (L - 1)  # type: ignore[list-item]
@@ -307,7 +308,8 @@ def backward_batch(
             if mask.any():
                 slope_grads[i - 1] = np.where(mask, (ga * z).sum(axis=0), 0.0)
                 intercept_grads[i - 1] = np.where(mask, ga.sum(axis=0), 0.0)
-            g = _activation_grad(net, i - 1, z, ga)
+            # a new array: ``ga`` is kept in ``postact_grads``
+            g = ga * _activation_slopes(net, i - 1, z)
         else:
             input_grad = ga
     return GradientBundle(
@@ -332,7 +334,8 @@ def input_grad_batch(
             f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
         )
     for i in range(len(net.layers) - 1, 0, -1):
-        g = _activation_grad(net, i - 1, preacts[i - 1], g @ net.layers[i].weight)
+        g = g @ net.layers[i].weight
+        g *= _activation_slopes(net, i - 1, preacts[i - 1])
     return g @ net.layers[0].weight
 
 

@@ -32,9 +32,8 @@ from .bounds import (
     LayerBounds,
     SplitAssignment,
     _branch_on,
+    _ibp_and_bounds,
     _spec_lower,
-    compute_bounds,
-    ibp,
     input_region,
     tally_stability,
 )
@@ -303,23 +302,32 @@ def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> 
     return np.where(feasible, vals, np.inf).reshape(len(margins), -1)
 
 
+def _bounds_row(bounds: LayerBounds, j: int, feasible: bool) -> LayerBounds:
+    """Row j of stacked ``(E, 1, d)`` bounds, 1-D per layer."""
+    return LayerBounds(
+        tuple(x[j, 0] for x in bounds.lower), tuple(x[j, 0] for x in bounds.upper),
+        bounds.grafted, feasible,
+    )
+
+
 def _verify_example(payload: dict) -> dict:
     """Phase 5 for one example that held against PGD: its margins in
     order, each with its own seed.  A margin whose root CROWN bound
     (``payload["root"]``) is positive is verified there as one domain, as
     ``bab_verify`` would decide it; any other goes to ``bab_verify`` from
-    that bound, the root bounds, and the box's raw IBP and the root's
-    branch neuron, both computed once for the example by the first such
-    margin.  Stops at the first falsified or timed-out margin.
-    The example's share of its group's root-phase seconds counts in its
-    time and against its time limit.  Returns the record fields it sets.
-    Standalone, so that one example's spans can be told apart."""
+    that bound, the root bounds, the box's raw IBP (``payload["root_raw"]``,
+    its row of the group's stacked IBP) and the root's branch neuron,
+    computed once for the example by the first such margin.  Stops at the
+    first falsified or timed-out margin.  The example's share of its
+    group's root-phase seconds counts in its time and against its time
+    limit.  Returns the record fields it sets.  Standalone, so that one
+    example's spans can be told apart."""
     time_limit = payload["time_limit"]
     t0 = time.perf_counter() - payload["share"]
     work = 0
     worst = math.inf
     verdict = "verified"
-    raw = None
+    branch = None
     for k, (spec, root) in enumerate(zip(payload["margins"], payload["root"])):
         remaining = None
         if time_limit is not None:
@@ -331,8 +339,7 @@ def _verify_example(payload: dict) -> dict:
             work += 1
             worst = min(worst, float(root))
             continue
-        if raw is None:
-            raw = ibp(payload["net"], payload["box"])
+        if branch is None:
             branch = int(_branch_on(payload["root_inter"], SplitAssignment.free(payload["net"])))
         v = bab_verify(
             payload["net"],
@@ -341,7 +348,7 @@ def _verify_example(payload: dict) -> dict:
             VerifyBudget(remaining, payload["max_domains"]),
             seed=payload["seed"] + 7919 * (k + 1),
             root_inter=payload["root_inter"],
-            root_raw=raw,
+            root_raw=payload["root_raw"],
             root_bound=float(root),
             root_branch=branch,
         )
@@ -403,23 +410,20 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
         # an equal share of its group's seconds
         t0 = time.perf_counter()
         stacked = Box.stack(boxes)
-        inter = compute_bounds(net, stacked, None, method=payload["intermediate"])
+        # compute_bounds, keeping its IBP: row j of it is example j's raw
+        # IBP bit for bit, which BaB restarts its children from
+        raw, inter = _ibp_and_bounds(net, stacked, None, payload["intermediate"])
         root = _root_margins(net, stacked, inter, [margins[e] for e in group])
         share = (time.perf_counter() - t0) / len(group)
         feasible = np.broadcast_to(inter.feasible, (len(group), 1))[:, 0]
         for j, e in enumerate(group):
-            root_inter = LayerBounds(
-                tuple(x[j, 0] for x in inter.lower),
-                tuple(x[j, 0] for x in inter.upper),
-                net.grafted,
-                bool(feasible[j]),
-            )
             records[e]["ra"] = True
             records[e].update(_verify_example({
                 "index": indices[e],
                 "net": net,
                 "box": boxes[j],
-                "root_inter": root_inter,
+                "root_inter": _bounds_row(inter, j, bool(feasible[j])),
+                "root_raw": _bounds_row(raw, j, True),
                 "margins": margins[e],
                 "root": root[j],
                 "share": share,
@@ -464,6 +468,10 @@ def evaluate_network(
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")
+    if intermediate not in ("ibp", "crown"):
+        # checked here too: an example reaches the root bounds only if it
+        # holds against PGD
+        raise UsageError(f"unknown bound method {intermediate!r}")
     features = np.asarray(test.features[:k], dtype=np.float64)
     labels = np.asarray(test.labels[:k])
     chunks = np.array_split(np.arange(k), min(workers, k))

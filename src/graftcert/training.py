@@ -124,7 +124,12 @@ def _pgd_batch(
     for _ in range(atk.steps):
         logits, pre, _ = forward_batch(net, x)
         g = input_grad_batch(net, pre, _ce_loss_grad(logits, y)[1])
-        x = np.clip(x + step * np.sign(g), lo, hi)
+        # step and clip in place; np.clip is max then min, so these are its bits
+        np.sign(g, out=g)
+        g *= step
+        x += g
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
     return x
 
 
@@ -194,12 +199,17 @@ def _sgd_run(
             grads = backward_batch(net, xb, pre, post, dlogits / xb.shape[0])
             if lr_w > 0.0:
                 for i, layer in enumerate(net.layers):
-                    gw = grads.weight_grads[i] + cfg.weight_decay * layer.weight
+                    # the batch's gradients are its own arrays: updated in place
+                    gw = grads.weight_grads[i]
+                    gw += cfg.weight_decay * layer.weight
                     if l1 > 0.0:
-                        gw = gw + l1 * np.sign(layer.weight)
-                    gb = grads.bias_grads[i] + cfg.weight_decay * layer.bias
-                    vel.w[i] = cfg.momentum * vel.w[i] + gw
-                    vel.b[i] = cfg.momentum * vel.b[i] + gb
+                        gw += l1 * np.sign(layer.weight)
+                    gb = grads.bias_grads[i]
+                    gb += cfg.weight_decay * layer.bias
+                    vel.w[i] *= cfg.momentum
+                    vel.w[i] += gw
+                    vel.b[i] *= cfg.momentum
+                    vel.b[i] += gb
                     layer.weight -= lr_w * vel.w[i]
                     layer.bias -= lr_w * vel.b[i]
             if lr_g > 0.0:
@@ -207,8 +217,10 @@ def _sgd_run(
                     mask = net.grafted[h]
                     if not mask.any():
                         continue
-                    vel.s[h] = cfg.momentum * vel.s[h] + grads.slope_grads[h]
-                    vel.c[h] = cfg.momentum * vel.c[h] + grads.intercept_grads[h]
+                    vel.s[h] *= cfg.momentum
+                    vel.s[h] += grads.slope_grads[h]
+                    vel.c[h] *= cfg.momentum
+                    vel.c[h] += grads.intercept_grads[h]
                     net.slopes[h][mask] -= lr_g * vel.s[h][mask]
                     net.intercepts[h][mask] -= lr_g * vel.c[h][mask]
             epoch_loss += loss

@@ -137,11 +137,12 @@ def _descend(net, C, c0, lo, hi, starts, step, steps):
     ``lo``, ``hi`` and ``step`` are (E, 1, d) per example, or broadcast to
     every example.  Yields ``(ids, x, worst)`` before each step and once
     after the last: the stack positions of the examples still descending,
-    their points (n, S, d) and worst values (n, S).  An example leaves
-    after the first iteration where some start's worst value is below
-    zero.  Each example's floats are those of its own E = 1 run bit for
-    bit (see ``forward_batch``).  Every attack in this module runs this
-    one loop."""
+    their points (n, S, d) and worst values (n, S).  The next step
+    overwrites the points, so a reader copies what it keeps.  An example
+    leaves after the first iteration where some start's worst value is
+    below zero.  Each example's floats are those of its own E = 1 run bit
+    for bit (see ``forward_batch``).  Every attack in this module runs
+    this one loop."""
     ids = np.arange(len(starts))
     x = np.clip(np.asarray(starts, dtype=np.float64), lo, hi)
     for it in range(steps + 1):
@@ -158,10 +159,17 @@ def _descend(net, C, c0, lo, hi, starts, step, steps):
             ids, x, vals, C = ids[keep], x[keep], vals[keep], C[keep]
             pre = [p[keep] for p in pre]
             lo, hi, step = (a[keep] if np.ndim(a) == 3 else a for a in (lo, hi, step))
-        # each start steps down its currently worst row
-        rows = np.take_along_axis(C, vals.argmin(axis=-1)[..., None], axis=1)
+        # each start steps down its currently worst row, gathered into a
+        # contiguous (n, S, K) array (a stride-0 view of a one-row spec
+        # could take another BLAS path)
+        rows = C[np.arange(len(C))[:, None], vals.argmin(axis=-1)]
         g = input_grad_batch(net, pre, rows)
-        x = np.clip(x - step * np.sign(g), lo, hi)
+        # step and clip in place; np.clip is max then min, so these are its bits
+        np.sign(g, out=g)
+        g *= step
+        x -= g
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
 
 
 def _minimize_spec(

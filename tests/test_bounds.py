@@ -29,8 +29,11 @@ from graftcert.bounds import (
     _backward,
     _bound_children,
     _branch_on,
+    _box_sums,
     _clamp_split,
+    _corner,
     _graft_interval,
+    _interval_lower,
     _ibp_boxes,
     _relaxation_lines,
     _sign_split,
@@ -730,6 +733,227 @@ def _reference_relaxation_lines(net, inter, split):
             ui = np.where(g, net.intercepts[h], ui)
         lines.append((ls, li, us, ui))
     return lines
+
+
+def _two_chain_backward(net, lines, box, C, c0, start):
+    # the lower-bound kernel as it was when each side ran its own chain of
+    # products, every corner picked by np.where
+    A = np.asarray(C, dtype=np.float64)
+    const = np.asarray(c0, dtype=np.float64)
+    for i in range(start, -1, -1):
+        layer = net.layers[i]
+        const = const + A @ layer.bias
+        A = A @ layer.weight
+        if i > 0:
+            slope, li, ui = lines[i - 1]
+            const = (np.where(A > 0.0, li, ui) * A).sum(axis=-1) + const
+            A = A * slope
+    return (np.where(A > 0.0, box.lower, box.upper) * A).sum(axis=-1) + const
+
+
+def _two_chain_compute_bounds(net, box, split):
+    # compute_bounds(..., "crown") as it was when every refined layer ran
+    # two back-substitutions, one on I and one on -I, for one box or a
+    # stack of them; one chain for both sides must not move a bit
+    base = ibp(net, box, split)
+    if not np.any(base.feasible):
+        return base
+    lowers = [b.copy() for b in base.lower]
+    uppers = [b.copy() for b in base.upper]
+    stack = box.lower.shape[:-2]
+    feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
+    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    lines = []
+    for i in range(1, len(net.layers)):
+        lines += _relaxation_lines(net, refined, split, [i - 1])
+        d = net.layers[i].out_dim
+        c0 = np.zeros(stack + (d,))
+        lo = _two_chain_backward(net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)), c0, i)
+        hi = 0.0 - _two_chain_backward(
+            net, lines, box, np.broadcast_to(-np.eye(d), stack + (d, d)), c0, i
+        )
+        lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
+        hi = np.minimum(hi.reshape(uppers[i].shape), uppers[i])
+        if i < len(net.layers) - 1:
+            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
+            feasible = feasible & ok
+        crossed = np.any(lo > hi, axis=-1)
+        if crossed.any():
+            feasible = feasible & ~crossed
+            lo = np.minimum(lo, hi)
+        lowers[i] = lo
+        uppers[i] = hi
+        flag = bool(feasible) if np.ndim(feasible) == 0 else feasible
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, flag)
+    return refined
+
+
+def _hex(bounds: LayerBounds):
+    floats = [float(v).hex() for x in bounds.lower + bounds.upper for v in np.ravel(x)]
+    return floats, np.asarray(bounds.feasible).tolist()
+
+
+def _signed_zero_net(seed):
+    # a net with exact +0.0 and -0.0 weights and biases, and one dead ReLU
+    # per hidden layer (l = u = 0)
+    net, _ = _net_with_dead_neurons(seed, [5, 7, 6, 3], 0.3 if seed % 2 else 0.0)
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        for a in (layer.weight, layer.bias):
+            zeros = rng.random(a.shape) < 0.25
+            a[zeros] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zeros]
+    return net
+
+
+class TestOneChainBothSides:
+    """``compute_bounds`` back-substitutes each layer's identity once and
+    reads both bound sides from that chain; every float must be the one
+    the two-chain formula gives."""
+
+    def _cases(self, seed):
+        rng = np.random.default_rng(7900 + seed)
+        net = _signed_zero_net(7900 + seed) if seed % 3 == 0 else _random_grafted_net(7900 + seed)
+        boxes = [
+            input_region(rng.uniform(0, 1, net.input_dim), float(rng.uniform(0.05, 0.6)))
+            for _ in range(3)
+        ]
+        forced = SplitAssignment([
+            np.where(g, FREE, rng.choice([FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], d))
+            for g, d in zip(net.grafted, net.hidden_sizes)
+        ])
+        for split in (SplitAssignment.free(net), forced):
+            yield net, boxes[0], split
+            yield net, Box.stack(boxes), split
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_two_chain_formula(self, seed):
+        for net, box, split in self._cases(seed):
+            got = compute_bounds(net, box, split, "crown")
+            assert _hex(got) == _hex(_two_chain_compute_bounds(net, box, split))
+
+    def test_exact_zero_bounds_and_signed_zero_weights(self):
+        # a dead neuron's refined bounds are exact zeros on both sides, and
+        # the upper ones must be +0.0 as the two-chain formula gives them
+        zeros = 0
+        for seed in range(8):
+            net = _signed_zero_net(8000 + seed)
+            rng = np.random.default_rng(8000 + seed)
+            box = input_region(rng.uniform(0, 1, net.input_dim), 0.3)
+            got = compute_bounds(net, box, None, "crown")
+            assert _hex(got) == _hex(_two_chain_compute_bounds(net, box, SplitAssignment.free(net)))
+            zeros += sum(int(np.sum((u == 0.0) & ~np.signbit(u))) for u in got.upper[1:-1])
+        assert zeros > 0
+
+    def test_zero_upper_bound_case(self):
+        # test_zero_upper_bound_is_positive_zero's net: the secant upper
+        # lines cancel x exactly, so the backward upper bound is exactly 0
+        net = Network([
+            manual_layer([[1.0], [-1.0]], [0.0, 0.0]),
+            manual_layer([[1.0, 1.0]], [-1.0]),
+            manual_layer([[1.0]], [0.0]),
+        ])
+        box = Box(np.array([-1.0]), np.array([1.0]))
+        split = SplitAssignment.free(net)
+        got = compute_bounds(net, box, split, "crown")
+        assert got.upper[1][0].hex() == "0x0.0p+0"
+        assert _hex(got) == _hex(_two_chain_compute_bounds(net, box, split))
+
+    def test_protocol_shapes(self):
+        # (128, 784) input coefficients per box, as on the MNIST-shaped protocol
+        net = random_net(8100, widths=[784, 128, 128, 10], weight_scale=1.0, graft_fraction=0.3)
+        rng = np.random.default_rng(8100)
+        boxes = [input_region(rng.uniform(0, 1, 784), 0.02, (0, 1)) for _ in range(2)]
+        split = SplitAssignment.free(net)
+        for box in (boxes[0], Box.stack(boxes)):
+            got = compute_bounds(net, box, split, "crown")
+            assert _hex(got) == _hex(_two_chain_compute_bounds(net, box, split))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pair_equals_two_passes(self, seed):
+        # _backward's pair is its pass on C, c0 and its pass on -C, -c0; the
+        # second up to the sign of an exact zero (a BLAS sum of -0.0 terms
+        # can give +0.0 on both chains), so it is compared as 0 minus it,
+        # the upper bound compute_bounds takes
+        rng = np.random.default_rng(8200 + seed)
+        net = random_net(8200, widths=[784, 128, 10], weight_scale=1.0) if seed == 0 else (
+            _signed_zero_net(8200 + seed) if seed % 2 else _random_grafted_net(8200 + seed)
+        )
+        box = input_region(rng.uniform(0, 1, net.input_dim), 0.2)
+        inter = compute_bounds(net, box, None, "crown")
+        lines = _relaxation_lines(net, inter, SplitAssignment.free(net))
+        for start in range(len(net.layers)):
+            d = net.layers[start].out_dim
+            for C, c0 in (
+                (np.eye(d), np.zeros(d)),
+                (rng.normal(0, 1, (3, d)), rng.normal(0, 1, 3)),
+            ):
+                (lo, neg), A = _backward(net, lines[:start], box, C, c0, start, both=True)
+                want_lo, want_A = _backward(net, lines[:start], box, C, c0, start)
+                want_neg = _backward(net, lines[:start], box, -C, -c0, start)[0]
+                assert [v.hex() for v in lo] == [v.hex() for v in want_lo]
+                assert [v.hex() for v in 0.0 - neg] == [v.hex() for v in 0.0 - want_neg]
+                assert np.array_equal(neg, want_neg)
+                assert A.tobytes() == want_A.tobytes()
+
+
+class TestCornerPick:
+    """``_corner`` is ``np.where`` bit for bit, by a branch-free select,
+    and ``_box_sums`` sums its products as the ``np.where`` formula does."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310, 1.5, -2.5])
+
+    @pytest.fixture(autouse=True)
+    def _quiet(self):
+        # inf * 0 and inf - inf give NaN, on both paths alike
+        with np.errstate(invalid="ignore", over="ignore"):
+            yield
+
+    def _values(self, rng, shape):
+        x = rng.normal(0, 1, shape)
+        special = rng.random(shape) < 0.5
+        x[special] = rng.choice(self.SPECIAL, shape)[special]
+        return x
+
+    def _check(self, lo, hi, c):
+        for pick in (c > 0.0, c < 0.0):
+            for a, b in ((lo, hi), (hi, lo)):
+                got = _corner(a, b, pick)
+                assert got.tobytes() == np.where(pick, a, b).tobytes()
+                assert got.flags.c_contiguous
+        low, high = _box_sums(lo, hi, c, both=True)
+        assert low.tobytes() == (np.where(c > 0.0, lo, hi) * c).sum(axis=-1).tobytes()
+        assert high.tobytes() == (np.where(c > 0.0, hi, lo) * c).sum(axis=-1).tobytes()
+        assert _box_sums(lo, hi, c)[0].tobytes() == low.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 8, 64])
+    @pytest.mark.parametrize("width", [16, 128, 784])
+    def test_equals_where(self, rows, width):
+        # BaB's (R, 1, d) rows against one box or against per-row line
+        # intercepts, and the root refinement's (d, d) identity rows
+        rng = np.random.default_rng(rows * 1000 + width)
+        c = self._values(rng, (rows, 1, width))
+        self._check(self._values(rng, width), self._values(rng, width), c)
+        self._check(self._values(rng, (rows, 1, width)), self._values(rng, (rows, 1, width)), c)
+        c = self._values(rng, (1, rows, width))
+        self._check(self._values(rng, (1, 1, width)), self._values(rng, (1, 1, width)), c)
+
+    def test_spec_broadcast_against_stacked_bounds(self):
+        # _spec_lower's floor: a (K,) spec against (R, 1, K) final bounds
+        # picks an (R, 1, K) corner
+        rng = np.random.default_rng(8300)
+        K, R = 10, 2000
+        lo, hi = self._values(rng, (R, 1, K)), self._values(rng, (R, 1, K))
+        c = self._values(rng, K)
+        self._check(lo, hi, c)
+        want = (np.where(c > 0.0, lo, hi) * c).sum(axis=-1) + 0.25
+        assert _interval_lower(lo, hi, c, 0.25).tobytes() == want.tobytes()
+
+    def test_strided_operands(self):
+        # a non-contiguous corner or coefficient array still gives a C-order pick
+        rng = np.random.default_rng(8301)
+        lo, hi = self._values(rng, (4, 1, 40))[..., ::2], self._values(rng, (20, 4, 1)).T
+        c = self._values(rng, (1, 4, 20)).transpose(1, 0, 2)
+        self._check(lo, hi, c)
 
 
 class TestRelaxationLines:
