@@ -39,6 +39,9 @@ FREE = 0
 FORCED_ACTIVE = 1
 FORCED_INACTIVE = -1
 
+# examples per batched IBP in tally_stability
+_TALLY_BATCH = 512
+
 
 class NeuronStatus(IntEnum):
     STABLE_ACTIVE = 0
@@ -103,15 +106,20 @@ def input_region(
         raise DomainError("x0 must be finite")
     if eps < 0:
         raise DomainError(f"eps must be >= 0, got {eps}")
-    lo = x0 - eps
-    hi = x0 + eps
+    if clip is not None and clip[0] > clip[1]:
+        raise DomainError(f"clip range has low > high: {clip}")
+    return Box(*_eps_ball(x0, eps, clip))
+
+
+def _eps_ball(x, eps, clip):
+    """``(x - eps, x + eps)``, each clipped to ``clip`` when given; rows of
+    ``x`` give rows of bounds.  No checks: see ``input_region``."""
+    lo = x - eps
+    hi = x + eps
     if clip is not None:
-        low, high = clip
-        if low > high:
-            raise DomainError(f"clip range has low > high: {clip}")
-        lo = np.maximum(lo, low)
-        hi = np.minimum(hi, high)
-    return Box(lo, hi)
+        lo = np.maximum(lo, clip[0])
+        hi = np.minimum(hi, clip[1])
+    return lo, hi
 
 
 class SplitAssignment:
@@ -299,52 +307,38 @@ def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
 # backward (CROWN-style) bound propagation
 
 
-def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, hidden=None):
-    """Per hidden layer: (slope, lower_icpt, upper_icpt).
+def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, h: int):
+    """Hidden layer h's (slope, lower_icpt, upper_icpt).
 
     Stable-active neurons keep the identity line, stable-inactive the zero
     line, unstable ReLUs the secant upper line and a lower line through the
     origin with the same slope u/(u-l).  Grafted neurons use their exact
     line on both sides; forced neurons their forced linear form.  The
     degenerate interval l = u = 0 counts as stable-inactive.  A neuron's
-    lower and upper lines always share one slope.  Each layer listed in
-    ``hidden`` (default: all) is built from its own bounds and codes; a
-    neuron's lines depend on its own bounds only, so any grouping of the
-    layers gives the same floats.  Bounds and codes with a leading row
-    axis give lines with that axis.
+    lower and upper lines always share one slope, and depend on its own
+    bounds only.  Bounds and codes with a leading row axis give lines with
+    that axis.
     """
-    lines = []
-    for h in range(len(net.hidden_sizes)) if hidden is None else hidden:
-        l, u, code = inter.lower[h], inter.upper[h], split.codes[h]
-        inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
-        active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
-        unstable = ~(inactive | active)
-        d = np.where(unstable, u - l, 1.0)
-        slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
-        li = np.zeros_like(l)
-        ui = np.where(unstable, -u * l / d, 0.0)
-        g = net.grafted[h]
-        if g.any():
-            slope = np.where(g, net.slopes[h], slope)
-            li = np.where(g, net.intercepts[h], li)
-            ui = np.where(g, net.intercepts[h], ui)
-        lines.append((slope, li, ui))
-    return lines
-
-
-class _LazyLines:
-    """``_relaxation_lines``, each layer's built as ``_backward`` reaches it."""
-
-    def __init__(self, *args):
-        self.args = args
-
-    def __getitem__(self, h):
-        return _relaxation_lines(*self.args, [h])[0]
+    l, u, code = inter.lower[h], inter.upper[h], split.codes[h]
+    inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
+    active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
+    unstable = ~(inactive | active)
+    d = np.where(unstable, u - l, 1.0)
+    slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
+    li = np.zeros_like(l)
+    ui = np.where(unstable, -u * l / d, 0.0)
+    g = net.grafted[h]
+    if g.any():
+        slope = np.where(g, net.slopes[h], slope)
+        li = np.where(g, net.intercepts[h], li)
+        ui = np.where(g, net.intercepts[h], ui)
+    return slope, li, ui
 
 
 def _backward(
     net: Network,
-    lines,
+    inter: LayerBounds,
+    split: SplitAssignment,
     box: Box,
     C: np.ndarray,
     c0: np.ndarray,
@@ -354,7 +348,10 @@ def _backward(
     """Sound lower bounds of the linear functionals ``C @ z^(start) + c0``:
     propagate them back to the input, each neuron's coefficient taking its
     lower line where positive and its upper line elsewhere, and concretize
-    over the box.  Returns the bounds, shaped like ``c0``, and the input
+    over the box.  Each hidden layer's lines are built from ``inter`` and
+    ``split`` when the pass reaches that layer (``_relaxation_lines``), so
+    a pass holds one layer's lines, and reads only the layers below
+    ``start``.  Returns the bounds, shaped like ``c0``, and the input
     coefficients ``A``, whose signs pick each bound's box corner; where
     every lower line is its upper line, the bound is exact there.
 
@@ -370,11 +367,11 @@ def _backward(
     product's zero sum can come out +0.0 on both chains), which 0 minus it
     erases.
 
-    ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
-    shaped ``(R, 1, d_h)``: one row per domain.  A stacked product runs
-    each row's one-row product, and every sum runs over the last axis, so
-    each row gets the one-row floats bit for bit (a plain ``(R, d)``
-    product would sum in another order).
+    ``C`` is ``(m, d)`` with 1-D bounds, or a stack ``(R, 1, d)`` with
+    bounds and codes shaped ``(R, 1, d_h)``: one row per domain.  A
+    stacked product runs each row's one-row product, and every sum runs
+    over the last axis, so each row gets the one-row floats bit for bit (a
+    plain ``(R, d)`` product would sum in another order).
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64)
@@ -387,7 +384,7 @@ def _backward(
         if both:
             neg = neg - shift
         if i > 0:
-            slope, li, ui = lines[i - 1]
+            slope, li, ui = _relaxation_lines(net, inter, split, i - 1)
             low, high = _box_sums(li, ui, A, both)
             const = low + const
             if both:
@@ -458,8 +455,6 @@ def crown_lower_bound(
     never falls below the interval baseline.  Infeasible regions give +inf
     (vacuously verified).
     """
-    if not inter.feasible:
-        return float("inf")
     if split is None:
         split = SplitAssignment.free(net)
     c = np.asarray(coeffs, dtype=np.float64)
@@ -472,18 +467,18 @@ def crown_lower_bound(
 
 def _spec_lower(net, box, split, inter, c, const):
     """The CROWN lower bound of ``c @ logits + const``, floored by the
-    interval bound: shape (1,) for one region's 1-D bounds, (R, 1) for a
-    stack of ``(R, 1, d)`` bounds with per-row codes, or per-row boxes
-    (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const`` (R, 1)."""
-    # built per layer as the pass goes, so it holds one layer's lines
-    lines = _LazyLines(net, inter, split)
+    interval bound, and +inf where ``inter`` is infeasible (an empty
+    region): shape (1,) for one region's 1-D bounds, (R, 1) for a stack of
+    ``(R, 1, d)`` bounds with per-row codes and ``feasible``, or per-row
+    boxes (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const``
+    (R, 1)."""
     lo, hi = inter.lower[-1], inter.upper[-1]
     lead = lo.shape[:-1] or (1,)
     C = np.broadcast_to(c, lead + c.shape[-1:])
-    vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1)
+    vals, _ = _backward(net, inter, split, box, C, np.full(lead, const), len(net.layers) - 1)
     floor = _interval_lower(lo, hi, c, const)
     # max(vals, floor) that keeps vals on a tie, as Python's max does
-    return np.where(floor > vals, floor, vals)
+    return np.where(inter.feasible, np.where(floor > vals, floor, vals), np.inf)
 
 
 def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
@@ -519,8 +514,7 @@ def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
     below = (None,) * first
     child_raw = _ibp_from(net, signed, split, first, *raw, below, below)
     child = intersect_bounds(child_raw, inter, start=first)
-    lower = _spec_lower(net, box, split, child, coeffs, const)
-    lower = np.where(child.feasible, lower, np.inf)[:, 0]
+    lower = _spec_lower(net, box, split, child, coeffs, const)[:, 0]
     return child_raw, child, lower, _branch_on(child, split)[:, 0]
 
 
@@ -568,18 +562,15 @@ def _ibp_and_bounds(
     stack = box.lower.shape[:-2]
     feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
-    lines = []
     for i in range(1, len(net.layers)):
-        # hidden layer i-1 was refined last step and stays as it is, so
-        # only its lines are new
-        lines += _relaxation_lines(net, refined, split, [i - 1])
+        # the pass on layer i reads the hidden layers below it, already refined
         d = net.layers[i].out_dim
         # [0]: the input coefficients are not needed, so not kept alive.
         # The identity is a broadcast view, never an (E, d, d) array.  0
         # minus the lower bound of -I keeps a zero upper bound +0.0, as a
         # direct upper pass gives it (plain negation gives -0.0)
         lo, neg = _backward(
-            net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)),
+            net, refined, split, box, np.broadcast_to(np.eye(d), stack + (d, d)),
             np.zeros(stack + (d,)), i, both=True,
         )[0]
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
@@ -679,7 +670,6 @@ def tally_stability(
     features: np.ndarray,
     eps: float,
     clip: tuple[float, float] | None = None,
-    batch_size: int = 512,
 ) -> StabilityTally:
     """Count, per hidden neuron, on how many examples it is unstable,
     stably active, or stably inactive under the eps-ball of each example.
@@ -689,19 +679,14 @@ def tally_stability(
     X = np.asarray(getattr(features, "features", features), dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise UsageError("tally_stability needs a non-empty (n, d) array")
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
+    if not (np.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     n = X.shape[0]
     free = SplitAssignment.free(net)
     order = (NeuronStatus.UNSTABLE, NeuronStatus.STABLE_ACTIVE, NeuronStatus.STABLE_INACTIVE)
     counts = np.zeros((len(order), net.num_hidden), dtype=np.int64)
-    for s in range(0, n, batch_size):
-        xb = X[s : s + batch_size]
-        lo = xb - eps
-        hi = xb + eps
-        if clip is not None:
-            lo = np.maximum(lo, clip[0])
-            hi = np.minimum(hi, clip[1])
+    for s in range(0, n, _TALLY_BATCH):
+        lo, hi = _eps_ball(X[s : s + _TALLY_BATCH], eps, clip)
         status = classify_neurons(_ibp_boxes(net, lo, hi, free), free)
         for count, k in zip(counts, order):
             count += (status == k).sum(axis=0)

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared across the package, and the integer check
-the config dataclasses share."""
+"""Exception hierarchy shared across the package, and the integer and
+finite-number checks the config dataclasses share."""
 
+import dataclasses
+import math
 import numbers
 
 __all__ = ["GraftcertError", "StructuralError", "DomainError", "UsageError", "FormatError",
-           "DivergenceError", "UndecidableRegion", "PipelineError", "require_integers"]
+           "DivergenceError", "UndecidableRegion", "PipelineError", "require_integers",
+           "require_finite"]
 
 
 class GraftcertError(Exception):
@@ -54,3 +57,14 @@ def require_integers(**values) -> None:
     for key, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise UsageError(f"{key} must be an integer, got {value!r}")
+
+
+def require_finite(config) -> None:
+    """Raise ``UsageError`` naming the first field of a config dataclass
+    annotated ``float`` (or ``float | None``, which may be None) that is
+    NaN or infinite, as a JSON config can spell them (``NaN``,
+    ``Infinity``)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", "float | None") and value is not None and not math.isfinite(value):
+            raise UsageError(f"{f.name} must be finite, got {value!r}")

@@ -39,6 +39,9 @@ __all__ = [
     "load_plan",
 ]
 
+# examples per forward/backward pass in significance_scores
+_SCORE_BATCH = 256
+
 
 @dataclass(frozen=True)
 class NeuronScore:
@@ -121,7 +124,6 @@ def significance_scores(
     net: Network,
     features: np.ndarray,
     labels: np.ndarray,
-    batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean magnitude of the clean cross-entropy gradient at each hidden
     post-activation, plus its rank-normalized score."""
@@ -134,8 +136,8 @@ def significance_scores(
     acc = np.zeros(net.num_hidden)
     offs = net.layer_offsets()
     n = X.shape[0]
-    for s in range(0, n, batch_size):
-        xb, yb = X[s : s + batch_size], y[s : s + batch_size]
+    for s in range(0, n, _SCORE_BATCH):
+        xb, yb = X[s : s + _SCORE_BATCH], y[s : s + _SCORE_BATCH]
         logits, pre, post = forward_batch(net, xb)
         bundle = backward_batch(net, xb, pre, post, _ce_loss_grad(logits, yb)[1])
         for h, off in enumerate(offs):

@@ -31,14 +31,13 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
-    _branch_on,
     _ibp_and_bounds,
     _spec_lower,
     input_region,
     tally_stability,
 )
 from .data import Dataset, load_dataset
-from .errors import PipelineError, UsageError, require_integers
+from .errors import PipelineError, UsageError, require_finite, require_integers
 from .grafting import (
     baseline_select,
     default_gamma_schedule,
@@ -127,6 +126,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise UsageError(f"method must be one of {_METHODS}, got {self.method!r}")
+        require_finite(self)
         if self.eps_train < 0 or self.eps_verify < 0:
             raise UsageError("eps values must be >= 0")
         if not 0.0 < self.graft_fraction <= 1.0 and self.method != "none":
@@ -146,7 +146,7 @@ class ExperimentConfig:
         require_integers(**{f"architecture[{i}]": w for i, w in enumerate(self.architecture)})
         if min(self.architecture) < 1:
             raise UsageError(f"architecture widths must be >= 1, got {list(self.architecture)}")
-        if self.clip is not None and (len(self.clip) != 2 or self.clip[0] > self.clip[1]):
+        if self.clip is not None and (len(self.clip) != 2 or not self.clip[0] <= self.clip[1]):
             raise UsageError(f"clip must be [low, high] with low <= high, got {list(self.clip)}")
         if min(self.attack_steps, self.attack_restarts, self.train_attack_steps) < 1:
             raise UsageError("attack_steps, attack_restarts and train_attack_steps must be >= 1")
@@ -288,18 +288,17 @@ def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> 
     infeasible, as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
     rows = np.repeat(np.arange(len(margins)), len(margins[0]))
     specs = [s for ms in margins for s in ms]
-    vals = _spec_lower(
+    return _spec_lower(
         net,
         Box(box.lower[rows], box.upper[rows]),
         SplitAssignment.free(net),
         LayerBounds(
-            tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted
+            tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted,
+            np.broadcast_to(inter.feasible, (len(margins), 1))[rows],
         ),
         np.stack([s.coeffs for s in specs])[:, None, :],
         np.array([[s.const] for s in specs]),
-    )
-    feasible = np.broadcast_to(inter.feasible, (len(margins), 1))[rows]
-    return np.where(feasible, vals, np.inf).reshape(len(margins), -1)
+    ).reshape(len(margins), -1)
 
 
 def _bounds_row(bounds: LayerBounds, j: int, feasible: bool) -> LayerBounds:
@@ -311,15 +310,12 @@ def _bounds_row(bounds: LayerBounds, j: int, feasible: bool) -> LayerBounds:
 
 
 def _verify_example(payload: dict) -> dict:
-    """Phase 5 for one example that held against PGD: its margins in
-    order, each with its own seed.  A margin whose root CROWN bound
-    (``payload["root"]``) is positive is verified there as one domain, as
-    ``bab_verify`` would decide it; any other goes to ``bab_verify`` from
-    that bound, the root bounds, the box's raw IBP (``payload["root_raw"]``,
-    its row of the group's stacked IBP) and the root's branch neuron,
-    computed once for the example by the first such margin.  Stops at the
-    first falsified or timed-out margin.  The example's share of its
-    group's root-phase seconds counts in its time and against its time
+    """Phase 5 for one example that held against PGD: ``bab_verify`` on
+    its margins in order, each with its own seed, its root CROWN bound
+    (``payload["root"]``), the root bounds and the box's raw IBP
+    (``payload["root_raw"]``, its row of the group's stacked IBP).  Stops
+    at the first falsified or timed-out margin.  The example's share of
+    its group's root-phase seconds counts in its time and against its time
     limit.  Returns the record fields it sets.  Standalone, so that one
     example's spans can be told apart."""
     time_limit = payload["time_limit"]
@@ -327,7 +323,6 @@ def _verify_example(payload: dict) -> dict:
     work = 0
     worst = math.inf
     verdict = "verified"
-    branch = None
     for k, (spec, root) in enumerate(zip(payload["margins"], payload["root"])):
         remaining = None
         if time_limit is not None:
@@ -335,12 +330,6 @@ def _verify_example(payload: dict) -> dict:
             if remaining <= 0:
                 verdict = "timeout"
                 break
-        if root > 0.0:
-            work += 1
-            worst = min(worst, float(root))
-            continue
-        if branch is None:
-            branch = int(_branch_on(payload["root_inter"], SplitAssignment.free(payload["net"])))
         v = bab_verify(
             payload["net"],
             spec,
@@ -350,15 +339,11 @@ def _verify_example(payload: dict) -> dict:
             root_inter=payload["root_inter"],
             root_raw=payload["root_raw"],
             root_bound=float(root),
-            root_branch=branch,
         )
         work += v.domains_explored
         worst = min(worst, v.bound)
-        if v.status == VerdictStatus.FALSIFIED:
-            verdict = "falsified"
-            break
-        if v.status == VerdictStatus.TIMEOUT:
-            verdict = "timeout"
+        if v.status != VerdictStatus.VERIFIED:
+            verdict = v.status.value
             break
     return {
         "time_seconds": time.perf_counter() - t0,
@@ -456,9 +441,10 @@ def evaluate_network(
     the clean forward pass; PGD on the correctly classified ones; root
     bounds (``compute_bounds``) of those that held, in groups of
     ``_root_group_size``; the root CROWN bound of each of their margins;
-    then, per example, BaB on the margins whose root bound is not
-    positive.  Every example gets the floats of its own one-example run,
-    so the records do not depend on the stacking.
+    then, per example, ``bab_verify`` on each margin from that bound,
+    which decides it at once where positive.  Every example gets the
+    floats of its own one-example run, so the records do not depend on
+    the stacking.
 
     Deterministic mode turns the wall clock off (only ``max_domains``
     bounds the work); otherwise a ``time_limit`` of None does the same.

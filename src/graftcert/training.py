@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, UsageError, require_integers
+from .bounds import _eps_ball
+from .errors import DivergenceError, DomainError, UsageError, require_finite, require_integers
 from .network import Network, apply_graft, backward_batch, forward_batch, input_grad_batch
 
 __all__ = [
@@ -44,6 +45,7 @@ class TrainConfig:
             raise UsageError(f"milestones must be a list of integers, got {self.milestones!r}")
         require_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         require_integers(**{f"milestones[{i}]": m for i, m in enumerate(self.milestones)})
+        require_finite(self)
         if self.epochs < 1:
             raise UsageError("epochs must be >= 1")
         if self.lr <= 0:
@@ -81,6 +83,7 @@ class FinetuneConfig:
 
     def __post_init__(self):
         require_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
+        require_finite(self)
         if self.graft_lr < 0 or self.weight_lr < 0:
             raise UsageError("learning rates must be >= 0")
         if self.epochs < 1:
@@ -114,11 +117,7 @@ def _pgd_batch(
     """Batched PGD maximizing the cross-entropy loss (one random start)."""
     if atk.eps == 0.0:
         return X
-    lo = X - atk.eps
-    hi = X + atk.eps
-    if atk.clip is not None:
-        lo = np.maximum(lo, atk.clip[0])
-        hi = np.minimum(hi, atk.clip[1])
+    lo, hi = _eps_ball(X, atk.eps, atk.clip)
     step = atk.eps / 4.0
     x = np.clip(X + rng.uniform(-atk.eps, atk.eps, X.shape), lo, hi)
     for _ in range(atk.steps):

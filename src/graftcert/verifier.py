@@ -28,7 +28,6 @@ from .bounds import (
     _backward,
     _bound_children,
     _branch_on,
-    _relaxation_lines,
     _sign_split,
 )
 from .errors import UndecidableRegion, UsageError, require_integers
@@ -265,10 +264,9 @@ def _resolve_linear_leaf(
     region may still hold a counterexample (README, "Soundness model").
     Every lower line here is its upper line, so the CROWN lower-bound pass
     (``_backward``) is exact."""
-    lines = _relaxation_lines(net, inter, split)
     lead = inter.lower[-1].shape[:-1] or (1,)
     C = np.broadcast_to(spec.coeffs, lead + spec.coeffs.shape)
-    mins, A = _backward(net, lines, box, C, np.full(lead, spec.const), len(net.layers) - 1)
+    mins, A = _backward(net, inter, split, box, C, np.full(lead, spec.const), len(net.layers) - 1)
     exact_min = float(mins.reshape(-1)[0])
     witness = np.where(A.reshape(-1) > 0.0, box.lower, box.upper)
     if exact_min > 0.0:
@@ -374,7 +372,6 @@ def bab_verify(
     root_inter: LayerBounds | None = None,
     root_raw: LayerBounds | None = None,
     root_bound: float | None = None,
-    root_branch: int | None = None,
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
@@ -410,9 +407,10 @@ def bab_verify(
     does: it is used as given, and a child's bounds below its split layer
     are its parent's.  Looser bounds stay sound.  ``root_raw`` supplies the
     box's IBP (default: computed here), for callers that verify several
-    specs over one box.  ``root_bound`` and ``root_branch`` supply the
-    root's ``crown_lower_bound`` of the spec and its ``_branch_on`` neuron
-    (default: computed here), for callers that have bounded the root.
+    specs over one box.  ``root_bound`` supplies the root's
+    ``crown_lower_bound`` of the spec (default: computed here), for callers
+    that have bounded the root; the root's branch neuron is chosen only
+    when a search starts.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -446,7 +444,7 @@ def bab_verify(
             for side in (inter.lower, inter.upper, raw.lower[:-1], raw.upper[:-1])
         ),
         root_split.flat()[None, None], np.array([root_bound]),
-        np.array([_branch_on(inter, root_split) if root_branch is None else root_branch]),
+        np.array([_branch_on(inter, root_split)]),
     ))
     offsets = net.layer_offsets()
     heap = [(root_bound, 0, 0)]

@@ -177,7 +177,7 @@ class TestCrown:
         # the relaxation lines themselves: secant above, same slope below
         from graftcert.bounds import _relaxation_lines
 
-        (slope, li, ui), = _relaxation_lines(net, inter, SplitAssignment.free(net))
+        slope, li, ui = _relaxation_lines(net, inter, SplitAssignment.free(net), 0)
         assert (slope[0], li[0], ui[0]) == (0.5, 0.0, 0.5)
         # the upper line passes through (-1, 0) and (1, 1)
         assert slope[0] * -1 + ui[0] == pytest.approx(0.0)
@@ -680,7 +680,6 @@ class TestLowerBoundKernel:
             cases.append((box, row, SplitAssignment([c[r, 0] for c in codes])))
         zeros = 0
         for box, inter, split in cases:
-            lines = _relaxation_lines(net, inter, split)
             ref = _reference_relaxation_lines(net, inter, split)
             stack = box.lower.shape[:-2]
             for start in range(len(net.layers)):
@@ -689,11 +688,11 @@ class TestLowerBoundKernel:
                     (np.broadcast_to(np.eye(d), stack + (d, d)), np.zeros(stack + (d,))),
                     (rng.normal(0, 1, stack + (2, d)), rng.normal(0, 1, stack + (2,))),
                 ):
-                    lo, A = _backward(net, lines[:start], box, C, c0, start)
+                    lo, A = _backward(net, inter, split, box, C, c0, start)
                     want_lo, want_A = _reference_backward(net, ref[:start], box, C, c0, start, -1)
                     assert lo.tobytes() == want_lo.tobytes()
                     assert A.tobytes() == want_A.tobytes()
-                    hi = 0.0 - _backward(net, lines[:start], box, -C, -c0, start)[0]
+                    hi = 0.0 - _backward(net, inter, split, box, -C, -c0, start)[0]
                     want_hi = _reference_backward(net, ref[:start], box, C, c0, start, +1)[0]
                     assert hi.tobytes() == want_hi.tobytes()
                     zeros += int(np.sum(want_hi == 0.0))
@@ -765,7 +764,7 @@ def _two_chain_compute_bounds(net, box, split):
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
     lines = []
     for i in range(1, len(net.layers)):
-        lines += _relaxation_lines(net, refined, split, [i - 1])
+        lines.append(_relaxation_lines(net, refined, split, i - 1))
         d = net.layers[i].out_dim
         c0 = np.zeros(stack + (d,))
         lo = _two_chain_backward(net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)), c0, i)
@@ -880,16 +879,16 @@ class TestOneChainBothSides:
         )
         box = input_region(rng.uniform(0, 1, net.input_dim), 0.2)
         inter = compute_bounds(net, box, None, "crown")
-        lines = _relaxation_lines(net, inter, SplitAssignment.free(net))
+        free = SplitAssignment.free(net)
         for start in range(len(net.layers)):
             d = net.layers[start].out_dim
             for C, c0 in (
                 (np.eye(d), np.zeros(d)),
                 (rng.normal(0, 1, (3, d)), rng.normal(0, 1, 3)),
             ):
-                (lo, neg), A = _backward(net, lines[:start], box, C, c0, start, both=True)
-                want_lo, want_A = _backward(net, lines[:start], box, C, c0, start)
-                want_neg = _backward(net, lines[:start], box, -C, -c0, start)[0]
+                (lo, neg), A = _backward(net, inter, free, box, C, c0, start, both=True)
+                want_lo, want_A = _backward(net, inter, free, box, C, c0, start)
+                want_neg = _backward(net, inter, free, box, -C, -c0, start)[0]
                 assert [v.hex() for v in lo] == [v.hex() for v in want_lo]
                 assert [v.hex() for v in 0.0 - neg] == [v.hex() for v in 0.0 - want_neg]
                 assert np.array_equal(neg, want_neg)
@@ -984,7 +983,7 @@ class TestRelaxationLines:
         uppers.append(np.full(2, 1.0))
         inter = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
         for split in (SplitAssignment.free(net), SplitAssignment(codes)):
-            got = _relaxation_lines(net, inter, split)
+            got = [_relaxation_lines(net, inter, split, h) for h in range(len(hidden))]
             want = _reference_relaxation_lines(net, inter, split)
             assert len(got) == len(want) == len(hidden)
             for g_line, (ls, li, us, ui) in zip(got, want):
@@ -996,10 +995,12 @@ class TestRelaxationLines:
 
     def test_no_hidden_layer(self):
         net = Network([manual_layer([[1.0, -1.0]], [0.5])])
-        inter = ibp(net, Box(np.zeros(2), np.ones(2)))
+        box = Box(np.zeros(2), np.ones(2))
+        inter = ibp(net, box)
         split = SplitAssignment.free(net)
-        assert _relaxation_lines(net, inter, split) == []
         assert _reference_relaxation_lines(net, inter, split) == []
+        # no hidden layer: the pass builds no lines, and its bound is exact
+        assert _backward(net, inter, split, box, np.eye(1), np.zeros(1), 0)[0].tolist() == [-0.5]
 
 
 class TestClassify:
@@ -1182,19 +1183,29 @@ class TestSharedKernels:
         assert _same_bytes(ibp(net, box, split), _reference_ibp(net, box, split))
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_tally_matches_reference(self, seed):
+    def test_tally_matches_reference(self, seed, monkeypatch):
+        import graftcert.bounds as bounds
+
+        monkeypatch.setattr(bounds, "_TALLY_BATCH", 16)
         net = _random_grafted_net(5200 + seed)
         rng = np.random.default_rng(seed)
         # more rows than one batch, so the counts add up across batches
         X = rng.uniform(0, 1, (int(rng.integers(20, 60)), net.input_dim))
         eps = float(rng.uniform(0.0, 0.4))
         clip = (0.0, 1.0) if seed % 2 else None
-        tally = tally_stability(net, X, eps, clip, batch_size=16)
+        tally = tally_stability(net, X, eps, clip)
         want = _reference_tally(net, X, eps, clip, batch_size=16)
         got = (tally.times_unstable, tally.times_active, tally.times_inactive)
         for x, y in zip(got, want):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         assert tally.n_examples == X.shape[0]
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+    def test_tally_rejects_bad_eps(self, eps):
+        # a NaN radius would count every neuron unstable on every example
+        net = random_net(5250, widths=[3, 4, 2])
+        with pytest.raises(DomainError, match="eps"):
+            tally_stability(net, np.zeros((2, 3)), eps)
 
     def test_tally_without_hidden_layer(self):
         net = Network([manual_layer([[1.0, -1.0]], [0.5])])

@@ -106,6 +106,17 @@ class TestScores:
         assert raw[1] == 0.0
         assert r_s[1] == r_s.min()
 
+    def test_significance_batches_add_up(self, monkeypatch):
+        import graftcert.grafting as grafting
+
+        net = random_net(13, widths=[2, 5, 4, 2])
+        X = np.random.default_rng(6).uniform(0, 1, (40, 2))
+        y = np.random.default_rng(7).integers(0, 2, 40)
+        whole, _ = significance_scores(net, X, y)
+        monkeypatch.setattr(grafting, "_SCORE_BATCH", 7)
+        batched, _ = significance_scores(net, X, y)
+        assert np.allclose(batched, whole, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("seed", [3, 7, 21, 40])
     def test_doubling_outgoing_weights_doesnt_reduce_significance(self, seed):
         # recompute-on-modified-net oracle, on fixed instances

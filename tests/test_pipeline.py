@@ -453,22 +453,48 @@ class TestLockstepEvaluation:
         assert checked > 250
 
     def test_bab_skips_the_root_work_it_is_given(self, monkeypatch):
-        # the evaluation hands BaB each margin's root bound and the root's
-        # branch neuron; BaB then computes neither again
+        # each margin an RA example reaches is one bab_verify call, in
+        # order, handed its root bound, so BaB never bounds the root again
         import graftcert.verifier as verifier
 
-        calls = {"crown_lower_bound": 0, "_branch_on": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(verifier, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(verifier, name, counted)
-        searched = 0
+        crown = []
+        real_crown = verifier.crown_lower_bound
+
+        def counted(*args):
+            crown.append(args)
+            return real_crown(*args)
+
+        calls, real = [], pipeline.bab_verify
+
+        def spy(net, spec, box, *args, **kwargs):
+            v = real(net, spec, box, *args, **kwargs)
+            calls.append((id(box), spec.target, v.status, v.domains_explored))
+            return v
+
+        monkeypatch.setattr(verifier, "crown_lower_bound", counted)
+        monkeypatch.setattr(pipeline, "bab_verify", spy)
+        searched = root_decided = 0
         for seed, net, test, kwargs in list(_lockstep_cases())[:6]:
+            calls.clear()
             records, _ = evaluate_network(net, test, **kwargs)
             searched += sum(r["work_units"] > net.output_dim - 1 for r in records)
-        assert searched > 0
-        assert calls == {"crown_lower_bound": 0, "_branch_on": 0}
+            pos = 0
+            for r in records:
+                if not r["ra"]:
+                    continue
+                margins = build_specs(net.output_dim, r["label"])
+                run = calls[pos : pos + len(margins)]
+                stops = [c[2] != VerdictStatus.VERIFIED for c in run]
+                run = run[: stops.index(True) + 1] if any(stops) else run
+                assert [c[1] for c in run] == [s.target for s in margins[: len(run)]]
+                assert len({c[0] for c in run}) == 1
+                assert r["verdict"] == run[-1][2].value
+                assert r["work_units"] == sum(c[3] for c in run)
+                pos += len(run)
+            assert pos == len(calls)
+            root_decided += sum(c[3] == 1 for c in calls)
+        assert searched > 0 and root_decided > 0
+        assert crown == []
 
     def test_root_raw_is_the_one_box_ibp(self, monkeypatch):
         # BaB's children restart from the root's raw IBP, which the root
@@ -704,6 +730,21 @@ class TestCli:
         pytest.param({"warmup_lr": 0.0}, id="warmup_lr=0"),
         pytest.param({"warmup_lr": -0.05}, id="warmup_lr=-0.05"),
         pytest.param({"intermediate": "lp"}, id="intermediate=lp"),
+        # non-finite floats, which json reads from NaN and Infinity
+        pytest.param({"eps_train": float("nan")}, id="eps_train=nan"),
+        pytest.param({"eps_verify": float("inf")}, id="eps_verify=inf"),
+        pytest.param({"score_eps": float("nan")}, id="score_eps=nan"),
+        pytest.param({"train_l1": float("inf")}, id="train_l1=inf"),
+        pytest.param({"finetune_l1": float("nan")}, id="finetune_l1=nan"),
+        pytest.param({"warmup_lr": float("inf")}, id="warmup_lr=inf"),
+        pytest.param({"init_slope": float("nan")}, id="init_slope=nan"),
+        pytest.param({"init_intercept": -float("inf")}, id="init_intercept=-inf"),
+        pytest.param({"clip": [float("nan"), 1.0]}, id="clip=nan,1"),
+        pytest.param({"train": {"epochs": 2, "lr": float("inf")}}, id="train.lr=inf"),
+        pytest.param({"train": {"epochs": 2, "momentum": float("nan")}}, id="train.momentum=nan"),
+        pytest.param({"finetune": {"epochs": 2, "graft_lr": float("nan")}}, id="finetune.graft_lr=nan"),
+        pytest.param({"finetune": {"epochs": 2, "weight_lr": float("inf")}}, id="finetune.weight_lr=inf"),
+        pytest.param({"finetune": {"epochs": 2, "momentum": float("nan")}}, id="finetune.momentum=nan"),
         *(pytest.param(over, id=named) for over, named, _ in _NON_INTEGER),
         # not a dict: the whole document
         pytest.param([1, 2], id="document=list"),
@@ -730,6 +771,16 @@ class TestCli:
         assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {named} must be ") and value in err, err
+
+    @pytest.mark.parametrize("over, message", [
+        ({"score_eps": float("nan")}, "score_eps must be finite, got nan"),
+        ({"finetune": {"epochs": 2, "weight_lr": float("inf")}},
+         "finetune: weight_lr must be finite, got inf"),
+    ])
+    def test_non_finite_error_names_the_field(self, tmp_path, capsys, over, message):
+        cfg = _write_cfg(tmp_path, **over)
+        assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     def test_intermediate_error_names_the_value(self, tmp_path):
         with pytest.raises(UsageError, match="got 'lp'"):

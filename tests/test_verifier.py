@@ -826,7 +826,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
 def _reference_linear_leaf(net, box, split, inter, spec):
     # the dedicated back-substitution loop that _resolve_linear_leaf ran
     # before it shared the CROWN backward pass; the floats must not change
-    lines = _relaxation_lines(net, inter, split)
+    lines = [_relaxation_lines(net, inter, split, h) for h in range(len(net.hidden_sizes))]
     A = spec.coeffs[None, :]
     const = np.array([spec.const])
     for i in range(len(net.layers) - 1, -1, -1):
