@@ -75,9 +75,9 @@ def _load_config(args) -> ExperimentConfig:
         doc.update(loaded)
     if args.seed is not None:
         doc["seed"] = args.seed
-        doc.setdefault("train", {})
-        if isinstance(doc["train"], dict):
-            doc["train"]["seed"] = args.seed
+        for section in ("train", "finetune"):
+            if isinstance(doc.setdefault(section, {}), dict):
+                doc[section]["seed"] = args.seed
     if args.out is not None:
         doc["out_dir"] = args.out
     if args.method:

@@ -20,8 +20,7 @@ import numpy as np
 
 from .bounds import tally_stability
 from .errors import UsageError
-from .network import Network, backward_batch, forward_batch
-from .training import _ce_loss_grad
+from .network import Network, _ce_loss_grad, _reverse, forward_batch
 
 __all__ = [
     "NeuronScore",
@@ -39,7 +38,7 @@ __all__ = [
     "load_plan",
 ]
 
-# examples per forward/backward pass in significance_scores
+# examples per forward/reverse pass in significance_scores
 _SCORE_BATCH = 256
 
 
@@ -138,11 +137,12 @@ def significance_scores(
     n = X.shape[0]
     for s in range(0, n, _SCORE_BATCH):
         xb, yb = X[s : s + _SCORE_BATCH], y[s : s + _SCORE_BATCH]
-        logits, pre, post = forward_batch(net, xb)
-        bundle = backward_batch(net, xb, pre, post, _ce_loss_grad(logits, yb)[1])
-        for h, off in enumerate(offs):
-            g = bundle.postact_grads[h]
-            acc[off : off + g.shape[1]] += np.abs(g).sum(axis=0)
+        logits, pre, _ = forward_batch(net, xb)
+        # ga at layer i is hidden layer i - 1's post-activation gradient
+        for i, _, ga in _reverse(net, pre, _ce_loss_grad(logits, yb)[1]):
+            acc[offs[i - 1] : offs[i - 1] + ga.shape[1]] += np.abs(ga).sum(axis=0)
+            if i == 1:
+                break  # before the chain builds the input gradient
     raw = acc / n
     return raw, rank_normalize(raw)
 

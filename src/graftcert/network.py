@@ -8,13 +8,16 @@ Hidden neurons are addressed by a single flat id space, layer by layer.
 All arithmetic is 64-bit floating point.  Evaluation is deterministic:
 identical inputs produce bitwise-identical outputs.  Networks are treated
 as immutable during evaluation; training code works on private copies.
+
+Every gradient (parameters, input, hidden post-activations) comes from
+one reverse-mode chain, ``_reverse``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -190,8 +193,7 @@ class GradientBundle:
     """Reverse-mode derivatives mirroring the network's parameter layout.
 
     ``postact_grads`` holds, per hidden layer, the gradient of the loss with
-    respect to each neuron's post-activation value; it is what significance
-    scoring consumes.
+    respect to each neuron's post-activation value.
     """
 
     weight_grads: list[np.ndarray]
@@ -271,6 +273,36 @@ def forward(
     return logits[0], [p[0] for p in pre], [p[0] for p in post]
 
 
+def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example cross-entropy and its gradient on the logits (softmax
+    minus one-hot)."""
+    rows = np.arange(logits.shape[0])
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    loss = -np.log(p[rows, y] + 1e-12)
+    p[rows, y] -= 1.0
+    return loss, p
+
+
+def _reverse(
+    net: Network, preacts: list[np.ndarray], loss_grad: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The reverse-mode chain over :func:`forward_batch`'s ``preacts``.  For
+    each affine layer i, top first, yields ``(i, g, ga)``: ``g`` is the
+    gradient on z_i and ``ga = g @ W_i`` the one on the layer's input.  No
+    ``ga`` is written again, and layer i - 1 waits for the next request."""
+    g = np.asarray(loss_grad, dtype=np.float64)
+    if g.shape != preacts[-1].shape:
+        raise StructuralError(
+            f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
+        )
+    for i in range(len(net.layers) - 1, -1, -1):
+        ga = g @ net.layers[i].weight
+        yield i, g, ga
+        if i > 0:
+            g = ga * _activation_slopes(net, i - 1, preacts[i - 1])
+
+
 def backward_batch(
     net: Network,
     x: np.ndarray,
@@ -284,36 +316,23 @@ def backward_batch(
     loss on the logits.  Parameter gradients are summed over the batch;
     ``input_grad`` and ``postact_grads`` stay per-example.
     """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(loss_grad, dtype=np.float64)
-    if g.shape != preacts[-1].shape:
-        raise StructuralError(
-            f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
-        )
+    acts = [np.asarray(x, dtype=np.float64), *postacts]
     L = len(net.layers)
     weight_grads: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * L  # type: ignore[list-item]
+    in_grads: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     slope_grads = [np.zeros_like(s) for s in net.slopes]
     intercept_grads = [np.zeros_like(c) for c in net.intercepts]
-    postact_grads: list[np.ndarray] = [None] * (L - 1)  # type: ignore[list-item]
-    for i in range(L - 1, -1, -1):
-        a_prev = postacts[i - 1] if i > 0 else x
-        weight_grads[i] = g.T @ a_prev
+    for i, g, ga in _reverse(net, preacts, loss_grad):
+        weight_grads[i] = g.T @ acts[i]
         bias_grads[i] = g.sum(axis=0)
-        ga = g @ net.layers[i].weight  # grad wrt post-activation of layer i-1
-        if i > 0:
-            postact_grads[i - 1] = ga
-            z = preacts[i - 1]
+        in_grads[i] = ga
+        if i > 0 and net.grafted[i - 1].any():
             mask = net.grafted[i - 1]
-            if mask.any():
-                slope_grads[i - 1] = np.where(mask, (ga * z).sum(axis=0), 0.0)
-                intercept_grads[i - 1] = np.where(mask, ga.sum(axis=0), 0.0)
-            # a new array: ``ga`` is kept in ``postact_grads``
-            g = ga * _activation_slopes(net, i - 1, z)
-        else:
-            input_grad = ga
+            slope_grads[i - 1] = np.where(mask, (ga * preacts[i - 1]).sum(axis=0), 0.0)
+            intercept_grads[i - 1] = np.where(mask, ga.sum(axis=0), 0.0)
     return GradientBundle(
-        weight_grads, bias_grads, slope_grads, intercept_grads, input_grad, postact_grads
+        weight_grads, bias_grads, slope_grads, intercept_grads, in_grads[0], in_grads[1:]
     )
 
 
@@ -328,15 +347,9 @@ def input_grad_batch(
     Bitwise equal to ``backward_batch(...).input_grad`` but builds no
     parameter or post-activation gradients, so it is the pass attacks use.
     """
-    g = np.asarray(loss_grad, dtype=np.float64)
-    if g.shape != preacts[-1].shape:
-        raise StructuralError(
-            f"loss_grad shape {g.shape} does not match logits {preacts[-1].shape}"
-        )
-    for i in range(len(net.layers) - 1, 0, -1):
-        g = g @ net.layers[i].weight
-        g *= _activation_slopes(net, i - 1, preacts[i - 1])
-    return g @ net.layers[0].weight
+    for _, _, ga in _reverse(net, preacts, loss_grad):
+        pass
+    return ga
 
 
 def backward(net: Network, x: np.ndarray, loss_grad: np.ndarray) -> GradientBundle:
@@ -346,14 +359,9 @@ def backward(net: Network, x: np.ndarray, loss_grad: np.ndarray) -> GradientBund
     both scaled by the downstream gradient), the input, and every hidden
     post-activation.
     """
-    x = np.asarray(x, dtype=np.float64)
-    loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    if loss_grad.shape != (net.output_dim,):
-        raise StructuralError(
-            f"loss_grad must have shape ({net.output_dim},), got {loss_grad.shape}"
-        )
-    _, pre, post = forward_batch(net, x[None, :])
-    bundle = backward_batch(net, x[None, :], pre, post, loss_grad[None, :])
+    x = np.asarray(x, dtype=np.float64)[None]
+    _, pre, post = forward_batch(net, x)
+    bundle = backward_batch(net, x, pre, post, np.asarray(loss_grad)[None])
     bundle.input_grad = bundle.input_grad[0]
     bundle.postact_grads = [p[0] for p in bundle.postact_grads]
     return bundle

@@ -18,7 +18,10 @@ import numpy as np
 
 from .bounds import _eps_ball
 from .errors import DivergenceError, DomainError, UsageError, require_finite, require_integers
-from .network import Network, apply_graft, backward_batch, forward_batch, input_grad_batch
+from .grafting import _ceil, score_neurons, select_neurons
+from .network import (
+    Network, _ce_loss_grad, apply_graft, backward_batch, forward_batch, input_grad_batch,
+)
 
 __all__ = [
     "TrainConfig",
@@ -75,7 +78,6 @@ class FinetuneConfig:
     graft_lr: float = 0.01
     weight_lr: float = 0.001
     epochs: int = 20
-    tune_weights: bool = True
     batch_size: int = 128
     momentum: float = 0.9
     weight_decay: float = 0.0
@@ -93,18 +95,7 @@ class FinetuneConfig:
 
 
 # ---------------------------------------------------------------------------
-# loss primitives
-
-
-def _ce_loss_grad(logits: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example cross-entropy and its gradient on the logits (softmax
-    minus one-hot)."""
-    rows = np.arange(logits.shape[0])
-    p = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    loss = -np.log(p[rows, y] + 1e-12)
-    p[rows, y] -= 1.0
-    return loss, p
+# attacks and accuracy
 
 
 def _pgd_batch(
@@ -244,8 +235,8 @@ def _sgd_run(
 
 def _cosine_rates(cfg: FinetuneConfig) -> Callable[[int], tuple[float, float]]:
     """Fine-tuning's (weight, graft) rates, cosine-annealed to exactly
-    zero on the final epoch; ``tune_weights=False`` gives weights rate 0."""
-    lrs = (cfg.weight_lr if cfg.tune_weights else 0.0, cfg.graft_lr)
+    zero on the final epoch."""
+    lrs = (cfg.weight_lr, cfg.graft_lr)
 
     def rates(epoch: int) -> tuple[float, float]:
         if cfg.epochs <= 1:
@@ -310,11 +301,10 @@ def finetune_grafted(
     """Fine-tune a grafted network under a cosine-annealed schedule.
 
     Two parameter groups: grafted slopes/intercepts at ``cfg.graft_lr``,
-    affine weights/biases at ``cfg.weight_lr`` (frozen bit-identical when
-    ``tune_weights`` is False).  Activation kinds never change.  ``l1`` is
-    the same weight penalty as in :func:`train`.  The log's ``sa`` and
-    ``ra`` columns stay empty: a holdout attack would draw from the
-    training generator.
+    affine weights/biases at ``cfg.weight_lr`` (frozen bit for bit when it
+    is 0).  Activation kinds never change.  ``l1`` is the same weight
+    penalty as in :func:`train`.  The log's ``sa`` and ``ra`` columns stay
+    empty: a holdout attack would draw from the training generator.
     """
     if not any(g.any() for g in net.grafted):
         raise UsageError("finetune_grafted needs at least one grafted neuron")
@@ -344,8 +334,6 @@ def gradual_graft(
     whose weight decays from 2 to 0 as the grafted share grows.  The second
     half only fine-tunes.  ``l1`` is the weight penalty of :func:`train`.
     """
-    from .grafting import _ceil, score_neurons, select_neurons
-
     if not 0.0 < fraction <= 1.0:
         raise UsageError("fraction must be in (0, 1]")
     X, y = _dataset_arrays(dataset)

@@ -30,7 +30,7 @@ from .bounds import (
     _branch_on,
     _sign_split,
 )
-from .errors import UndecidableRegion, UsageError, require_integers
+from .errors import UndecidableRegion, UsageError, require_finite, require_integers
 from .network import Network, forward_batch, input_grad_batch
 from .training import AttackConfig
 
@@ -99,6 +99,7 @@ class VerifyBudget:
 
     def __post_init__(self):
         require_integers(max_domains=self.max_domains)
+        require_finite(self)
         if self.max_domains < 1:
             raise UsageError(f"max_domains must be >= 1, got {self.max_domains}")
         if self.time_limit is not None and not self.time_limit > 0:

@@ -1,6 +1,7 @@
 """The runtime is pure numpy plus the standard library."""
 
 import ast
+import graphlib
 import pathlib
 import sys
 
@@ -36,3 +37,62 @@ def test_the_check_catches_a_third_party_import():
                      "def f():\n    import scipy.sparse\n    from torch import nn\n")
     found = [name for _, name in _imported_packages(tree) if name not in ALLOWED]
     assert found == ["scipy", "torch"]
+
+
+
+def _graftcert_imports(tree: ast.AST):
+    """(line, imported graftcert module, inside a function?) of every
+    relative import in the tree, ``from .a import b`` and ``from . import a``
+    alike."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = {
+        id(node)
+        for scope in ast.walk(tree) if isinstance(scope, functions)
+        for node in ast.walk(scope)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield node.lineno, name.split(".")[0], id(node) in nested
+
+
+def _cycle(graph: dict[str, set[str]]):
+    """A module path that ends where it starts, or None when there is none."""
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        return err.args[1]
+    return None
+
+
+def _import_graph():
+    graph, local = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        deps = graph.setdefault(path.stem, set())
+        for line, mod, inside in _graftcert_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            deps.add(mod)
+            if inside:
+                local.append(f"{path.name}:{line}: {mod}")
+    return graph, local
+
+
+def test_graftcert_imports_sit_at_module_top():
+    _, local = _import_graph()
+    assert not local, local
+
+
+def test_module_imports_form_no_cycle():
+    graph, _ = _import_graph()
+    assert {"network", "grafting", "training", "pipeline"} <= set(graph), sorted(graph)
+    assert _cycle(graph) is None, _cycle(graph)
+
+
+def test_the_checks_catch_a_local_import_and_a_cycle():
+    tree = ast.parse("from .network import forward\nfrom . import bounds\n"
+                     "def f():\n    from .grafting import _ceil\n")
+    assert list(_graftcert_imports(tree)) == [
+        (1, "network", False), (2, "bounds", False), (4, "grafting", True),
+    ]
+    cycle = _cycle({"grafting": {"network", "training"}, "training": {"grafting"}})
+    assert sorted(cycle[:-1]) == ["grafting", "training"] and cycle[0] == cycle[-1]
+    assert _cycle({"a": {"b"}, "b": {"c"}}) is None

@@ -20,6 +20,7 @@ from graftcert import (
 )
 from graftcert.data import gaussian_blobs
 from graftcert.grafting import NeuronScore, plan_from_dict, plan_to_dict
+from graftcert.network import backward_batch
 
 from conftest import random_net
 
@@ -32,6 +33,23 @@ def toy_scores(r_u, r_s, relu_mask=None):
     return NeuronScore(
         np.zeros(r_u.size, dtype=np.int64), np.zeros(r_u.size), r_u, r_s, relu_mask
     )
+
+
+def _reference_significance(net, X, y, batch):
+    """Raw significance as it was computed before scoring shared the
+    reverse chain: a full backward pass per batch, with the post-activation
+    gradients read off its bundle."""
+    acc = np.zeros(net.num_hidden)
+    for s in range(0, X.shape[0], batch):
+        xb, yb = X[s : s + batch], y[s : s + batch]
+        logits, pre, post = forward_batch(net, xb)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(xb.shape[0]), yb] -= 1.0
+        bundle = backward_batch(net, xb, pre, post, p)
+        for off, g in zip(net.layer_offsets(), bundle.postact_grads):
+            acc[off : off + g.shape[1]] += np.abs(g).sum(axis=0)
+    return acc / X.shape[0]
 
 
 class TestRankNormalize:
@@ -116,6 +134,24 @@ class TestScores:
         monkeypatch.setattr(grafting, "_SCORE_BATCH", 7)
         batched, _ = significance_scores(net, X, y)
         assert np.allclose(batched, whole, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("batch", [None, 7])
+    @pytest.mark.parametrize("widths, grafted", [
+        pytest.param([3, 6, 5, 4, 3], 0.4, id="grafted"),
+        pytest.param([2, 6, 2], 0.0, id="one-hidden"),
+    ])
+    def test_significance_equals_full_backward_recipe(self, monkeypatch, widths, grafted, batch):
+        import graftcert.grafting as grafting
+
+        net = random_net(17, widths=widths, graft_fraction=grafted)
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, (300, widths[0]))
+        y = rng.integers(0, widths[-1], 300)
+        if batch is not None:
+            monkeypatch.setattr(grafting, "_SCORE_BATCH", batch)
+        raw, _ = significance_scores(net, X, y)
+        want = _reference_significance(net, X, y, grafting._SCORE_BATCH)
+        assert raw.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [3, 7, 21, 40])
     def test_doubling_outgoing_weights_doesnt_reduce_significance(self, seed):

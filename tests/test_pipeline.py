@@ -23,7 +23,7 @@ from graftcert import (
     VerifyBudget,
     load_checkpoint,
 )
-from graftcert import pipeline
+from graftcert import cli, pipeline
 from graftcert.cli import default_config, main
 from graftcert.data import load_dataset
 from graftcert.grafting import load_plan
@@ -705,6 +705,32 @@ class TestCli:
         assert "bad config: " in err and "unexpected keyword argument" in err, err
         assert field in err, err
 
+    def test_removed_finetune_tune_weights_is_config_error(self, tmp_path, capsys):
+        # weight_lr: 0 freezes the weights bit for bit
+        finetune = {"epochs": 2, "batch_size": 64, "seed": 0, "tune_weights": False}
+        cfg = _write_cfg(tmp_path, finetune=finetune)
+        assert main(["finetune", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "bad config: " in err and "unexpected keyword argument" in err, err
+        assert "tune_weights" in err, err
+
+    @pytest.mark.parametrize("finetune", [
+        pytest.param(None, id="no-config"),
+        pytest.param({"epochs": 3, "batch_size": 64, "seed": 0}, id="finetune-seed-0"),
+        pytest.param({"epochs": 2, "graft_lr": 0.02}, id="finetune-no-seed"),
+        pytest.param({"epochs": 2, "graft_lr": 0.02, "seed": 7}, id="finetune-seed-7"),
+    ])
+    def test_seed_flag_sets_every_seed(self, tmp_path, finetune):
+        argv = ["pipeline", "--seed", "3"]
+        if finetune is not None:
+            argv += ["--config", _write_cfg(tmp_path, finetune=finetune)]
+        cfg = cli._load_config(cli._build_parser().parse_args(argv))
+        assert (cfg.seed, cfg.train.seed, cfg.finetune.seed) == (3, 3, 3)
+        if finetune is not None:
+            # the section's other keys stay as the config sets them
+            assert cfg.finetune.epochs == finetune["epochs"]
+            assert cfg.finetune.graft_lr == finetune.get("graft_lr", 0.01)
+
     @pytest.mark.parametrize("over", [
         pytest.param({"budget": {"time_limit": 30.0, "max_domains": 0}}, id="max_domains=0"),
         pytest.param({"budget": {"time_limit": 30.0, "max_domains": -3}}, id="max_domains=-3"),
@@ -745,6 +771,8 @@ class TestCli:
         pytest.param({"finetune": {"epochs": 2, "graft_lr": float("nan")}}, id="finetune.graft_lr=nan"),
         pytest.param({"finetune": {"epochs": 2, "weight_lr": float("inf")}}, id="finetune.weight_lr=inf"),
         pytest.param({"finetune": {"epochs": 2, "momentum": float("nan")}}, id="finetune.momentum=nan"),
+        pytest.param({"budget": {"time_limit": float("inf"), "max_domains": 50}, "deterministic": False},
+                     id="budget.time_limit=inf"),
         *(pytest.param(over, id=named) for over, named, _ in _NON_INTEGER),
         # not a dict: the whole document
         pytest.param([1, 2], id="document=list"),

@@ -169,7 +169,7 @@ class TestFinetune:
             finetune_grafted(plain, self.ds, FinetuneConfig(epochs=1))
 
     def test_frozen_weights_bit_identical(self):
-        cfg = FinetuneConfig(graft_lr=0.05, weight_lr=0.01, epochs=5, tune_weights=False, batch_size=32, seed=0)
+        cfg = FinetuneConfig(graft_lr=0.05, weight_lr=0.0, epochs=5, batch_size=32, seed=0)
         out = finetune_grafted(self.net, self.ds, cfg)
         for a, b in zip(self.net.layers, out.layers):
             assert np.array_equal(a.weight, b.weight)
@@ -196,7 +196,7 @@ class TestFinetune:
         )
         frozen = finetune_grafted(
             self.net, self.ds,
-            FinetuneConfig(graft_lr=0.02, weight_lr=0.01, epochs=15, tune_weights=False, batch_size=32, seed=1),
+            FinetuneConfig(graft_lr=0.02, weight_lr=0.0, epochs=15, batch_size=32, seed=1),
         )
         assert accuracy(tuned, self.ds) >= accuracy(frozen, self.ds)
 
@@ -406,7 +406,7 @@ def _reference_finetune(net, dataset, cfg, adversarial=None, *, l1=0.0, log_path
         weight_decay=cfg.weight_decay,
         weight_lr=lambda e: _reference_cosine_lr(cfg.weight_lr, e, cfg.epochs),
         graft_lr=lambda e: _reference_cosine_lr(cfg.graft_lr, e, cfg.epochs),
-        tune_weights=cfg.tune_weights, adversarial=adversarial, seed=cfg.seed, l1=l1,
+        tune_weights=True, adversarial=adversarial, seed=cfg.seed, l1=l1,
         epoch_callback=epoch_callback, log_path=log_path,
     )
 
@@ -483,14 +483,14 @@ class TestOneSgdLoop:
             adversarial = atk if seed % 2 else None
             l1 = 0.0 if seed % 3 == 0 else 2e-3
             # graft-zero's rate 0, frozen weights, and both groups tuned
-            graft_lr, tune_weights = [(0.0, True), (0.02, False), (0.02, True)][seed % 3]
-            cfg = FinetuneConfig(graft_lr=graft_lr, weight_lr=0.01, epochs=3, batch_size=16,
-                                 tune_weights=tune_weights, weight_decay=5e-4, seed=seed)
+            graft_lr, weight_lr = [(0.0, 0.01), (0.02, 0.0), (0.02, 0.01)][seed % 3]
+            cfg = FinetuneConfig(graft_lr=graft_lr, weight_lr=weight_lr, epochs=3, batch_size=16,
+                                 weight_decay=5e-4, seed=seed)
             got = finetune_grafted(net, data, cfg, adversarial, l1=l1, log_path=tmp_path / "a.csv")
             want = _reference_finetune(net, data, cfg, adversarial, l1=l1, log_path=tmp_path / "b.csv")
             assert nets_equal(got, want)
             assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-            seen.add((adversarial is None, graft_lr, tune_weights))
+            seen.add((adversarial is None, graft_lr, weight_lr))
         assert len(seen) == 6
 
     def test_gradual_matches_old_loop(self, tmp_path):
@@ -500,7 +500,8 @@ class TestOneSgdLoop:
             fraction = float(rng.choice([0.25, 0.5, 0.75]))
             # the old count matches away from float dust
             assert math.ceil(fraction * net.num_hidden) == math.ceil(fraction * net.num_hidden - 1e-9)
-            cfg = FinetuneConfig(epochs=6, batch_size=16, tune_weights=bool(seed % 3), seed=seed)
+            cfg = FinetuneConfig(epochs=6, batch_size=16, weight_lr=0.001 if seed % 3 else 0.0,
+                                 seed=seed)
             kw = dict(adversarial=adversarial, clip=(0, 1), score_size=20, l1=1e-3 * (seed % 2))
             got = gradual_graft(net, data, 0.05, fraction, cfg, log_path=tmp_path / "a.csv", **kw)
             want = _reference_gradual(net, data, 0.05, fraction, cfg, log_path=tmp_path / "b.csv", **kw)
