@@ -41,6 +41,8 @@ FORCED_INACTIVE = -1
 
 # examples per batched IBP in tally_stability
 _TALLY_BATCH = 512
+# rows per matrix product: see _rows_matmul
+_ROW_BLOCK = 4
 
 
 class NeuronStatus(IntEnum):
@@ -192,6 +194,41 @@ class StabilityTally:
 
 
 # ---------------------------------------------------------------------------
+# matrix products
+
+
+def _rows_matmul(A: np.ndarray, W: np.ndarray, block: int = _ROW_BLOCK) -> np.ndarray:
+    """``A @ W`` for the rows of ``A`` (vectors on its last axis, any
+    leading shape) and a matrix or vector ``W``, as one product per block
+    of exactly ``block`` rows, the last block padded with zero rows.
+
+    Every product of this module runs here.  A product of a fixed shape
+    computes each row the same way whatever its position in the block and
+    whatever the other rows hold, so a row's floats depend on that row
+    alone: a lone row (a one-box call) and the same row in a batch of BaB
+    children come out equal bit for bit.  One product of all R rows would
+    not keep this, since a BLAS sums a row in another order as R changes,
+    and a one-row product runs another kernel (a matrix-vector one).
+    ``tests/test_bounds.py::TestRowsMatmul`` checks the property on the
+    host BLAS.
+
+    ``compute_bounds`` passes ``block`` = d for the (d, d) identity it
+    back-substitutes: one product per box, a fixed shape too.  In blocks
+    of 4 its refinement of one 784-wide box ran about 8% slower (5.1 ->
+    5.5 ms, best of 60, a random ``[784, 128, 128, 128, 10]`` net,
+    OpenBLAS at one thread), since each block reads all of ``W`` again
+    for its 4 rows."""
+    k = A.shape[-1]
+    rows = A.reshape(-1, k)
+    n = len(rows)
+    pad = -n % block
+    if pad:
+        rows = np.concatenate([rows, np.zeros((pad, k))])
+    out = rows.reshape(-1, block, k) @ W
+    return out.reshape((-1,) + W.shape[1:])[:n].reshape(A.shape[:-1] + W.shape[1:])
+
+
+# ---------------------------------------------------------------------------
 # interval propagation
 
 
@@ -220,14 +257,25 @@ def ibp(net: Network, box: Box, split: SplitAssignment | None = None) -> LayerBo
 
 def _ibp_boxes(net: Network, lo: np.ndarray, hi: np.ndarray, split: SplitAssignment):
     """IBP of one box, or of one box per row of ``(n, d)`` arrays, with the
-    weights sign-split once.  The row products ``lo @ W.T`` serve both
-    shapes; on one box they equal the column products ``W @ lo`` bit for bit."""
+    weights sign-split once.  Every product is one of fixed row blocks
+    (``_rows_matmul``), so each row holds its own box's floats bit for
+    bit."""
     signed = _sign_split(net.layers)
-    wp, wn = signed[0]
-    bias = net.layers[0].bias
-    zl = lo @ wp.T + hi @ wn.T + bias
-    zu = hi @ wp.T + lo @ wn.T + bias
+    zl, zu = _affine_interval(signed[0], net.layers[0].bias, lo, hi)
     return _ibp_from(net, signed, split, 0, zl, zu, (), ())
+
+
+def _affine_interval(signed, bias, lo, hi):
+    """The interval ``[zl, zu]`` of ``W @ x + bias`` over the boxes ``lo <=
+    x <= hi`` (rows on the last axis), from ``signed``, ``W`` sign-split:
+    ``zl = lo @ max(W, 0).T + hi @ min(W, 0).T + bias`` and ``zu`` the
+    same with ``lo`` and ``hi`` swapped.  ``lo`` and ``hi`` go in as rows
+    of one product per weight sign."""
+    wp, wn = signed
+    x = np.stack((lo, hi))
+    pos = _rows_matmul(x, wp.T)
+    neg = _rows_matmul(x, wn.T)
+    return pos[0] + neg[1] + bias, pos[1] + neg[0] + bias
 
 
 def _sign_split(layers: Sequence) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -264,10 +312,7 @@ def _ibp_from(
     last = len(net.layers) - 1
     for i in range(start, last + 1):
         if i > start:
-            wp, wn = signed[i]
-            bias = net.layers[i].bias
-            zl = lo @ wp.T + hi @ wn.T + bias
-            zu = hi @ wp.T + lo @ wn.T + bias
+            zl, zu = _affine_interval(signed[i], net.layers[i].bias, lo, hi)
         if i < last:
             zl, zu, ok = _clamp_split(split.codes[i], zl, zu)
             feasible = feasible & ok
@@ -344,6 +389,7 @@ def _backward(
     c0: np.ndarray,
     start: int,
     both: bool = False,
+    block: int = _ROW_BLOCK,
 ):
     """Sound lower bounds of the linear functionals ``C @ z^(start) + c0``:
     propagate them back to the input, each neuron's coefficient taking its
@@ -368,19 +414,19 @@ def _backward(
     erases.
 
     ``C`` is ``(m, d)`` with 1-D bounds, or a stack ``(R, 1, d)`` with
-    bounds and codes shaped ``(R, 1, d_h)``: one row per domain.  A
-    stacked product runs each row's one-row product, and every sum runs
-    over the last axis, so each row gets the one-row floats bit for bit (a
-    plain ``(R, d)`` product would sum in another order).
+    bounds and codes shaped ``(R, 1, d_h)``: one row per domain.  Every
+    product multiplies fixed blocks of ``block`` rows (``_rows_matmul``)
+    and every sum runs over the last axis, so each row gets the floats of
+    its one-row call bit for bit.
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64)
     neg = -const if both else None
     for i in range(start, -1, -1):
         layer = net.layers[i]
-        shift = A @ layer.bias
+        shift = _rows_matmul(A, layer.bias, block)
         const = const + shift
-        A = A @ layer.weight
+        A = _rows_matmul(A, layer.weight, block)
         if both:
             neg = neg - shift
         if i > 0:
@@ -504,7 +550,8 @@ def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
     children's bounds are stacked, so that popping a child classifies
     nothing.  From its split layer on, each row holds bit for bit what
     ``ibp``, ``intersect_bounds`` and ``crown_lower_bound`` give that child
-    alone: every product is a one-row product (see ``_backward``), and a
+    alone: every product is one of fixed row blocks, in which a row's
+    floats do not depend on the other rows (``_rows_matmul``), and a
     row that splits above ``first`` recomputes its parent's layers up to
     its split layer under its parent's clamps, which the parent's raw IBP
     already took, so they come out as the parent's.  Below its split layer
@@ -536,10 +583,11 @@ def compute_bounds(
 
     A stack of E boxes (``Box.stack``) gives ``(E, 1, d)`` bounds per layer
     and an (E, 1) ``feasible``.  Each layer's identity ``C`` becomes
-    ``(E, d, d)``, so every product runs per box and each row holds the
-    floats of its own one-box call bit for bit (see ``_backward``); a row
-    whose IBP is already infeasible is refined all the same, and its
-    bounds are vacuous either way.
+    ``(E, d, d)``, and every product of its back-substitution is one per
+    box, of the box's d rows (``_rows_matmul`` with ``block`` = d, a fixed
+    shape), so each row holds the floats of its own one-box call bit for
+    bit; a row whose IBP is already infeasible is refined all the same,
+    and its bounds are vacuous either way.
     """
     return _ibp_and_bounds(net, box, split, method)[1]
 
@@ -566,12 +614,14 @@ def _ibp_and_bounds(
         # the pass on layer i reads the hidden layers below it, already refined
         d = net.layers[i].out_dim
         # [0]: the input coefficients are not needed, so not kept alive.
-        # The identity is a broadcast view, never an (E, d, d) array.  0
-        # minus the lower bound of -I keeps a zero upper bound +0.0, as a
-        # direct upper pass gives it (plain negation gives -0.0)
+        # The identity is a broadcast view; on E > 1 boxes its first
+        # product copies it into (E, d, d) rows, which _root_group_size
+        # counts.
+        # 0 minus the lower bound of -I keeps a zero upper bound +0.0, as
+        # a direct upper pass gives it (plain negation gives -0.0)
         lo, neg = _backward(
             net, refined, split, box, np.broadcast_to(np.eye(d), stack + (d, d)),
-            np.zeros(stack + (d,)), i, both=True,
+            np.zeros(stack + (d,)), i, both=True, block=d,
         )[0]
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
         hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])

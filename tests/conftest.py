@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graftcert import AffineLayer, GraftPlan, Network, apply_graft, make_mlp
+from graftcert.bounds import _ROW_BLOCK
 
 
 def random_net(
@@ -36,6 +37,35 @@ def random_net(
         )
         net = apply_graft(net, plan)
     return net
+
+
+def block_product(A, W, block=_ROW_BLOCK) -> np.ndarray:
+    """``A @ W`` as the bound code multiplies, for reference kernels: each
+    run of ``block`` rows of ``A`` (vectors on its last axis) is copied
+    into a zero-filled ``(block, k)`` array, which ``np.matmul`` multiplies
+    by ``W`` in a call of its own, so the last run is padded with zero
+    rows."""
+    A = np.asarray(A, dtype=np.float64)
+    k = A.shape[-1]
+    rows = A.reshape(-1, k)
+    out = np.empty((len(rows),) + W.shape[1:])
+    for s in range(0, len(rows), block):
+        run = rows[s : s + block]
+        part = np.zeros((block, k))
+        part[: len(run)] = run
+        out[s : s + len(run)] = np.matmul(part, W)[: len(run)]
+    return out.reshape(A.shape[:-1] + W.shape[1:])
+
+
+def per_row_products(A, W, block=_ROW_BLOCK) -> np.ndarray:
+    """``bounds._rows_matmul`` as the bound code multiplied before it
+    blocked rows: one matrix-vector product per row, and one product per
+    box of ``compute_bounds``' identity (``block`` = d), which did not
+    change.  Patched in, it gives that code's bounds bit for bit."""
+    if block != _ROW_BLOCK:
+        return A @ W
+    rows = A.reshape(-1, 1, A.shape[-1])
+    return (rows @ W).reshape(A.shape[:-1] + W.shape[1:])
 
 
 def manual_layer(weight, bias) -> AffineLayer:

@@ -1,3 +1,9 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,11 +42,13 @@ from graftcert.bounds import (
     _interval_lower,
     _ibp_boxes,
     _relaxation_lines,
+    _ROW_BLOCK,
+    _rows_matmul,
     _sign_split,
     intersect_bounds,
 )
 
-from conftest import manual_layer, random_net
+from conftest import block_product, manual_layer, per_row_products, random_net
 
 
 def closed_form_box_min(coeffs, const, box):
@@ -299,8 +307,8 @@ def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const
         if i > h:
             layer = net.layers[i]
             wp, wn = np.maximum(layer.weight, 0.0), np.minimum(layer.weight, 0.0)
-            zl = lo @ wp.T + hi @ wn.T + layer.bias
-            zu = hi @ wp.T + lo @ wn.T + layer.bias
+            zl = block_product(lo, wp.T) + block_product(hi, wn.T) + layer.bias
+            zu = block_product(hi, wp.T) + block_product(lo, wn.T) + layer.bias
         if i < last:
             code = split.codes[i]
             if code.any():
@@ -333,8 +341,8 @@ def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const
     A, c0 = coeffs[None, :], np.array([const])
     for i in range(last, -1, -1):
         layer = net.layers[i]
-        c0 = c0 + A @ layer.bias
-        A = A @ layer.weight
+        c0 = c0 + block_product(A, layer.bias)
+        A = block_product(A, layer.weight)
         if i > 0:
             ls, li, us, ui = lines[i - 1]
             pos = A > 0.0
@@ -359,11 +367,11 @@ def _net_with_dead_neurons(seed, widths, graft_fraction):
     return net, dead
 
 
-def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
-    """Grow feasible parent domains by the reference path, bound a batch of
-    children of them in one call and compare every row with the reference.
-    Returns the kinds of rows seen, and "mixed starts" when the rows split
-    at more than one layer."""
+def _child_batch(net, box, rng, n_parents, n_rows, extra=()):
+    """Grow feasible parent domains by the reference path and pick a batch
+    of children of them.  Returns the rows, ``(parent raw IBP, parent
+    bounds, child split, split layer, split neuron)``, and the arguments of
+    the ``_bound_children`` call that bounds them."""
     offs = net.layer_offsets()
     c, const = rng.normal(0, 1, net.output_dim), float(rng.normal())
     raw = ibp(net, box)
@@ -411,9 +419,17 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
         np.stack([getattr(row[0], side)[first] for row in rows])[:, None, :]
         for side in ("lower", "upper")
     )
-    got_raw, got, lower, branch = _bound_children(
-        net, signed, box, inter, raw, stacked, [row[3] for row in rows], c, const,
-    )
+    return rows, (net, signed, box, inter, raw, stacked, [row[3] for row in rows], c, const)
+
+
+def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
+    """Bound a batch of children (``_child_batch``) in one call and compare
+    every row with the reference.  Returns the kinds of rows seen, and
+    "mixed starts" when the rows split at more than one layer."""
+    offs = net.layer_offsets()
+    rows, args = _child_batch(net, box, rng, n_parents, n_rows, extra)
+    c, const = args[-2:]
+    got_raw, got, lower, branch = _bound_children(*args)
     assert lower.shape == (len(rows),)
     assert branch.shape == (len(rows),)
     kinds = {"mixed starts"} if len({row[3] for row in rows}) > 1 else set()
@@ -440,36 +456,74 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
     return kinds
 
 
+def _deep_case(seed):
+    # children of parents at several depths, split at different layers:
+    # (net, box, rng, parents, rows, extra neurons) for _child_batch
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(2, 5))
+    widths = [int(rng.integers(2, 5))] + [int(rng.integers(5, 9)) for _ in range(depth)] + [3]
+    net, dead = _net_with_dead_neurons(7000 + seed, widths, 0.2 if seed % 2 else 0.0)
+    box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.1, 0.5)), (0, 1))
+    return net, box, rng, 6, 8, dead
+
+
+def _infeasible_case(seed):
+    # a tight box, where forcing a stably inactive neuron active empties
+    # the region
+    rng = np.random.default_rng(7100 + seed)
+    net, _ = _net_with_dead_neurons(7100 + seed, [3, 6, 6, 6, 3], 0.2)
+    box = input_region(rng.uniform(0, 1, 3), 0.05, (0, 1))
+    return net, box, rng, 3, 8, ()
+
+
+def _protocol_case():
+    rng = np.random.default_rng(7200)
+    net, dead = _net_with_dead_neurons(7200, [784, 128, 128, 128, 10], 0.3)
+    box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
+    return net, box, rng, 4, 8, dead
+
+
 class TestBoundChildren:
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_equal_one_row_path(self, seed):
-        # children of parents at several depths, split at different layers:
         # every row, feasible or not, equals the one-row reference byte
         # for byte from its split layer on
-        rng = np.random.default_rng(seed)
-        depth = int(rng.integers(2, 5))
-        widths = [int(rng.integers(2, 5))] + [int(rng.integers(5, 9)) for _ in range(depth)] + [3]
-        net, dead = _net_with_dead_neurons(7000 + seed, widths, 0.2 if seed % 2 else 0.0)
-        box = input_region(rng.uniform(0, 1, widths[0]), float(rng.uniform(0.1, 0.5)), (0, 1))
-        kinds = _check_child_batch(net, box, rng, n_parents=6, n_rows=8, extra=dead)
+        kinds = _check_child_batch(*_deep_case(seed))
         assert kinds >= {"feasible", "l=u=0", "l<u", "mixed starts"}
 
     def test_infeasible_rows(self):
-        # forcing a stably inactive neuron active empties the region
         seen = set()
         for seed in range(10):
-            rng = np.random.default_rng(7100 + seed)
-            net, dead = _net_with_dead_neurons(7100 + seed, [3, 6, 6, 6, 3], 0.2)
-            box = input_region(rng.uniform(0, 1, 3), 0.05, (0, 1))
-            seen |= _check_child_batch(net, box, rng, n_parents=3, n_rows=8)
+            seen |= _check_child_batch(*_infeasible_case(seed))
         assert {"feasible", "infeasible", "mixed starts"} <= seen
 
     def test_protocol_shapes(self):
-        rng = np.random.default_rng(7200)
-        net, dead = _net_with_dead_neurons(7200, [784, 128, 128, 128, 10], 0.3)
-        box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
-        kinds = _check_child_batch(net, box, rng, n_parents=4, n_rows=8, extra=dead)
+        kinds = _check_child_batch(*_protocol_case())
         assert kinds >= {"feasible", "l=u=0", "mixed starts"}
+
+    def test_blocks_move_only_rounding(self, monkeypatch):
+        # the batches above bounded again with the per-row products the
+        # bound code ran before it multiplied fixed row blocks: every bound
+        # within a relative 1e-12 of those (8e-14 measured), and every
+        # row's feasibility and branch neuron equal
+        import graftcert.bounds as bounds
+
+        blocked = bounds._rows_matmul
+        cases = [_deep_case(s) for s in range(12)] + [_infeasible_case(s) for s in range(10)]
+        for case in cases + [_protocol_case()]:
+            _, args = _child_batch(*case)
+            new = _bound_children(*args)
+            monkeypatch.setattr(bounds, "_rows_matmul", per_row_products)
+            old = _bound_children(*args)
+            monkeypatch.setattr(bounds, "_rows_matmul", blocked)
+            assert np.array_equal(new[0].feasible, old[0].feasible)
+            assert np.array_equal(new[1].feasible, old[1].feasible)
+            assert np.array_equal(new[3], old[3])
+            np.testing.assert_allclose(new[2], old[2], rtol=1e-12, atol=0)
+            for a, b in ((new[0], old[0]), (new[1], old[1])):
+                for x, y in zip(a.lower + a.upper, b.lower + b.upper):
+                    if y is not None:
+                        np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
 
     # tracemalloc peak of the call below, its outputs included: 1,992,000
     # bytes measured with numpy 2.4 (64 rows, every child split in layer 0,
@@ -512,7 +566,81 @@ class TestBoundChildren:
         assert peak < self.WIDE_BATCH_PEAK_BYTES
 
 
-def _reference_backward(net, lines, box, C, c0, start, sense):
+# vector lengths of the test nets, of the CLI's default 2-D net and of
+# the MNIST-shaped protocol net [784, 128, 128, 128, 10], and the
+# protocol's (rows, columns) of W, drawn in half the cases
+_PRODUCT_WIDTHS = (2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 128, 784)
+_PROTOCOL_PRODUCTS = ((784, 128), (128, 784), (128, 128), (128, 10), (10, 128))
+
+
+def _row_mismatches(seed, cases):
+    """Random products through ``_rows_matmul``, each with a row at a random
+    position among other rows of another scale, R = 1..13 rows in all, so
+    the last block is padded or not.  Returns a description of every case
+    where that row's floats differ from its lone call's (which is one row
+    padded with zero rows), or the whole result from ``block_product``'s."""
+    rng = np.random.default_rng(seed)
+    bad = []
+    for case in range(cases):
+        if rng.random() < 0.5:
+            k, n = _PROTOCOL_PRODUCTS[rng.integers(len(_PROTOCOL_PRODUCTS))]
+        else:
+            k, n = (int(x) for x in rng.choice(_PRODUCT_WIDTHS, 2))
+        if rng.random() < 0.3:
+            W = rng.normal(0, 1, k)  # a bias
+        elif rng.random() < 0.5:
+            W = rng.normal(0, 1, (n, k)).T  # a transposed weight, as IBP's
+        else:
+            W = rng.normal(0, 1, (k, n))
+        rows = int(rng.integers(1, 14))
+        X = rng.normal(0, 10.0 ** rng.uniform(-3, 3), (rows, k))
+        X[rng.random(X.shape) < 0.2] = 0.0
+        at = int(rng.integers(rows))
+        lone = _rows_matmul(X[at][None], W)[0]
+        got = _rows_matmul(X, W)
+        stacked = _rows_matmul(X[:, None, :], W)[at, 0]
+        if not (got[at].tobytes() == stacked.tobytes() == lone.tobytes()):
+            bad.append(f"case {case}: row {at} of {rows}, ({k}) @ {W.shape}")
+        if got.tobytes() != block_product(X, W).tobytes():
+            bad.append(f"case {case}: ({rows}, {k}) @ {W.shape} is not block_product's")
+    return bad
+
+
+class TestRowsMatmul:
+    """Determinism rests on this property of the host BLAS: in a product
+    of fixed-size row blocks, a row's floats depend on that row alone."""
+
+    def test_rows_do_not_depend_on_their_block(self):
+        assert _row_mismatches(0, 400) == []
+
+    def test_shapes(self):
+        X = np.arange(30.0).reshape(5, 1, 6)
+        W = np.arange(12.0).reshape(6, 2)
+        assert _rows_matmul(X, W).shape == (5, 1, 2)
+        assert _rows_matmul(X, W[:, 0]).shape == (5, 1)
+        assert np.array_equal(_rows_matmul(X, W), X @ W)
+        assert _rows_matmul(X[0, 0], W).shape == (2,)
+        assert _rows_matmul(np.eye(6)[None].repeat(3, 0), W, block=6).shape == (3, 6, 2)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rows_do_not_depend_on_blas_threads(self, threads):
+        # a fresh process, since OpenBLAS reads its thread count when it loads
+        here = pathlib.Path(__file__).resolve().parent
+        paths = [str(here), str(here.parent / "src")]
+        code = (
+            f"import json, sys; sys.path[:0] = {paths!r}; "
+            "from test_bounds import _row_mismatches; "
+            "print(json.dumps(_row_mismatches(1, 400)))"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _reference_backward(net, lines, box, C, c0, start, sense, block=_ROW_BLOCK):
     # the back-substitution kernel as it was when it ran a lower (sense -1)
     # and an upper (sense +1) copy of every step, on four-array lines
     # (lower slope, lower intercept, upper slope, upper intercept); the
@@ -522,8 +650,8 @@ def _reference_backward(net, lines, box, C, c0, start, sense):
     const = np.asarray(c0, dtype=np.float64).copy()
     for i in range(start, -1, -1):
         layer = net.layers[i]
-        const = const + A @ layer.bias
-        A = A @ layer.weight
+        const = const + block_product(A, layer.bias, block)
+        A = block_product(A, layer.weight, block)
         if i > 0:
             ls, li, us, ui = lines[i - 1]
             pos = A > 0.0
@@ -558,8 +686,8 @@ def _reference_compute_bounds(net, box, split):
         lines = _reference_relaxation_lines(net, refined, split)[:i]
         d = net.layers[i].out_dim
         C, c0 = np.eye(d), np.zeros(d)
-        lo = _reference_backward(net, lines, box, C, c0, i, sense=-1)[0]
-        hi = _reference_backward(net, lines, box, C, c0, i, sense=+1)[0]
+        lo = _reference_backward(net, lines, box, C, c0, i, sense=-1, block=d)[0]
+        hi = _reference_backward(net, lines, box, C, c0, i, sense=+1, block=d)[0]
         lo = np.maximum(lo, lowers[i])
         hi = np.minimum(hi, uppers[i])
         if i < len(net.layers) - 1:
@@ -1095,8 +1223,8 @@ def _reference_ibp(net, box, split):
     for i, layer in enumerate(net.layers):
         wp = np.maximum(layer.weight, 0.0)
         wn = np.minimum(layer.weight, 0.0)
-        zl = wp @ lo + wn @ hi + layer.bias
-        zu = wp @ hi + wn @ lo + layer.bias
+        zl = block_product(lo, wp.T) + block_product(hi, wn.T) + layer.bias
+        zu = block_product(hi, wp.T) + block_product(lo, wn.T) + layer.bias
         if i < last:
             code = split.codes[i]
             if code.any():

@@ -96,3 +96,41 @@ def test_the_checks_catch_a_local_import_and_a_cycle():
     cycle = _cycle({"grafting": {"network", "training"}, "training": {"grafting"}})
     assert sorted(cycle[:-1]) == ["grafting", "training"] and cycle[0] == cycle[-1]
     assert _cycle({"a": {"b"}, "b": {"c"}}) is None
+
+
+def _products_outside(tree: ast.AST, owner: str):
+    """(line, function) of every ``@``, ``np.matmul`` or ``np.dot`` in the
+    tree outside the function ``owner``; module-level code is function
+    None."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    inside = {}
+    for scope in ast.walk(tree):
+        if isinstance(scope, functions):
+            for node in ast.walk(scope):
+                # the innermost function wins: nested ones are walked later
+                inside[id(node)] = scope.name
+    for node in ast.walk(tree):
+        matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        call = isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
+        if (matmul or call) and inside.get(id(node)) != owner:
+            yield node.lineno, inside.get(id(node))
+
+
+def test_every_bound_product_runs_through_rows_matmul():
+    # a row's floats depend on that row alone only if every product is one
+    # of fixed row blocks (bounds._rows_matmul)
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    assert not list(_products_outside(tree, "_rows_matmul"))
+
+
+def test_the_check_catches_a_product_outside_the_helper():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def _rows_matmul(A, W):\n    return A @ W\n"
+        "def f(A, W):\n    A @= W\n    return np.matmul(A, W) + A.dot(W)\n"
+        "def g(x, W):\n    def h():\n        return x @ W\n    return np.dot(x, W)\n"
+        "Y = np.eye(2) @ np.eye(2)\n"
+    )
+    assert sorted(_products_outside(tree, "_rows_matmul")) == [
+        (5, "f"), (6, "f"), (6, "f"), (9, "h"), (10, "g"), (11, None),
+    ]

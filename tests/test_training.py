@@ -318,7 +318,7 @@ def _reference_cosine_lr(lr0, epoch, epochs):
 
 
 def _reference_sgd_run(net, X, y, *, epochs, batch_size, momentum, weight_decay, weight_lr,
-                       graft_lr, tune_weights, adversarial, seed, l1=0.0,
+                       graft_lr, adversarial, seed, l1=0.0,
                        epoch_callback=None, log_path=None, holdout=None):
     net = net.copy()
     rng = np.random.default_rng(seed)
@@ -344,7 +344,7 @@ def _reference_sgd_run(net, X, y, *, epochs, batch_size, momentum, weight_decay,
             if l1 > 0.0:
                 loss += l1 * float(sum(np.abs(l.weight).sum() for l in net.layers))
             grads = backward_batch(net, xb, pre, post, dlogits)
-            if tune_weights and lr_w > 0.0:
+            if lr_w > 0.0:
                 for i, layer in enumerate(net.layers):
                     gw = grads.weight_grads[i] + weight_decay * layer.weight
                     if l1 > 0.0:
@@ -392,8 +392,8 @@ def _reference_train(net, dataset, cfg, adversarial=None, *, l1=0.0, log_path=No
     return _reference_sgd_run(
         net, X, y, epochs=cfg.epochs, batch_size=cfg.batch_size, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, weight_lr=lambda e: _reference_step_lr(cfg, e),
-        graft_lr=lambda e: _reference_step_lr(cfg, e), tune_weights=True,
-        adversarial=adversarial, seed=cfg.seed, l1=l1, log_path=log_path,
+        graft_lr=lambda e: _reference_step_lr(cfg, e), adversarial=adversarial,
+        seed=cfg.seed, l1=l1, log_path=log_path,
         holdout=None if holdout is None else _dataset_arrays(holdout),
     )
 
@@ -406,7 +406,7 @@ def _reference_finetune(net, dataset, cfg, adversarial=None, *, l1=0.0, log_path
         weight_decay=cfg.weight_decay,
         weight_lr=lambda e: _reference_cosine_lr(cfg.weight_lr, e, cfg.epochs),
         graft_lr=lambda e: _reference_cosine_lr(cfg.graft_lr, e, cfg.epochs),
-        tune_weights=True, adversarial=adversarial, seed=cfg.seed, l1=l1,
+        adversarial=adversarial, seed=cfg.seed, l1=l1,
         epoch_callback=epoch_callback, log_path=log_path,
     )
 

@@ -51,7 +51,7 @@ from graftcert.verifier import (
     _resolve_linear_leaf,
 )
 
-from conftest import manual_layer, random_net
+from conftest import block_product, manual_layer, per_row_products, random_net
 
 
 class TestSpecs:
@@ -429,16 +429,30 @@ class TestBabVerify:
 
     # sha256 of one "status|bound.hex()|domains|counterexample hex" line per
     # case of _pin_cases, recorded with every child bounded by a full IBP
-    # pass; bounding children incrementally, or in batches of one domain's
-    # children, must not move a bit of it
-    PIN_DIGEST = "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a"
+    # pass and re-recorded when every bound product became a product of
+    # fixed row blocks (bounds._rows_matmul), which moved the low bits of
+    # bounds and nothing else (PIN_WORK); bounding children incrementally,
+    # or in batches of one domain's children, must not move a bit of it
+    PIN_DIGEST = "962667d9135153080bfd42cdae361cbad4b36c6ef365e9c37bf7bc6d40925de5"
     # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
     # bounds and where falsified searches stop
-    BATCHED_PIN_DIGEST = "ccdb6e6f735091e935096eb63619031ce5e13bdd5d327f1daeb908dbff3e51c8"
+    BATCHED_PIN_DIGEST = "83e85668ffb34357a9150648476a25f5607c3e4b6b462c4b56f8ee80a1142b65"
     # the same at the default of 32 domains per step, which differs from
     # both only in timeout bounds and where falsified searches stop
-    WIDE_PIN_DIGEST = "b78fad0f63dd1063287ac96411f075e8e5cce4f04ff2cd5b80ba30a6ac01da41"
+    WIDE_PIN_DIGEST = "2b19cfcc759e059cd40e9a67479646064a24b06e1f479b88ddfa46466d180727"
+    # per case of _pin_cases, its status (first letter) and domains
+    # explored at 1, 8 and 32 domains per step, recorded before the bound
+    # products were blocked: a new bound product may move the digests
+    # above only through the bounds
+    PIN_WORK = {
+        1: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f97 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
+           "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
+        8: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f135 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
+           "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
+        32: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 t149 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
+            "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
+    }
 
     @staticmethod
     def _pin_cases():
@@ -470,6 +484,10 @@ class TestBabVerify:
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
             for net, spec, box, budget, seed, root_inter in self._pin_cases()
         ]
+
+    @staticmethod
+    def _pin_work(verdicts):
+        return " ".join(f"{v.status.value[0]}{v.domains_explored}" for v in verdicts)
 
     def test_characterization_pin(self, monkeypatch):
         import graftcert.verifier as verifier
@@ -506,6 +524,7 @@ class TestBabVerify:
         kinds = {(v.status, v.domains_explored > 1) for v in verdicts}
         assert split_layers == {0, 1, 2}
         assert {(s, True) for s in VerdictStatus} <= kinds
+        assert self._pin_work(verdicts) == self.PIN_WORK[1]
         lines = [self._pin_line(v) for v in verdicts]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.PIN_DIGEST
@@ -514,7 +533,9 @@ class TestBabVerify:
         import graftcert.verifier as verifier
 
         monkeypatch.setattr(verifier, "_BAB_BATCH", 8)
-        lines = [self._pin_line(v) for v in self._pin_verdicts()]
+        verdicts = self._pin_verdicts()
+        assert self._pin_work(verdicts) == self.PIN_WORK[8]
+        lines = [self._pin_line(v) for v in verdicts]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.BATCHED_PIN_DIGEST
 
@@ -522,9 +543,40 @@ class TestBabVerify:
         import graftcert.verifier as verifier
 
         assert verifier._BAB_BATCH == 32
-        lines = [self._pin_line(v) for v in self._pin_verdicts()]
+        verdicts = self._pin_verdicts()
+        assert self._pin_work(verdicts) == self.PIN_WORK[32]
+        lines = [self._pin_line(v) for v in verdicts]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.WIDE_PIN_DIGEST
+
+    # the pin digests at 1, 8 and 32 domains per step of the bound code
+    # before it multiplied fixed row blocks, which ran one matrix-vector
+    # product per row (conftest.per_row_products)
+    PER_ROW_PIN_DIGESTS = {
+        1: "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a",
+        8: "ccdb6e6f735091e935096eb63619031ce5e13bdd5d327f1daeb908dbff3e51c8",
+        32: "b78fad0f63dd1063287ac96411f075e8e5cce4f04ff2cd5b80ba30a6ac01da41",
+    }
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_blocks_move_only_rounding(self, monkeypatch, batch):
+        # the pin cases with the per-row products patched in, which give
+        # the old digests back: every verdict and domain count equal, and
+        # every bound within a relative 1e-12 (1.6e-14 measured)
+        import graftcert.bounds as bounds
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", batch)
+        new = self._pin_verdicts()
+        monkeypatch.setattr(bounds, "_rows_matmul", per_row_products)
+        old = self._pin_verdicts()
+        lines = [self._pin_line(v) for v in old]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PER_ROW_PIN_DIGESTS[batch]
+        assert self._pin_work(new) == self._pin_work(old) == self.PIN_WORK[batch]
+        np.testing.assert_allclose(
+            [v.bound for v in new], [v.bound for v in old], rtol=1e-12, atol=0
+        )
 
     @pytest.mark.parametrize("batch, budget_moves", [(8, 0), (32, 1)], ids=["8", "32"])
     def test_batch_size_moves_no_verdict(self, monkeypatch, batch, budget_moves):
@@ -831,8 +883,8 @@ def _reference_linear_leaf(net, box, split, inter, spec):
     const = np.array([spec.const])
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        const = const + A @ layer.bias
-        A = A @ layer.weight
+        const = const + block_product(A, layer.bias)
+        A = block_product(A, layer.weight)
         if i > 0:
             slope, li, _ = lines[i - 1]
             const = const + (A * li).sum(axis=1)
