@@ -262,7 +262,7 @@ def _ibp_boxes(net: Network, lo: np.ndarray, hi: np.ndarray, split: SplitAssignm
     bit."""
     signed = _sign_split(net.layers)
     zl, zu = _affine_interval(signed[0], net.layers[0].bias, lo, hi)
-    return _ibp_from(net, signed, split, 0, zl, zu, (), ())
+    return _ibp_from(net, signed, split, 0, zl, zu)
 
 
 def _affine_interval(signed, bias, lo, hi):
@@ -295,24 +295,31 @@ def _ibp_from(
     start: int,
     zl: np.ndarray,
     zu: np.ndarray,
-    lowers_below,
-    uppers_below,
+    parent: LayerBounds | None = None,
+    starts=None,
 ) -> LayerBounds:
     """The IBP layer loop from affine layer ``start`` on.
 
     ``[zl, zu]`` is layer ``start``'s pre-activation interval (or a batch
-    of them) before the split's clamps at that layer; ``lowers_below``/
-    ``uppers_below`` are the layers under it, returned as they are.
-    ``feasible`` reflects only the clamps from ``start`` on, one flag per
-    row for a batch.
+    of them) before the split's clamps at that layer; the layers under it
+    are None.  With ``parent``, stacked bounds of the batch's rows, and
+    ``starts``, a layer per row, row r takes its ``parent`` interval in
+    place of the propagated one at every layer up to ``starts[r]``, and so
+    restarts there.  ``feasible`` reflects only the clamps from ``start``
+    on, one flag per row for a batch.
     """
-    lowers = list(lowers_below)
-    uppers = list(uppers_below)
+    lowers = [None] * start
+    uppers = [None] * start
     feasible = True
     last = len(net.layers) - 1
     for i in range(start, last + 1):
         if i > start:
             zl, zu = _affine_interval(signed[i], net.layers[i].bias, lo, hi)
+            if parent is not None:
+                held = (np.asarray(starts) >= i)[:, None, None]
+                if held.any():
+                    zl = np.where(held, parent.lower[i], zl)
+                    zu = np.where(held, parent.upper[i], zu)
         if i < last:
             zl, zu, ok = _clamp_split(split.codes[i], zl, zu)
             feasible = feasible & ok
@@ -527,42 +534,41 @@ def _spec_lower(net, box, split, inter, c, const):
     return np.where(inter.feasible, np.where(floor > vals, floor, vals), np.inf)
 
 
-def _bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
+def _bound_children(net, signed, box, inter, split, starts, coeffs, const):
     """Bounds of a batch of BaB children in one pass, one child per row.
 
     Row r is the domain with split codes row r of ``split`` (``(R, 1, d_h)``
     per layer), which forces one more neuron of hidden layer ``starts[r]``
     than its parent.  ``inter`` holds the parents' bounds stacked the same
-    way, ``(R, 1, d_i)`` per layer (a parent must be feasible), and ``raw``
-    is ``(lower, upper)``, the parents' raw IBP at the lowest split layer
-    in the batch, ``first``, ``(R, 1, d_first)``.  The rows' IBP restarts
-    there; it is intersected with the parents' bounds and bounded by CROWN,
-    floored by the interval bound.  ``signed`` is ``_sign_split`` of the
-    weights (layer 0 is never used).
+    way, ``(R, 1, d_i)`` per layer (a parent must be feasible).  Each row's
+    IBP restarts at its split layer from its parent's bounds there,
+    clamped under its own codes (the layers below cannot change, and the
+    child's region lies inside its parent's); it is intersected with the
+    parent's bounds and bounded by CROWN, floored by the interval bound.
+    ``signed`` is ``_sign_split`` of the weights (layer 0 is never used).
 
-    Returns ``(raw, bounds, lower, branch)``: the children's raw IBP and
-    bounds, ``(R, 1, d)`` per layer with a per-row ``(R, 1)`` ``feasible``
-    (raw's layers below ``first`` are None, and the bounds' layers below
-    ``first`` are ``inter``'s arrays), the lower bounds of ``coeffs @
-    logits + const``, +inf where infeasible, and per row the neuron BaB
-    splits when it pops that child (``_branch_on`` of its bounds), -1
-    where it has no unstable neuron.  The branch is chosen here, while the
-    children's bounds are stacked, so that popping a child classifies
-    nothing.  From its split layer on, each row holds bit for bit what
-    ``ibp``, ``intersect_bounds`` and ``crown_lower_bound`` give that child
-    alone: every product is one of fixed row blocks, in which a row's
-    floats do not depend on the other rows (``_rows_matmul``), and a
-    row that splits above ``first`` recomputes its parent's layers up to
-    its split layer under its parent's clamps, which the parent's raw IBP
-    already took, so they come out as the parent's.  Below its split layer
-    a row holds its parent's values.
+    Returns ``(bounds, lower, branch)``: the children's bounds, ``(R, 1,
+    d)`` per layer with a per-row ``(R, 1)`` ``feasible`` (the layers below
+    the lowest split layer in the batch are ``inter``'s arrays), the lower
+    bounds of ``coeffs @ logits + const``, +inf where infeasible, and per
+    row the neuron BaB splits when it pops that child (``_branch_on`` of
+    its bounds), -1 where it has no unstable neuron.  The branch is chosen
+    here, while the children's bounds are stacked, so that popping a child
+    classifies nothing.  A row is a function of its parent's row and its
+    own codes alone: it holds bit for bit what ``_ibp_from``,
+    ``intersect_bounds`` and ``crown_lower_bound`` give that child alone,
+    since every product is one of fixed row blocks, in which a row's
+    floats do not depend on the other rows (``_rows_matmul``), and a row
+    takes its parent's interval at every layer up to its split layer.
+    Below its split layer a row holds its parent's values.
     """
     first = int(np.min(starts))
-    below = (None,) * first
-    child_raw = _ibp_from(net, signed, split, first, *raw, below, below)
-    child = intersect_bounds(child_raw, inter, start=first)
+    child = intersect_bounds(
+        _ibp_from(net, signed, split, first, inter.lower[first], inter.upper[first], inter, starts),
+        inter, start=first,
+    )
     lower = _spec_lower(net, box, split, child, coeffs, const)[:, 0]
-    return child_raw, child, lower, _branch_on(child, split)[:, 0]
+    return child, lower, _branch_on(child, split)[:, 0]
 
 
 def compute_bounds(
@@ -589,24 +595,15 @@ def compute_bounds(
     bit; a row whose IBP is already infeasible is refined all the same,
     and its bounds are vacuous either way.
     """
-    return _ibp_and_bounds(net, box, split, method)[1]
-
-
-def _ibp_and_bounds(
-    net: Network, box: Box, split: SplitAssignment | None, method: str
-) -> tuple[LayerBounds, LayerBounds]:
-    """``compute_bounds``' bounds after the box's IBP under ``split``, which
-    they refine (the same object for ``method="ibp"``), for callers that
-    keep that IBP as well."""
     if method not in ("ibp", "crown"):
         raise UsageError(f"unknown bound method {method!r}")
     base = ibp(net, box, split)
     if method == "ibp" or not np.any(base.feasible):
-        return base, base
+        return base
     if split is None:
         split = SplitAssignment.free(net)
-    lowers = [b.copy() for b in base.lower]
-    uppers = [b.copy() for b in base.upper]
+    lowers = list(base.lower)
+    uppers = list(base.upper)
     stack = box.lower.shape[:-2]
     feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
@@ -636,16 +633,16 @@ def _ibp_and_bounds(
         lowers[i] = lo
         uppers[i] = hi
         refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
-    return base, refined
+    return refined
 
 
 def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBounds:
     """Elementwise intersection of two sound bound sets for nested regions.
 
     Layers below ``start`` are taken from ``b`` as they are, for callers
-    that know ``b`` lies inside ``a`` there (a BaB child's IBP equals its
-    parent's below the split layer, and the parent's bounds are already
-    intersected with it).  Bounds with a leading row axis and per-row
+    that know ``b`` lies inside ``a`` there (a BaB child's IBP restarts at
+    its split layer from its parent's bounds ``b``, so below that layer it
+    has nothing tighter).  Bounds with a leading row axis and per-row
     ``feasible`` flags are intersected row by row.
     """
     lowers = b.lower[:start] + tuple(

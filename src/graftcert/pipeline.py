@@ -31,8 +31,8 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
-    _ibp_and_bounds,
     _spec_lower,
+    compute_bounds,
     input_region,
     tally_stability,
 )
@@ -301,23 +301,15 @@ def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> 
     ).reshape(len(margins), -1)
 
 
-def _bounds_row(bounds: LayerBounds, j: int, feasible: bool) -> LayerBounds:
-    """Row j of stacked ``(E, 1, d)`` bounds, 1-D per layer."""
-    return LayerBounds(
-        tuple(x[j, 0] for x in bounds.lower), tuple(x[j, 0] for x in bounds.upper),
-        bounds.grafted, feasible,
-    )
-
-
 def _verify_example(payload: dict) -> dict:
     """Phase 5 for one example that held against PGD: ``bab_verify`` on
     its margins in order, each with its own seed, its root CROWN bound
-    (``payload["root"]``), the root bounds and the box's raw IBP
-    (``payload["root_raw"]``, its row of the group's stacked IBP).  Stops
-    at the first falsified or timed-out margin.  The example's share of
-    its group's root-phase seconds counts in its time and against its time
-    limit.  Returns the record fields it sets.  Standalone, so that one
-    example's spans can be told apart."""
+    (``payload["root"]``) and the root bounds (``payload["root_inter"]``,
+    its row of the group's stacked bounds).  Stops at the first falsified
+    or timed-out margin.  The example's share of its group's root-phase
+    seconds counts in its time and against its time limit.  Returns the
+    record fields it sets.  Standalone, so that one example's spans can be
+    told apart."""
     time_limit = payload["time_limit"]
     t0 = time.perf_counter() - payload["share"]
     work = 0
@@ -337,7 +329,6 @@ def _verify_example(payload: dict) -> dict:
             VerifyBudget(remaining, payload["max_domains"]),
             seed=payload["seed"] + 7919 * (k + 1),
             root_inter=payload["root_inter"],
-            root_raw=payload["root_raw"],
             root_bound=float(root),
         )
         work += v.domains_explored
@@ -395,9 +386,7 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
         # an equal share of its group's seconds
         t0 = time.perf_counter()
         stacked = Box.stack(boxes)
-        # compute_bounds, keeping its IBP: row j of it is example j's raw
-        # IBP bit for bit, which BaB restarts its children from
-        raw, inter = _ibp_and_bounds(net, stacked, None, payload["intermediate"])
+        inter = compute_bounds(net, stacked, None, payload["intermediate"])
         root = _root_margins(net, stacked, inter, [margins[e] for e in group])
         share = (time.perf_counter() - t0) / len(group)
         feasible = np.broadcast_to(inter.feasible, (len(group), 1))[:, 0]
@@ -407,8 +396,10 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
                 "index": indices[e],
                 "net": net,
                 "box": boxes[j],
-                "root_inter": _bounds_row(inter, j, bool(feasible[j])),
-                "root_raw": _bounds_row(raw, j, True),
+                "root_inter": LayerBounds(
+                    tuple(x[j, 0] for x in inter.lower), tuple(x[j, 0] for x in inter.upper),
+                    net.grafted, bool(feasible[j]),
+                ),
                 "margins": margins[e],
                 "root": root[j],
                 "share": share,

@@ -280,19 +280,16 @@ def _resolve_linear_leaf(
 
 
 class _Rows(NamedTuple):
-    """BaB domains, one per row: per affine layer their bounds, and per
-    hidden layer their raw IBP (before intersection), from which their
-    children's IBP restarts, ``(n, 1, d_i)``; their split codes (flat ids),
-    ``(n, 1, H)``; their certified lower bounds and ``branch``, ``(n,)``.
-    ``branch`` is the neuron BaB splits when it pops the domain, or -1 when
-    it has no unstable neuron (a linear leaf), chosen when the domain is
-    bounded: the root's from its own bounds, a child's in its batch's
-    bounding pass (``_bound_children``)."""
+    """BaB domains, one per row: per affine layer their bounds, ``(n, 1,
+    d_i)``, from which their children's bounds are computed; their split
+    codes (flat ids), ``(n, 1, H)``; their certified lower bounds and
+    ``branch``, ``(n,)``.  ``branch`` is the neuron BaB splits when it pops
+    the domain, or -1 when it has no unstable neuron (a linear leaf),
+    chosen when the domain is bounded: the root's from its own bounds, a
+    child's in its batch's bounding pass (``_bound_children``)."""
 
     lower: tuple
     upper: tuple
-    raw_lower: tuple
-    raw_upper: tuple
     codes: np.ndarray
     bound: np.ndarray
     branch: np.ndarray
@@ -315,21 +312,19 @@ def _layer_codes(net: Network, codes: np.ndarray) -> SplitAssignment:
 
 class _Frontier:
     """BaB's pending domains as one ``_Rows`` of stacked arrays, one slot
-    (row) per domain.  ``take`` gathers rows and ``put`` writes them with
-    one indexed operation per array.  ``free`` lists the slots of popped
-    domains, which later children reuse; the capacity doubles when no slot
-    is free, so memory follows the live frontier, not ``max_domains``."""
+    (row) per domain, all a child's bounding reads of its parent.  ``take``
+    gathers rows and ``put`` writes them with one indexed operation per
+    array.  ``free`` lists the slots of popped domains, which later
+    children reuse; the capacity doubles when no slot is free, so memory
+    follows the live frontier, not ``max_domains``."""
 
     def __init__(self, root: _Rows):
         self.rows = root
         self.free: list[int] = []
         self.used = len(root.bound)
 
-    def take(self, slots, first: int) -> _Rows:
-        # a step reads raw IBP only up to its lowest split layer, ``first``
-        r = self.rows
-        r = r._replace(raw_lower=r.raw_lower[: first + 1], raw_upper=r.raw_upper[: first + 1])
-        return r.map(lambda a: a[slots])
+    def take(self, slots) -> _Rows:
+        return self.rows.map(lambda a: a[slots])
 
     def put(self, rows: _Rows) -> list[int]:
         """Write ``rows`` into free slots and return the slots, in row order."""
@@ -371,7 +366,6 @@ def bab_verify(
     *,
     seed: int = 0,
     root_inter: LayerBounds | None = None,
-    root_raw: LayerBounds | None = None,
     root_bound: float | None = None,
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
@@ -386,14 +380,15 @@ def bab_verify(
     domain's branch neuron, its worst unstable neuron, both ways in the
     gathered codes.  The children of all popped domains are bounded in one
     batched call: each is re-bounded by IBP restarted at its split
-    neuron's layer from its parent's own IBP (the layers below it cannot
-    change), intersected with the parent's bounds, then bounded by CROWN,
-    and its own branch neuron is chosen from those bounds; it is discarded
-    once positive.  The kept children are written into free slots, popped
-    domains' among them.  Domains with no unstable neurons are resolved
-    exactly by the linear closed form, which falsifies from its witness
-    corner or, when the witness leaves the split region, from a PGD attack
-    seeded at the witness.  Both attacks are ``pgd_attack``'s descent loop
+    neuron's layer from its parent's bounds there (the layers below it
+    cannot change), intersected with the parent's bounds, then bounded by
+    CROWN, and its own branch neuron is chosen from those bounds; it is
+    discarded once positive.  A child is a function of its parent's row.
+    The kept children are written into free slots, popped domains' among
+    them.  Domains with no unstable neurons are resolved exactly by the
+    linear closed form, which falsifies from its witness corner or, when
+    the witness leaves the split region, from a PGD attack seeded at the
+    witness.  Both attacks are ``pgd_attack``'s descent loop
     run on the spec alone.
 
     ``max_domains`` counts bounded domains: a step pops at most half the
@@ -403,15 +398,11 @@ def bab_verify(
     falsified search stops (or whether it runs out of budget first),
     depend on the search order.  The clock is read before each pop, so a
     search can overrun ``time_limit`` by one step (up to 64 children).
-    ``root_inter`` supplies the root's intermediate bounds (default: IBP).
-    It must lie inside the box's IBP bounds, as ``compute_bounds`` output
-    does: it is used as given, and a child's bounds below its split layer
-    are its parent's.  Looser bounds stay sound.  ``root_raw`` supplies the
-    box's IBP (default: computed here), for callers that verify several
-    specs over one box.  ``root_bound`` supplies the root's
-    ``crown_lower_bound`` of the spec (default: computed here), for callers
-    that have bounded the root; the root's branch neuron is chosen only
-    when a search starts.
+    ``root_inter`` supplies the root's intermediate bounds (default: IBP),
+    sound for the box, as ``compute_bounds`` output is; it is used as
+    given.  ``root_bound`` supplies the root's ``crown_lower_bound`` of the
+    spec (default: computed here), for callers that have bounded the root;
+    the root's branch neuron is chosen only when a search starts.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -422,8 +413,7 @@ def bab_verify(
         cex = None if cex is None else np.asarray(cex, dtype=np.float64)
         return VerdictRecord(status, float(bound), cex, time.perf_counter() - t0, explored)
 
-    raw = ibp(net, box, root_split) if root_raw is None else root_raw
-    inter = raw if root_inter is None else root_inter
+    inter = ibp(net, box, root_split) if root_inter is None else root_inter
     if root_bound is None:
         root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
@@ -438,12 +428,9 @@ def bab_verify(
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
     # the store's rows are copies: it writes into them, and the caller may
-    # share ``root_inter`` and ``root_raw`` between specs
+    # share ``root_inter`` between specs
     store = _Frontier(_Rows(
-        *(
-            tuple(x[None, None].copy() for x in side)
-            for side in (inter.lower, inter.upper, raw.lower[:-1], raw.upper[:-1])
-        ),
+        *(tuple(x[None, None].copy() for x in side) for side in (inter.lower, inter.upper)),
         root_split.flat()[None, None], np.array([root_bound]),
         np.array([_branch_on(inter, root_split)]),
     ))
@@ -491,15 +478,13 @@ def bab_verify(
         # grafted, and the checks of ``SplitAssignment.force`` hold
         slots = np.repeat(parents, 2)
         layers = np.searchsorted(offsets, store.rows.branch[slots], side="right") - 1
-        first = int(layers.min())
-        rows = store.take(slots, first)
+        rows = store.take(slots)
         store.free.extend(parents)
         n = len(rows.bound)
         rows.codes[np.arange(n), 0, rows.branch] = np.tile([FORCED_ACTIVE, FORCED_INACTIVE], n // 2)
         split = _layer_codes(net, rows.codes)
-        child_raw, child, lower, branch = _bound_children(
-            net, signed, box, LayerBounds(rows.lower, rows.upper, net.grafted),
-            (rows.raw_lower[first], rows.raw_upper[first]), split, layers,
+        child, lower, branch = _bound_children(
+            net, signed, box, LayerBounds(rows.lower, rows.upper, net.grafted), split, layers,
             spec.coeffs, spec.const,
         )
         explored += n
@@ -512,12 +497,7 @@ def bab_verify(
         verified_floor = min(verified_floor, cb[closed & np.isfinite(cb)].min(initial=np.inf))
         if closed.all():
             continue
-        kids = _Rows(
-            child.lower, child.upper,
-            rows.raw_lower[:first] + child_raw.lower[first:-1],
-            rows.raw_upper[:first] + child_raw.upper[first:-1],
-            rows.codes, cb, branch,
-        )
+        kids = _Rows(child.lower, child.upper, rows.codes, cb, branch)
         if closed.any():
             kids = kids.map(lambda a: a[~closed])
         for bound, slot in zip(kids.bound.tolist(), store.put(kids)):

@@ -293,14 +293,14 @@ def _same_bytes(a: LayerBounds, b: LayerBounds) -> bool:
     )
 
 
-def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const):
-    # the one-row path BaB ran per child before it bounded children in
-    # batches: the IBP loop restarted at split layer h (_child_ibp), the
+def _reference_child(net, box, parent, split, h, coeffs, const):
+    # one child alone, from its parent's bounds and its own codes: the IBP
+    # loop restarted at split layer h from the parent's bounds there, the
     # intersection with the parent's bounds from h on (intersect_bounds),
     # then crown_lower_bound; the batched kernel must give each row these
     # floats
-    lowers, uppers = list(parent_raw.lower[:h]), list(parent_raw.upper[:h])
-    zl, zu = parent_raw.lower[h], parent_raw.upper[h]
+    lowers, uppers = [], []
+    zl, zu = parent.lower[h], parent.upper[h]
     feasible = True
     last = len(net.layers) - 1
     for i in range(h, last + 1):
@@ -324,19 +324,18 @@ def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const
                 lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
         lowers.append(zl)
         uppers.append(zu)
-    raw = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
-    lowers = parent_inter.lower[:h] + tuple(
-        np.maximum(x, y) for x, y in zip(raw.lower[h:], parent_inter.lower[h:])
+    lowers = parent.lower[:h] + tuple(
+        np.maximum(x, y) for x, y in zip(lowers, parent.lower[h:])
     )
-    uppers = parent_inter.upper[:h] + tuple(
-        np.minimum(x, y) for x, y in zip(raw.upper[h:], parent_inter.upper[h:])
+    uppers = parent.upper[:h] + tuple(
+        np.minimum(x, y) for x, y in zip(uppers, parent.upper[h:])
     )
     if feasible and any(np.any(l > u) for l, u in zip(lowers, uppers)):
         feasible = False
         lowers = tuple(np.minimum(l, u) for l, u in zip(lowers, uppers))
     inter = LayerBounds(lowers, uppers, net.grafted, feasible)
     if not feasible:
-        return raw, inter, float("inf")
+        return inter, float("inf")
     lines = _reference_relaxation_lines(net, inter, split)
     A, c0 = coeffs[None, :], np.array([const])
     for i in range(last, -1, -1):
@@ -351,7 +350,7 @@ def _reference_child(net, box, parent_raw, parent_inter, split, h, coeffs, const
     crown = np.where(A > 0.0, A * box.lower, A * box.upper).sum(axis=1) + c0
     lo, hi = inter.lower[-1], inter.upper[-1]
     interval = float(np.where(coeffs > 0.0, coeffs * lo, coeffs * hi).sum() + const)
-    return raw, inter, float(max(crown[0], interval))
+    return inter, float(max(crown[0], interval))
 
 
 def _net_with_dead_neurons(seed, widths, graft_fraction):
@@ -369,14 +368,12 @@ def _net_with_dead_neurons(seed, widths, graft_fraction):
 
 def _child_batch(net, box, rng, n_parents, n_rows, extra=()):
     """Grow feasible parent domains by the reference path and pick a batch
-    of children of them.  Returns the rows, ``(parent raw IBP, parent
-    bounds, child split, split layer, split neuron)``, and the arguments of
-    the ``_bound_children`` call that bounds them."""
+    of children of them.  Returns the rows, ``(parent bounds, child split,
+    split layer, split neuron)``, and the arguments of the
+    ``_bound_children`` call that bounds them."""
     offs = net.layer_offsets()
     c, const = rng.normal(0, 1, net.output_dim), float(rng.normal())
-    raw = ibp(net, box)
-    root = intersect_bounds(raw, compute_bounds(net, box, None, "crown"))
-    parents = [(SplitAssignment.free(net), raw, root)]
+    parents = [(SplitAssignment.free(net), compute_bounds(net, box, None, "crown"))]
 
     def free_neurons(split):
         return [
@@ -387,39 +384,34 @@ def _child_batch(net, box, rng, n_parents, n_rows, extra=()):
     for _ in range(20 * n_parents):
         if len(parents) == n_parents:
             break
-        split, praw, pinter = parents[int(rng.integers(len(parents)))]
+        split, pinter = parents[int(rng.integers(len(parents)))]
         j = int(rng.choice(free_neurons(split)))
         child = split.force(net, j, int(rng.choice([FORCED_ACTIVE, FORCED_INACTIVE])))
         h = net.neuron_location(j)[0]
-        craw, cinter, _ = _reference_child(net, box, praw, pinter, child, h, c, const)
+        cinter, _ = _reference_child(net, box, pinter, child, h, c, const)
         if cinter.feasible:
-            parents.append((child, craw, cinter))
+            parents.append((child, cinter))
     rows = []
     for r in range(n_rows):
-        split, praw, pinter = parents[r % len(parents)]
+        split, pinter = parents[r % len(parents)]
         free = free_neurons(split)
         wanted = [j for j in extra if j in free]
         j = wanted[r % len(wanted)] if wanted and r % 3 == 0 else int(rng.choice(free))
         h = net.neuron_location(j)[0]
         for direction in (FORCED_ACTIVE, FORCED_INACTIVE):
-            rows.append((praw, pinter, split.force(net, j, direction), h, j))
+            rows.append((pinter, split.force(net, j, direction), h, j))
     signed = (None,) + _sign_split(net.layers[1:])
     stacked = SplitAssignment([
-        np.stack(codes)[:, None, :] for codes in zip(*(row[2].codes for row in rows))
+        np.stack(codes)[:, None, :] for codes in zip(*(row[1].codes for row in rows))
     ])
-    # the parents' bounds stacked one per row, and their raw IBP at the
-    # lowest split layer, from which the rows' IBP restarts
-    first = min(row[3] for row in rows)
+    # the parents' bounds stacked one per row, from which the rows' IBP
+    # restarts
     inter = LayerBounds(
-        tuple(np.stack(x)[:, None, :] for x in zip(*(row[1].lower for row in rows))),
-        tuple(np.stack(x)[:, None, :] for x in zip(*(row[1].upper for row in rows))),
+        tuple(np.stack(x)[:, None, :] for x in zip(*(row[0].lower for row in rows))),
+        tuple(np.stack(x)[:, None, :] for x in zip(*(row[0].upper for row in rows))),
         net.grafted,
     )
-    raw = tuple(
-        np.stack([getattr(row[0], side)[first] for row in rows])[:, None, :]
-        for side in ("lower", "upper")
-    )
-    return rows, (net, signed, box, inter, raw, stacked, [row[3] for row in rows], c, const)
+    return rows, (net, signed, box, inter, stacked, [row[2] for row in rows], c, const)
 
 
 def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
@@ -429,12 +421,12 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
     offs = net.layer_offsets()
     rows, args = _child_batch(net, box, rng, n_parents, n_rows, extra)
     c, const = args[-2:]
-    got_raw, got, lower, branch = _bound_children(*args)
+    got, lower, branch = _bound_children(*args)
     assert lower.shape == (len(rows),)
     assert branch.shape == (len(rows),)
-    kinds = {"mixed starts"} if len({row[3] for row in rows}) > 1 else set()
-    for r, (praw, pinter, split, h, j) in enumerate(rows):
-        want_raw, want, want_lower = _reference_child(net, box, praw, pinter, split, h, c, const)
+    kinds = {"mixed starts"} if len({row[2] for row in rows}) > 1 else set()
+    for r, (pinter, split, h, j) in enumerate(rows):
+        want, want_lower = _reference_child(net, box, pinter, split, h, c, const)
         assert got.feasible[r, 0] == want.feasible
         assert lower[r].hex() == want_lower.hex()
         # the branch column is _branch_on of the row's one-domain bounds,
@@ -443,15 +435,14 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
         if want_branch < 0:
             kinds.add("leaf")
         assert branch[r] == want_branch
-        for batch, ref, parent in ((got_raw, want_raw, praw), (got, want, pinter)):
-            for side in ("lower", "upper"):
-                for i, (x, y) in enumerate(zip(getattr(batch, side), getattr(ref, side))):
-                    if i >= h:
-                        assert x[r, 0].tobytes() == y.tobytes()
-                    elif x is not None:  # below its split layer, the parent's values
-                        assert x[r, 0].tobytes() == getattr(parent, side)[i].tobytes()
+        for side in ("lower", "upper"):
+            for i, (x, y) in enumerate(zip(getattr(got, side), getattr(want, side))):
+                if i >= h:
+                    assert x[r, 0].tobytes() == y.tobytes()
+                else:  # below its split layer, the parent's values
+                    assert x[r, 0].tobytes() == getattr(pinter, side)[i].tobytes()
         kinds.add("feasible" if want.feasible else "infeasible")
-        l, u = praw.lower[h][j - offs[h]], praw.upper[h][j - offs[h]]
+        l, u = pinter.lower[h][j - offs[h]], pinter.upper[h][j - offs[h]]
         kinds.add("l=u=0" if l == u == 0.0 else "l<u")
     return kinds
 
@@ -517,18 +508,16 @@ class TestBoundChildren:
             old = _bound_children(*args)
             monkeypatch.setattr(bounds, "_rows_matmul", blocked)
             assert np.array_equal(new[0].feasible, old[0].feasible)
-            assert np.array_equal(new[1].feasible, old[1].feasible)
-            assert np.array_equal(new[3], old[3])
-            np.testing.assert_allclose(new[2], old[2], rtol=1e-12, atol=0)
-            for a, b in ((new[0], old[0]), (new[1], old[1])):
-                for x, y in zip(a.lower + a.upper, b.lower + b.upper):
-                    if y is not None:
-                        np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+            assert np.array_equal(new[2], old[2])
+            np.testing.assert_allclose(new[1], old[1], rtol=1e-12, atol=0)
+            for x, y in zip(new[0].lower + new[0].upper, old[0].lower + old[0].upper):
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
 
-    # tracemalloc peak of the call below, its outputs included: 1,992,000
+    # tracemalloc peak of the call below, its outputs included: 1,594,901
     # bytes measured with numpy 2.4 (64 rows, every child split in layer 0,
-    # so every layer is re-bounded), plus 25%
-    WIDE_BATCH_PEAK_BYTES = 2_490_000
+    # so every layer is re-bounded), plus 25%; 1,999,861 while the call
+    # also returned the children's raw IBP
+    WIDE_BATCH_PEAK_BYTES = 1_994_000
 
     def test_wide_batch_memory(self):
         # one BaB step's bounding call at its widest, so that per-row
@@ -552,17 +541,16 @@ class TestBoundChildren:
             tuple(np.repeat(x[None, None], 64, axis=0) for x in root.upper),
             net.grafted,
         )
-        raw = (inter.lower[0].copy(), inter.upper[0].copy())
         signed = (None,) + _sign_split(net.layers[1:])
         c = np.eye(10)[0] - np.eye(10)[1]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = _bound_children(net, signed, box, inter, raw, split, np.zeros(64, int), c, 0.0)
+            out = _bound_children(net, signed, box, inter, split, np.zeros(64, int), c, 0.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert out[2].shape == (64,) and np.all(out[0].feasible)
+        assert out[1].shape == (64,) and np.all(out[0].feasible)
         assert peak < self.WIDE_BATCH_PEAK_BYTES
 
 

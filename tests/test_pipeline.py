@@ -229,14 +229,14 @@ class TestRunPipeline:
         # the example reaches the root's bound computation and BaB
         net = Network([manual_layer([[1.0]], [0.0]), manual_layer([[1.0], [-1.0]], [0.0, 0.0])])
         test = Dataset(np.array([[0.5]]), np.array([0]))
-        # the root phase bounds each group in one _ibp_and_bounds call
-        real, delay = pipeline._ibp_and_bounds, 0.3
+        # the root phase bounds each group in one compute_bounds call
+        real, delay = pipeline.compute_bounds, 0.3
 
         def slow_bounds(*args, **kwargs):
             time.sleep(delay)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_ibp_and_bounds", slow_bounds)
+        monkeypatch.setattr(pipeline, "compute_bounds", slow_bounds)
         for time_limit, verdict in ((30.0, "verified"), (delay / 2, "timeout")):
             (record,), _ = evaluate_network(
                 net, test, eps_verify=0.1, clip=(0.0, 1.0),
@@ -496,42 +496,43 @@ class TestLockstepEvaluation:
         assert searched > 0 and root_decided > 0
         assert crown == []
 
-    def test_root_raw_is_the_one_box_ibp(self, monkeypatch):
-        # BaB's children restart from the root's raw IBP, which the root
-        # phase hands over as a row of its group's stacked IBP; each row
-        # must be the box's own ibp bit for bit
-        from graftcert.bounds import ibp
-
-        real, seen = pipeline.bab_verify, []
+    def test_root_inter_is_the_one_box_bounds(self, monkeypatch):
+        # BaB's children are bounded from the root's bounds, which the root
+        # phase hands over as a row of its group's stacked bounds; each row
+        # must be the box's own compute_bounds bit for bit
+        real, seen, boxes = pipeline.bab_verify, [], set()
 
         def spy(net, spec, box, *args, **kwargs):
-            seen.append((net, box, kwargs["root_raw"]))
+            seen.append((box, kwargs["root_inter"]))
             return real(net, spec, box, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "bab_verify", spy)
         for seed, net, test, kwargs in list(_lockstep_cases())[:6]:
+            seen.clear()
             evaluate_network(net, test, **kwargs)
-        assert len({id(box) for _, box, _ in seen}) > 10
-        for net, box, raw in seen:
-            want = ibp(net, box)
-            assert all(
-                x.tobytes() == y.tobytes()
-                for x, y in zip(raw.lower + raw.upper, want.lower + want.upper)
-            )
+            for box, inter in seen:
+                boxes.add(id(box))
+                want = compute_bounds(net, box, None, kwargs["intermediate"])
+                assert inter.feasible == want.feasible
+                assert all(
+                    x.tobytes() == y.tobytes()
+                    for x, y in zip(inter.lower + inter.upper, want.lower + want.upper)
+                )
+        assert len(boxes) > 10
 
     def test_root_groups_stay_under_the_cap(self, monkeypatch):
         net = random_net(8900, widths=[784, 128, 32, 10], weight_scale=0.05)
         rng = np.random.default_rng(8900)
         X = rng.uniform(0.0, 1.0, (7, 784))
         test = Dataset(X, np.argmax(forward_batch(net, X)[0], axis=1))
-        # the root phase bounds each group in one _ibp_and_bounds call
-        real, groups = pipeline._ibp_and_bounds, []
+        # the root phase bounds each group in one compute_bounds call
+        real, groups = pipeline.compute_bounds, []
 
         def counted(net, box, *args, **kwargs):
             groups.append(box.lower.shape[0])
             return real(net, box, *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_ibp_and_bounds", counted)
+        monkeypatch.setattr(pipeline, "compute_bounds", counted)
         kwargs = dict(eps_verify=0.001, clip=(0.0, 1.0), budget=VerifyBudget(None, 20), num_verify=7)
         got, _ = evaluate_network(net, test, **kwargs)
         # the largest coefficient array: the second affine layer's 32 rows
@@ -541,7 +542,7 @@ class TestLockstepEvaluation:
         assert groups and max(groups) * per_example <= pipeline._ROOT_GROUP_BYTES
         assert max(groups) == pipeline._ROOT_GROUP_BYTES // per_example > 1
         assert sum(groups) == sum(r["ra"] for r in got) == 7
-        monkeypatch.setattr(pipeline, "_ibp_and_bounds", real)
+        monkeypatch.setattr(pipeline, "compute_bounds", real)
         assert _without_time(got) == _without_time(_reference_records(net, test, **kwargs))
 
 

@@ -431,24 +431,30 @@ class TestBabVerify:
     # case of _pin_cases, recorded with every child bounded by a full IBP
     # pass and re-recorded when every bound product became a product of
     # fixed row blocks (bounds._rows_matmul), which moved the low bits of
-    # bounds and nothing else (PIN_WORK); bounding children incrementally,
-    # or in batches of one domain's children, must not move a bit of it
-    PIN_DIGEST = "962667d9135153080bfd42cdae361cbad4b36c6ef365e9c37bf7bc6d40925de5"
+    # bounds and nothing else (PIN_WORK), and again when a child's IBP
+    # restarted from its parent's bounds instead of its parent's raw IBP,
+    # which moved case 12 alone (falsified at the same point after 71
+    # domains, not 97); bounding children incrementally, or in batches of
+    # one domain's children, must not move a bit of it
+    PIN_DIGEST = "e47c47123cfebf7a26380ca3b3ac1e00a29691208a2ddf1cd98c10e633bc1399"
     # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
-    # bounds and where falsified searches stop
-    BATCHED_PIN_DIGEST = "83e85668ffb34357a9150648476a25f5607c3e4b6b462c4b56f8ee80a1142b65"
+    # bounds and where falsified searches stop.  The parent-bounds restart
+    # moved case 12 (f135 -> f89)
+    BATCHED_PIN_DIGEST = "4bb2f5f694de961512dc0edeb5afa0d9deeb54bc067b1af034f7e6684b9fa050"
     # the same at the default of 32 domains per step, which differs from
-    # both only in timeout bounds and where falsified searches stop
-    WIDE_PIN_DIGEST = "2b19cfcc759e059cd40e9a67479646064a24b06e1f479b88ddfa46466d180727"
+    # both only in timeout bounds and where falsified searches stop.  The
+    # parent-bounds restart moved case 12's timeout bound (-0x1.b55e13b554ddep+1
+    # -> -0x1.b3764344f207cp+1)
+    WIDE_PIN_DIGEST = "cd3cda7b335a686419c927e9225ad260b6b36b6ca3562dfeba5fea009a275ad1"
     # per case of _pin_cases, its status (first letter) and domains
     # explored at 1, 8 and 32 domains per step, recorded before the bound
-    # products were blocked: a new bound product may move the digests
-    # above only through the bounds
+    # products were blocked (a new bound product may move the digests
+    # above only through the bounds) and again at the parent-bounds restart
     PIN_WORK = {
-        1: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f97 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
+        1: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f71 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
            "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
-        8: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f135 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
+        8: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f89 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
            "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
         32: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 t149 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
             "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
@@ -495,15 +501,16 @@ class TestBabVerify:
         monkeypatch.setattr(verifier, "_BAB_BATCH", 1)
         split_layers = set()
         taken = {}
+        replayed = [0]
         bound_children = verifier._bound_children
 
         class RecordingFrontier(verifier._Frontier):
-            def take(self, slots, first):
-                rows = super().take(slots, first)
+            def take(self, slots):
+                rows = super().take(slots)
                 taken.update(codes=rows.codes.copy(), branch=rows.branch.copy())
                 return rows
 
-        def recording_bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
+        def recording_bound_children(net, signed, box, inter, split, starts, coeffs, const):
             # each child's codes are its parent's plus the parent's branch
             # neuron forced, active in the first row and inactive in the
             # second; the split layers are read from those codes
@@ -516,13 +523,27 @@ class TestBabVerify:
                 assert offs[h] <= branch < offs[h] + net.hidden_sizes[h]
                 if net.output_dim == 3:
                     split_layers.add(int(h))
-            return bound_children(net, signed, box, inter, raw, split, starts, coeffs, const)
+            out = bound_children(net, signed, box, inter, split, starts, coeffs, const)
+            # each child is a function of its parent's row: the same call on
+            # that one row (the parent's stored bounds and the child's codes)
+            # gives the child's row byte for byte
+            for r in range(len(starts)):
+                one = lambda a: a[r : r + 1]
+                alone = bound_children(
+                    net, signed, box,
+                    LayerBounds(tuple(map(one, inter.lower)), tuple(map(one, inter.upper)), net.grafted),
+                    SplitAssignment(tuple(map(one, split.codes))), starts[r : r + 1], coeffs, const,
+                )
+                assert _child_bytes(alone, 0) == _child_bytes(out, r)
+                replayed[0] += 1
+            return out
 
         monkeypatch.setattr(verifier, "_Frontier", RecordingFrontier)
         monkeypatch.setattr(verifier, "_bound_children", recording_bound_children)
         verdicts = self._pin_verdicts()
         kinds = {(v.status, v.domains_explored > 1) for v in verdicts}
         assert split_layers == {0, 1, 2}
+        assert replayed[0] > 1000
         assert {(s, True) for s in VerdictStatus} <= kinds
         assert self._pin_work(verdicts) == self.PIN_WORK[1]
         lines = [self._pin_line(v) for v in verdicts]
@@ -549,13 +570,14 @@ class TestBabVerify:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.WIDE_PIN_DIGEST
 
-    # the pin digests at 1, 8 and 32 domains per step of the bound code
-    # before it multiplied fixed row blocks, which ran one matrix-vector
-    # product per row (conftest.per_row_products)
+    # the pin digests at 1, 8 and 32 domains per step with the products of
+    # the bound code before it multiplied fixed row blocks, one
+    # matrix-vector product per row (conftest.per_row_products); re-recorded
+    # at the parent-bounds restart
     PER_ROW_PIN_DIGESTS = {
-        1: "e3aee4fe7ad37a9eb3554c56a98bce8011527aff1e364abad579505c7afb198a",
-        8: "ccdb6e6f735091e935096eb63619031ce5e13bdd5d327f1daeb908dbff3e51c8",
-        32: "b78fad0f63dd1063287ac96411f075e8e5cce4f04ff2cd5b80ba30a6ac01da41",
+        1: "a301d1b9d1efbeec2e0d5a8381cfbd69a6e77138543af4603004747063ba8c7e",
+        8: "0665e9786029e0ed1218ac3ec1371ded8b1fd5eb20624a2a4e4823b70b94bae8",
+        32: "07c482e3fed3305a806a384db712c17f0c17662aad43c8b60190cc69d3dda4a1",
     }
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
@@ -624,7 +646,7 @@ class TestBabVerify:
         case = {}
 
         class CheckingFrontier(verifier._Frontier):
-            def take(self, slots, first):
+            def take(self, slots):
                 # each popped parent's slot comes twice, once per child
                 net, r = case["net"], self.rows
                 for slot in slots[::2]:
@@ -636,7 +658,7 @@ class TestBabVerify:
                     )
                     split = _layer_codes(net, r.codes[slot, 0])
                     assert r.branch[slot] == _branch_on(inter, split) >= 0
-                return super().take(slots, first)
+                return super().take(slots)
 
         def checking_leaf(net, box, split, inter, spec):
             calls["leaf"] += 1
@@ -671,10 +693,10 @@ class TestBabVerify:
         monkeypatch.setattr(bounds, "_classify", counting("classify", bounds._classify))
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting("leaf", verifier._resolve_linear_leaf))
 
-        def counting_bound_children(net, signed, box, inter, raw, split, starts, coeffs, const):
+        def counting_bound_children(net, signed, box, inter, split, starts, coeffs, const):
             run["bound"] += 1
             run["split"] += len(starts) // 2
-            return bound_children(net, signed, box, inter, raw, split, starts, coeffs, const)
+            return bound_children(net, signed, box, inter, split, starts, coeffs, const)
 
         monkeypatch.setattr(verifier, "_bound_children", counting_bound_children)
         split = 0
@@ -742,6 +764,32 @@ class TestBabVerify:
         assert statuses == set(VerdictStatus)
         assert most >= 2 and seen["reused"] > 0 and seen["leaves"] > 0
 
+    def test_store_row_bytes(self, monkeypatch):
+        # a store row holds a domain's bounds (2 sides x 394 floats on the
+        # protocol net), its split codes (384 int8) and its bound and
+        # branch (8 bytes each), nothing more: 2*394*8 + 384 + 16 bytes
+        import graftcert.verifier as verifier
+
+        stores = []
+
+        class RecordingFrontier(verifier._Frontier):
+            def __init__(self, root):
+                super().__init__(root)
+                stores.append(self)
+
+        monkeypatch.setattr(verifier, "_Frontier", RecordingFrontier)
+        rng = np.random.default_rng(7400)
+        net = random_net(7400, widths=[784, 128, 128, 128, 10], weight_scale=1.0)
+        box = input_region(rng.uniform(0, 1, 784), 0.02, (0, 1))
+        # a root bound given as negative and a spec no input violates: the
+        # search starts, and its first children close it
+        spec = Specification(np.eye(10)[0], 1e9)
+        v = bab_verify(net, spec, box, VerifyBudget(None, 3), root_bound=-1.0)
+        assert v.status == VerdictStatus.VERIFIED and v.domains_explored == 3
+        (store,) = stores
+        rows = store.rows
+        assert sum(a.nbytes for a in rows.arrays()) // len(rows.bound) == 2 * 394 * 8 + 384 + 16
+
     def test_zero_graft_never_increases_unstable_count(self):
         # slope-0 grafts shrink every downstream interval, so instability
         # can only go down
@@ -765,13 +813,22 @@ def _bound_bytes(bounds):
     return [x.tobytes() for x in bounds.lower + bounds.upper]
 
 
+def _child_bytes(out, r):
+    # row r of a _bound_children result: its bounds, feasibility, lower
+    # bound and branch neuron
+    bounds, lower, branch = out
+    feasible = np.broadcast_to(bounds.feasible, (len(lower), 1))[r]
+    return [x[r].tobytes() for x in bounds.lower + bounds.upper] + [
+        feasible.tobytes(), lower[r].tobytes(), branch[r].tobytes()
+    ]
+
+
 @dataclass
 class _Record:
     # one pending domain of the record-per-domain loop below
     split: SplitAssignment
     bound: float
     inter: LayerBounds
-    raw: LayerBounds
     branch: int = -1
 
 
@@ -787,8 +844,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         return VerdictRecord(status, float(bound), cex, 0.0, explored)
 
     root_split = SplitAssignment.free(net)
-    raw = ibp(net, box, root_split)
-    inter = raw if root_inter is None else root_inter
+    inter = ibp(net, box, root_split) if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         return verdict(VerdictStatus.VERIFIED, root_bound)
@@ -799,7 +855,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
     signed = (None,) + _sign_split(net.layers[1:])
     root_branch = int(_branch_on(inter, root_split))
-    heap = [(root_bound, 0, _Record(root_split, root_bound, inter, raw, root_branch))]
+    heap = [(root_bound, 0, _Record(root_split, root_bound, inter, root_branch))]
     counter = 1
     verified_floor = np.inf
     offsets = net.layer_offsets()
@@ -846,15 +902,13 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         layers = np.searchsorted(offsets, neurons, side="right") - 1
         split = SplitAssignment(np.split(codes[:, None, :], offsets[1:], axis=-1))
         rows = [p for p in parents for _ in range(2)]
-        first = int(min(layers))
         pinter = LayerBounds(
             tuple(map(stack, zip(*(p.inter.lower for p in rows)))),
             tuple(map(stack, zip(*(p.inter.upper for p in rows)))),
             net.grafted,
         )
-        praw = (stack([p.raw.lower[first] for p in rows]), stack([p.raw.upper[first] for p in rows]))
-        child_raw, child, lower, branch = _bound_children(
-            net, signed, box, pinter, praw, split, layers, spec.coeffs, spec.const
+        child, lower, branch = _bound_children(
+            net, signed, box, pinter, split, layers, spec.coeffs, spec.const
         )
         explored += len(rows)
         for r, (p, h) in enumerate(zip(rows, layers)):
@@ -867,7 +921,6 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
                 SplitAssignment([c[r, 0] for c in split.codes]),
                 cb,
                 row(child, r, p.inter, h),
-                row(child_raw, r, p.raw, h),
                 int(branch[r]),
             )
             heapq.heappush(heap, (cb, counter, kid))
