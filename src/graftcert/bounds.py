@@ -360,7 +360,8 @@ def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
 
 
 def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, h: int):
-    """Hidden layer h's (slope, lower_icpt, upper_icpt).
+    """Hidden layer h's ``(slope, li, ui, unstable)``: its relaxation
+    lines and its unstable ReLUs.
 
     Stable-active neurons keep the identity line, stable-inactive the zero
     line, unstable ReLUs the secant upper line and a lower line through the
@@ -368,29 +369,46 @@ def _relaxation_lines(net: Network, inter: LayerBounds, split: SplitAssignment, 
     line on both sides; forced neurons their forced linear form.  The
     degenerate interval l = u = 0 counts as stable-inactive.  A neuron's
     lower and upper lines always share one slope, and depend on its own
-    bounds only.  Bounds and codes with a leading row axis give lines with
-    that axis.
+    bounds only.  ``unstable`` marks the free, ungrafted ReLUs whose
+    interval straddles zero: only there is the secant computed, gathered
+    by one ``flatnonzero``, and there ``ui`` = -u*l/(u-l) is BaB's branch
+    score (``_branch_on``).  Bounds and codes with a leading row axis give
+    ``slope``, ``ui`` and ``unstable`` with that axis; ``li``, 0 or the
+    graft intercept, is one ``(d_h,)`` vector.  No other function of the
+    module evaluates the relaxation rule: the others read these lines.
     """
     l, u, code = inter.lower[h], inter.upper[h], split.codes[h]
-    inactive = (u <= 0.0) | (code == FORCED_INACTIVE)
-    active = ((l >= 0.0) | (code == FORCED_ACTIVE)) & ~inactive
-    unstable = ~(inactive | active)
-    d = np.where(unstable, u - l, 1.0)
-    slope = np.where(unstable, u / d, np.where(active, 1.0, 0.0))
-    li = np.zeros_like(l)
-    ui = np.where(unstable, -u * l / d, 0.0)
     g = net.grafted[h]
-    if g.any():
-        slope = np.where(g, net.slopes[h], slope)
-        li = np.where(g, net.intercepts[h], li)
-        ui = np.where(g, net.intercepts[h], ui)
-    return slope, li, ui
+    li = np.where(g, net.intercepts[h], 0.0)
+    # a grafted neuron counts as inactive here, then takes its own line;
+    # on booleans a > b is a & ~b
+    inactive = (u <= 0.0) | (code == FORCED_INACTIVE) | g
+    active = ((l >= 0.0) | (code == FORCED_ACTIVE)) > inactive
+    unstable = ~(inactive | active)
+    slope = np.where(active, 1.0, np.where(g, net.slopes[h], 0.0))
+    ui = np.empty(unstable.shape)
+    ui[...] = li
+    idx = np.flatnonzero(unstable)
+    if idx.size:
+        if l.shape != unstable.shape:
+            l, u = np.broadcast_to(l, unstable.shape), np.broadcast_to(u, unstable.shape)
+        lu, uu = l.take(idx), u.take(idx)
+        d = uu - lu
+        slope.reshape(-1)[idx] = uu / d
+        ui.reshape(-1)[idx] = -uu * lu / d
+    return slope, li, ui, unstable
+
+
+def _domain_lines(net: Network, inter: LayerBounds, split: SplitAssignment) -> list:
+    """``_relaxation_lines`` of every hidden layer: a domain's lines, built
+    once and read by its back-substitution (``_backward``) and its branch
+    choice (``_branch_on``)."""
+    return [_relaxation_lines(net, inter, split, h) for h in range(len(net.hidden_sizes))]
 
 
 def _backward(
     net: Network,
-    inter: LayerBounds,
-    split: SplitAssignment,
+    lines: Sequence,
     box: Box,
     C: np.ndarray,
     c0: np.ndarray,
@@ -401,12 +419,12 @@ def _backward(
     """Sound lower bounds of the linear functionals ``C @ z^(start) + c0``:
     propagate them back to the input, each neuron's coefficient taking its
     lower line where positive and its upper line elsewhere, and concretize
-    over the box.  Each hidden layer's lines are built from ``inter`` and
-    ``split`` when the pass reaches that layer (``_relaxation_lines``), so
-    a pass holds one layer's lines, and reads only the layers below
-    ``start``.  Returns the bounds, shaped like ``c0``, and the input
-    coefficients ``A``, whose signs pick each bound's box corner; where
-    every lower line is its upper line, the bound is exact there.
+    over the box.  ``lines`` holds the hidden layers' relaxation lines
+    (``_relaxation_lines``), built by the caller; the pass reads the
+    ``start`` layers below ``start`` and builds none.  Returns the bounds,
+    shaped like ``c0``, and the input coefficients ``A``, whose signs pick
+    each bound's box corner; where every lower line is its upper line, the
+    bound is exact there.
 
     With ``both``, the bounds are a pair: those of ``C``, ``c0`` and those
     of ``-C``, ``-c0``, from one chain of products.  An upper bound is
@@ -420,11 +438,11 @@ def _backward(
     product's zero sum can come out +0.0 on both chains), which 0 minus it
     erases.
 
-    ``C`` is ``(m, d)`` with 1-D bounds, or a stack ``(R, 1, d)`` with
-    bounds and codes shaped ``(R, 1, d_h)``: one row per domain.  Every
-    product multiplies fixed blocks of ``block`` rows (``_rows_matmul``)
-    and every sum runs over the last axis, so each row gets the floats of
-    its one-row call bit for bit.
+    ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
+    shaped ``(R, 1, d_h)``: one row per domain.  Every product multiplies
+    fixed blocks of ``block`` rows (``_rows_matmul``) and every sum runs
+    over the last axis, so each row gets the floats of its one-row call
+    bit for bit.
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64)
@@ -437,7 +455,7 @@ def _backward(
         if both:
             neg = neg - shift
         if i > 0:
-            slope, li, ui = _relaxation_lines(net, inter, split, i - 1)
+            slope, li, ui, _ = lines[i - 1]
             low, high = _box_sums(li, ui, A, both)
             const = low + const
             if both:
@@ -515,12 +533,13 @@ def crown_lower_bound(
         raise StructuralError(
             f"spec coefficients must have shape ({net.output_dim},), got {c.shape}"
         )
-    return float(_spec_lower(net, box, split, inter, c, const)[0])
+    return float(_spec_lower(net, box, _domain_lines(net, inter, split), inter, c, const)[0])
 
 
-def _spec_lower(net, box, split, inter, c, const):
-    """The CROWN lower bound of ``c @ logits + const``, floored by the
-    interval bound, and +inf where ``inter`` is infeasible (an empty
+def _spec_lower(net, box, lines, inter, c, const):
+    """The CROWN lower bound of ``c @ logits + const`` through the domain's
+    relaxation lines ``lines`` (``_domain_lines`` of ``inter``), floored by
+    the interval bound, and +inf where ``inter`` is infeasible (an empty
     region): shape (1,) for one region's 1-D bounds, (R, 1) for a stack of
     ``(R, 1, d)`` bounds with per-row codes and ``feasible``, or per-row
     boxes (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const``
@@ -528,7 +547,7 @@ def _spec_lower(net, box, split, inter, c, const):
     lo, hi = inter.lower[-1], inter.upper[-1]
     lead = lo.shape[:-1] or (1,)
     C = np.broadcast_to(c, lead + c.shape[-1:])
-    vals, _ = _backward(net, inter, split, box, C, np.full(lead, const), len(net.layers) - 1)
+    vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1)
     floor = _interval_lower(lo, hi, c, const)
     # max(vals, floor) that keeps vals on a tie, as Python's max does
     return np.where(inter.feasible, np.where(floor > vals, floor, vals), np.inf)
@@ -552,9 +571,9 @@ def _bound_children(net, signed, box, inter, split, starts, coeffs, const):
     the lowest split layer in the batch are ``inter``'s arrays), the lower
     bounds of ``coeffs @ logits + const``, +inf where infeasible, and per
     row the neuron BaB splits when it pops that child (``_branch_on`` of
-    its bounds), -1 where it has no unstable neuron.  The branch is chosen
-    here, while the children's bounds are stacked, so that popping a child
-    classifies nothing.  A row is a function of its parent's row and its
+    its lines), -1 where it has no unstable neuron.  Each child's lines
+    are built once (``_domain_lines``), read by its CROWN pass and then by
+    its branch choice, so that popping a child builds nothing.  A row is a function of its parent's row and its
     own codes alone: it holds bit for bit what ``_ibp_from``,
     ``intersect_bounds`` and ``crown_lower_bound`` give that child alone,
     since every product is one of fixed row blocks, in which a row's
@@ -567,8 +586,9 @@ def _bound_children(net, signed, box, inter, split, starts, coeffs, const):
         _ibp_from(net, signed, split, first, inter.lower[first], inter.upper[first], inter, starts),
         inter, start=first,
     )
-    lower = _spec_lower(net, box, split, child, coeffs, const)[:, 0]
-    return child, lower, _branch_on(child, split)[:, 0]
+    lines = _domain_lines(net, child, split)
+    lower = _spec_lower(net, box, lines, child, coeffs, const)[:, 0]
+    return child, lower, _branch_on(lines)[:, 0]
 
 
 def compute_bounds(
@@ -583,6 +603,9 @@ def compute_bounds(
     The refinement rewrites each hidden layer's bounds as the tighter of
     the IBP interval and the backward-propagated bound, reusing already
     refined earlier layers, then re-applies any forced-split intersections.
+    A hidden layer's bounds are final once refined, so its relaxation lines
+    are built once, at the next step, and every later back-substitution
+    reads them from the growing list.
     One back-substitution of a layer's identity ``I`` gives both sides:
     the lower bounds of ``I``, and the upper bounds as 0 minus the lower
     bounds of ``-I``, read off the same chain (see ``_backward``).
@@ -607,8 +630,11 @@ def compute_bounds(
     stack = box.lower.shape[:-2]
     feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
     refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    lines = []
     for i in range(1, len(net.layers)):
-        # the pass on layer i reads the hidden layers below it, already refined
+        # the pass on layer i reads the hidden layers below it, already
+        # refined; layer i - 1 was the last of them to be
+        lines.append(_relaxation_lines(net, refined, split, i - 1))
         d = net.layers[i].out_dim
         # [0]: the input coefficients are not needed, so not kept alive.
         # The identity is a broadcast view; on E > 1 boxes its first
@@ -617,7 +643,7 @@ def compute_bounds(
         # 0 minus the lower bound of -I keeps a zero upper bound +0.0, as
         # a direct upper pass gives it (plain negation gives -0.0)
         lo, neg = _backward(
-            net, refined, split, box, np.broadcast_to(np.eye(d), stack + (d, d)),
+            net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)),
             np.zeros(stack + (d,)), i, both=True, block=d,
         )[0]
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
@@ -677,15 +703,8 @@ def classify_neurons(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
     a BaB child batch has them.  The statuses come from two masks, active
     and inactive, and one scatter for the grafted neurons.
     """
-    return _classify(inter, split)[0]
-
-
-def _classify(inter: LayerBounds, split: SplitAssignment):
-    """``classify_neurons`` of ``inter``, with the hidden bounds it joined
-    (every hidden neuron on the last axis): ``(status, l, u)``."""
     if not inter.grafted:
-        empty = np.zeros(inter.lower[0].shape[:-1] + (0,))
-        return empty.astype(np.int8), empty, empty
+        return np.zeros(inter.lower[0].shape[:-1] + (0,), dtype=np.int8)
     l = np.concatenate(inter.lower[:-1], axis=-1)
     u = np.concatenate(inter.upper[:-1], axis=-1)
     code = split.flat()
@@ -696,19 +715,20 @@ def _classify(inter: LayerBounds, split: SplitAssignment):
     # inactive (STABLE_INACTIVE, 1); the int8 views keep the sum int8
     status = int(NeuronStatus.UNSTABLE) - 2 * active.view(np.int8) - inactive.view(np.int8)
     status[..., np.concatenate(inter.grafted)] = NeuronStatus.GRAFTED
-    return status, l, u
+    return status
 
 
-def _branch_on(inter: LayerBounds, split: SplitAssignment) -> np.ndarray:
-    """Per row of ``inter``, the neuron BaB splits: the unstable neuron
-    with the largest relaxation-area proxy |l*u| / (u - l), ties broken
-    toward the lowest id; -1 where a row has no unstable neuron (a linear
-    leaf).  1-D bounds give a 0-d array."""
-    status, l, u = _classify(inter, split)
-    unstable = status == NeuronStatus.UNSTABLE
-    if not unstable.any():
-        return np.full(status.shape[:-1], -1)
-    score = np.where(unstable, np.abs(l * u) / np.where(unstable, u - l, 1.0), -np.inf)
+def _branch_on(lines) -> np.ndarray:
+    """Per row of a domain's relaxation lines (``_domain_lines``), the
+    neuron BaB splits: the unstable neuron with the largest upper-line
+    intercept -u*l/(u-l), the relaxation-area proxy |l*u|/(u-l) bit for
+    bit, ties broken toward the lowest id; -1 where a row has no unstable
+    neuron (a linear leaf).  1-D lines give a 0-d array."""
+    if not lines:
+        return np.array(-1)
+    ui = np.concatenate([line[2] for line in lines], axis=-1)
+    unstable = np.concatenate([line[3] for line in lines], axis=-1)
+    score = np.where(unstable, ui, -np.inf)
     return np.where(unstable.any(axis=-1), np.argmax(score, axis=-1), -1)
 
 

@@ -31,6 +31,7 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
+    _domain_lines,
     _spec_lower,
     compute_bounds,
     input_region,
@@ -288,14 +289,15 @@ def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> 
     infeasible, as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
     rows = np.repeat(np.arange(len(margins)), len(margins[0]))
     specs = [s for ms in margins for s in ms]
+    stacked = LayerBounds(
+        tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted,
+        np.broadcast_to(inter.feasible, (len(margins), 1))[rows],
+    )
     return _spec_lower(
         net,
         Box(box.lower[rows], box.upper[rows]),
-        SplitAssignment.free(net),
-        LayerBounds(
-            tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted,
-            np.broadcast_to(inter.feasible, (len(margins), 1))[rows],
-        ),
+        _domain_lines(net, stacked, SplitAssignment.free(net)),
+        stacked,
         np.stack([s.coeffs for s in specs])[:, None, :],
         np.array([[s.const] for s in specs]),
     ).reshape(len(margins), -1)

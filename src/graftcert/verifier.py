@@ -28,6 +28,7 @@ from .bounds import (
     _backward,
     _bound_children,
     _branch_on,
+    _domain_lines,
     _sign_split,
 )
 from .errors import UndecidableRegion, UsageError, require_finite, require_integers
@@ -267,7 +268,8 @@ def _resolve_linear_leaf(
     (``_backward``) is exact."""
     lead = inter.lower[-1].shape[:-1] or (1,)
     C = np.broadcast_to(spec.coeffs, lead + spec.coeffs.shape)
-    mins, A = _backward(net, inter, split, box, C, np.full(lead, spec.const), len(net.layers) - 1)
+    lines = _domain_lines(net, inter, split)
+    mins, A = _backward(net, lines, box, C, np.full(lead, spec.const), len(net.layers) - 1)
     exact_min = float(mins.reshape(-1)[0])
     witness = np.where(A.reshape(-1) > 0.0, box.lower, box.upper)
     if exact_min > 0.0:
@@ -285,8 +287,9 @@ class _Rows(NamedTuple):
     codes (flat ids), ``(n, 1, H)``; their certified lower bounds and
     ``branch``, ``(n,)``.  ``branch`` is the neuron BaB splits when it pops
     the domain, or -1 when it has no unstable neuron (a linear leaf),
-    chosen when the domain is bounded: the root's from its own bounds, a
-    child's in its batch's bounding pass (``_bound_children``)."""
+    chosen when the domain is bounded, from its relaxation lines: the
+    root's from one build of its own, a child's from those its batch's
+    bounding pass built for its CROWN bound (``_bound_children``)."""
 
     lower: tuple
     upper: tuple
@@ -432,7 +435,7 @@ def bab_verify(
     store = _Frontier(_Rows(
         *(tuple(x[None, None].copy() for x in side) for side in (inter.lower, inter.upper)),
         root_split.flat()[None, None], np.array([root_bound]),
-        np.array([_branch_on(inter, root_split)]),
+        np.array([_branch_on(_domain_lines(net, inter, root_split))]),
     ))
     offsets = net.layer_offsets()
     heap = [(root_bound, 0, 0)]

@@ -35,6 +35,7 @@ from graftcert.bounds import (
     _backward,
     _bound_children,
     _branch_on,
+    _domain_lines,
     _box_sums,
     _clamp_split,
     _corner,
@@ -185,8 +186,8 @@ class TestCrown:
         # the relaxation lines themselves: secant above, same slope below
         from graftcert.bounds import _relaxation_lines
 
-        slope, li, ui = _relaxation_lines(net, inter, SplitAssignment.free(net), 0)
-        assert (slope[0], li[0], ui[0]) == (0.5, 0.0, 0.5)
+        slope, li, ui, unstable = _relaxation_lines(net, inter, SplitAssignment.free(net), 0)
+        assert (slope[0], li[0], ui[0], unstable[0]) == (0.5, 0.0, 0.5, True)
         # the upper line passes through (-1, 0) and (1, 1)
         assert slope[0] * -1 + ui[0] == pytest.approx(0.0)
         assert slope[0] * 1 + ui[0] == pytest.approx(1.0)
@@ -429,9 +430,9 @@ def _check_child_batch(net, box, rng, n_parents, n_rows, extra=()):
         want, want_lower = _reference_child(net, box, pinter, split, h, c, const)
         assert got.feasible[r, 0] == want.feasible
         assert lower[r].hex() == want_lower.hex()
-        # the branch column is _branch_on of the row's one-domain bounds,
+        # the branch column is _branch_on of the row's one-domain lines,
         # -1 where that domain has no unstable neuron
-        want_branch = int(_branch_on(want, split))
+        want_branch = int(_branch_on(_domain_lines(net, want, split)))
         if want_branch < 0:
             kinds.add("leaf")
         assert branch[r] == want_branch
@@ -516,7 +517,9 @@ class TestBoundChildren:
     # tracemalloc peak of the call below, its outputs included: 1,594,901
     # bytes measured with numpy 2.4 (64 rows, every child split in layer 0,
     # so every layer is re-bounded), plus 25%; 1,999,861 while the call
-    # also returned the children's raw IBP
+    # also returned the children's raw IBP; 1,817,888 since every hidden
+    # layer's lines are built before the CROWN pass and kept for the
+    # branch choice, where the pass used to hold one layer's at a time
     WIDE_BATCH_PEAK_BYTES = 1_994_000
 
     def test_wide_batch_memory(self):
@@ -797,6 +800,7 @@ class TestLowerBoundKernel:
         zeros = 0
         for box, inter, split in cases:
             ref = _reference_relaxation_lines(net, inter, split)
+            lines = _domain_lines(net, inter, split)
             stack = box.lower.shape[:-2]
             for start in range(len(net.layers)):
                 d = net.layers[start].out_dim
@@ -804,11 +808,11 @@ class TestLowerBoundKernel:
                     (np.broadcast_to(np.eye(d), stack + (d, d)), np.zeros(stack + (d,))),
                     (rng.normal(0, 1, stack + (2, d)), rng.normal(0, 1, stack + (2,))),
                 ):
-                    lo, A = _backward(net, inter, split, box, C, c0, start)
+                    lo, A = _backward(net, lines, box, C, c0, start)
                     want_lo, want_A = _reference_backward(net, ref[:start], box, C, c0, start, -1)
                     assert lo.tobytes() == want_lo.tobytes()
                     assert A.tobytes() == want_A.tobytes()
-                    hi = 0.0 - _backward(net, inter, split, box, -C, -c0, start)[0]
+                    hi = 0.0 - _backward(net, lines, box, -C, -c0, start)[0]
                     want_hi = _reference_backward(net, ref[:start], box, C, c0, start, +1)[0]
                     assert hi.tobytes() == want_hi.tobytes()
                     zeros += int(np.sum(want_hi == 0.0))
@@ -860,7 +864,7 @@ def _two_chain_backward(net, lines, box, C, c0, start):
         const = const + A @ layer.bias
         A = A @ layer.weight
         if i > 0:
-            slope, li, ui = lines[i - 1]
+            slope, li, ui, _ = lines[i - 1]
             const = (np.where(A > 0.0, li, ui) * A).sum(axis=-1) + const
             A = A * slope
     return (np.where(A > 0.0, box.lower, box.upper) * A).sum(axis=-1) + const
@@ -995,16 +999,16 @@ class TestOneChainBothSides:
         )
         box = input_region(rng.uniform(0, 1, net.input_dim), 0.2)
         inter = compute_bounds(net, box, None, "crown")
-        free = SplitAssignment.free(net)
+        lines = _domain_lines(net, inter, SplitAssignment.free(net))
         for start in range(len(net.layers)):
             d = net.layers[start].out_dim
             for C, c0 in (
                 (np.eye(d), np.zeros(d)),
                 (rng.normal(0, 1, (3, d)), rng.normal(0, 1, 3)),
             ):
-                (lo, neg), A = _backward(net, inter, free, box, C, c0, start, both=True)
-                want_lo, want_A = _backward(net, inter, free, box, C, c0, start)
-                want_neg = _backward(net, inter, free, box, -C, -c0, start)[0]
+                (lo, neg), A = _backward(net, lines, box, C, c0, start, both=True)
+                want_lo, want_A = _backward(net, lines, box, C, c0, start)
+                want_neg = _backward(net, lines, box, -C, -c0, start)[0]
                 assert [v.hex() for v in lo] == [v.hex() for v in want_lo]
                 assert [v.hex() for v in 0.0 - neg] == [v.hex() for v in 0.0 - want_neg]
                 assert np.array_equal(neg, want_neg)
@@ -1099,15 +1103,18 @@ class TestRelaxationLines:
         uppers.append(np.full(2, 1.0))
         inter = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
         for split in (SplitAssignment.free(net), SplitAssignment(codes)):
-            got = [_relaxation_lines(net, inter, split, h) for h in range(len(hidden))]
+            got = _domain_lines(net, inter, split)
             want = _reference_relaxation_lines(net, inter, split)
+            status = np.split(_reference_classify(inter, split), net.layer_offsets()[1:])
             assert len(got) == len(want) == len(hidden)
-            for g_line, (ls, li, us, ui) in zip(got, want):
+            for g_line, (ls, li, us, ui), st in zip(got, want, status):
                 # the reference's lower and upper slopes are the one slope
                 assert ls.tobytes() == us.tobytes()
-                assert len(g_line) == 3
+                assert len(g_line) == 4
                 for x, y in zip(g_line, (ls, li, ui)):
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                # the unstable mask is classify's UNSTABLE status
+                assert np.array_equal(g_line[3], st == NeuronStatus.UNSTABLE)
 
     def test_no_hidden_layer(self):
         net = Network([manual_layer([[1.0, -1.0]], [0.5])])
@@ -1115,8 +1122,9 @@ class TestRelaxationLines:
         inter = ibp(net, box)
         split = SplitAssignment.free(net)
         assert _reference_relaxation_lines(net, inter, split) == []
-        # no hidden layer: the pass builds no lines, and its bound is exact
-        assert _backward(net, inter, split, box, np.eye(1), np.zeros(1), 0)[0].tolist() == [-0.5]
+        # no hidden layer: the domain has no lines, and the bound is exact
+        assert _domain_lines(net, inter, split) == []
+        assert _backward(net, [], box, np.eye(1), np.zeros(1), 0)[0].tolist() == [-0.5]
 
 
 class TestClassify:
@@ -1393,7 +1401,7 @@ class TestSharedKernels:
         inter = ibp(net, box)
         status = classify_neurons(inter, stacked)
         assert status.shape == (rows, 1, net.num_hidden) and status.dtype == np.int8
-        branch = _branch_on(inter, stacked)
+        branch = _branch_on(_domain_lines(net, inter, stacked))
         assert branch.shape == (rows, 1)
         seen = set()
         for r, split in enumerate(splits):
@@ -1403,7 +1411,7 @@ class TestSharedKernels:
             want = classify_neurons(row, split)
             assert status[r, 0].tobytes() == want.tobytes()
             assert want.tobytes() == _reference_classify(row, split).tobytes()
-            assert branch[r, 0] == _branch_on(row, split)
+            assert branch[r, 0] == _branch_on(_domain_lines(net, row, split))
             code = split.flat()
             seen |= {NeuronStatus(k) for k in want}
             l, u = np.concatenate(row.lower[:-1]), np.concatenate(row.upper[:-1])
@@ -1463,6 +1471,108 @@ class TestSharedKernels:
             seen |= {NeuronStatus(k) for k in np.unique(got)}
         want_kinds = {"dead", "forced active, u <= 0", NeuronStatus.UNSTABLE}
         assert want_kinds | ({NeuronStatus.GRAFTED} if seed % 2 else set()) <= seen
+
+
+def _classify_branch_on(inter, split):
+    # _branch_on as it was when it classified a domain's neurons again
+    # after the domain's CROWN pass: the joined hidden bounds, classify's
+    # statuses, and the score |l*u| / (u - l) on the unstable ones.
+    # Returns the branch neurons and the scores
+    status = classify_neurons(inter, split)
+    l = np.concatenate(inter.lower[:-1], axis=-1)
+    u = np.concatenate(inter.upper[:-1], axis=-1)
+    unstable = status == NeuronStatus.UNSTABLE
+    score = np.where(unstable, np.abs(l * u) / np.where(unstable, u - l, 1.0), -np.inf)
+    if not unstable.any():
+        return np.full(status.shape[:-1], -1), score
+    return np.where(unstable.any(axis=-1), np.argmax(score, axis=-1), -1), score
+
+
+class TestBranchRule:
+    """The branch neuron read off a domain's lines, the largest upper-line
+    intercept over its unstable neurons, is the one the classify-and-score
+    rule picked, and the intercept is that rule's score bit for bit."""
+
+    # columns of (l, u) pairs: straddling, l = u = 0, l = 0 < u, l < 0 = u,
+    # l = -0.0 < u, l < u = -0.0, stably active, stably inactive, the tie
+    # (-1, 1) and a straddling pair whose l*u underflows to zero
+    KINDS = 10
+
+    def _bounds(self, rng, net, rows):
+        lowers, uppers = [], []
+        for h, d in enumerate(net.hidden_sizes + (net.output_dim,)):
+            shape = (rows, 1, d)
+            a, b, z = -rng.uniform(0.01, 2, shape), rng.uniform(0.01, 2, shape), np.zeros(shape)
+            one, tiny = np.ones(shape), np.full(shape, 1e-200)
+            kind = rng.integers(0, self.KINDS, shape)
+            # row 0: every neuron stable but underflowing ones; row 1: every
+            # neuron stable; row 2: every neuron on the tie
+            kind[0] = rng.choice([1, 3, 5, 6, 7, 9], d)
+            kind[1] = rng.choice([1, 3, 5, 6, 7], d)
+            kind[2] = 8
+            if h == 0:
+                kind[0, 0, np.flatnonzero(~net.grafted[0])[0]] = 9
+            lowers.append(np.choose(kind, [a, z, z, a, -z, a, -a, a - 1.0, -one, -tiny]))
+            uppers.append(np.choose(kind, [b, z, b, z, b, -z, b - a, a, one, tiny]))
+        return LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
+
+    def _split(self, rng, net, inter):
+        # random forced codes, and forced active on some neurons with u <= 0
+        codes = []
+        for g, u in zip(net.grafted, inter.upper):
+            code = rng.choice([FREE, FREE, FREE, FORCED_ACTIVE, FORCED_INACTIVE], u.shape)
+            code[(u <= 0.0) & (rng.random(u.shape) < 0.5)] = FORCED_ACTIVE
+            code[0] = FREE  # row 0 keeps its underflowing neurons free
+            codes.append(np.where(g, FREE, code).astype(np.int8))
+        return SplitAssignment(codes)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_neuron_as_classify_score(self, seed):
+        rng = np.random.default_rng(9100 + seed)
+        widths = [3] + [int(rng.integers(3, 9)) for _ in range(int(rng.integers(1, 4)))] + [2]
+        net = random_net(9100 + seed, widths=widths, graft_fraction=0.3 if seed % 2 else 0.0)
+        rows = 12
+        inter = self._bounds(rng, net, rows)
+        seen = set()
+        for split in (SplitAssignment.free(net), self._split(rng, net, inter)):
+            lines = _domain_lines(net, inter, split)
+            got = _branch_on(lines)
+            want, score = _classify_branch_on(inter, split)
+            assert got.shape == want.shape == (rows, 1) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            ui = np.concatenate([line[2] for line in lines], axis=-1)
+            unstable = np.concatenate([line[3] for line in lines], axis=-1)
+            assert np.array_equal(unstable, score > -np.inf)
+            assert ui[unstable].tobytes() == score[unstable].tobytes()
+            # each row alone, with 1-D lines, picks the same neuron
+            for r in range(rows):
+                row = LayerBounds(
+                    tuple(x[r, 0] for x in inter.lower), tuple(x[r, 0] for x in inter.upper),
+                    net.grafted,
+                )
+                one = SplitAssignment([np.broadcast_to(c, (rows, 1, c.shape[-1]))[r, 0]
+                                       for c in split.codes])
+                assert _branch_on(_domain_lines(net, row, one)) == got[r, 0]
+            l = np.concatenate(inter.lower[:-1], axis=-1)
+            u = np.concatenate(inter.upper[:-1], axis=-1)
+            code = np.broadcast_to(split.flat(), l.shape)
+            if np.any(unstable[0]):
+                # only underflowing neurons are unstable in row 0: their
+                # zero intercept still beats every stable neuron
+                assert not np.any(ui[0][unstable[0]]) and got[0, 0] >= 0
+                seen.add("underflow")
+            if np.sum(unstable[2]) > 1:
+                assert got[2, 0] == np.flatnonzero(unstable[2, 0])[0]
+                seen.add("tie")
+            assert got[1, 0] == -1
+            seen |= {"forced active, u <= 0"} if np.any((u <= 0.0) & (code == FORCED_ACTIVE)) else set()
+            seen |= {"l = u = 0"} if np.any((l == 0.0) & (u == 0.0) & (code == FREE)) else set()
+        assert {"underflow", "tie", "forced active, u <= 0", "l = u = 0"} <= seen
+
+    def test_no_hidden_layer(self):
+        net = Network([manual_layer([[1.0, -1.0]], [0.5])])
+        inter = ibp(net, Box(np.zeros(2), np.ones(2)))
+        assert _branch_on(_domain_lines(net, inter, SplitAssignment.free(net))).tolist() == -1
 
 
 def _mask_scatter_classify(inter, split):

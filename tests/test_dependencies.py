@@ -98,10 +98,9 @@ def test_the_checks_catch_a_local_import_and_a_cycle():
     assert _cycle({"a": {"b"}, "b": {"c"}}) is None
 
 
-def _products_outside(tree: ast.AST, owner: str):
-    """(line, function) of every ``@``, ``np.matmul`` or ``np.dot`` in the
-    tree outside the function ``owner``; module-level code is function
-    None."""
+def _enclosing(tree: ast.AST) -> dict:
+    """The name of the innermost function around each node of the tree, by
+    node id; module-level nodes are missing."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     inside = {}
     for scope in ast.walk(tree):
@@ -109,6 +108,14 @@ def _products_outside(tree: ast.AST, owner: str):
             for node in ast.walk(scope):
                 # the innermost function wins: nested ones are walked later
                 inside[id(node)] = scope.name
+    return inside
+
+
+def _products_outside(tree: ast.AST, owner: str):
+    """(line, function) of every ``@``, ``np.matmul`` or ``np.dot`` in the
+    tree outside the function ``owner``; module-level code is function
+    None."""
+    inside = _enclosing(tree)
     for node in ast.walk(tree):
         matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
         call = isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot")
@@ -133,4 +140,62 @@ def test_the_check_catches_a_product_outside_the_helper():
     )
     assert sorted(_products_outside(tree, "_rows_matmul")) == [
         (5, "f"), (6, "f"), (6, "f"), (9, "h"), (10, "g"), (11, None),
+    ]
+
+
+# The relaxation rule, the secant u / (u - l) and its intercept, is
+# evaluated by one line builder, and a domain's lines are built once: its
+# back-substitution and its branch choice read them as arguments, and its
+# bounding pass builds them through _domain_lines, which calls the builder
+# once per layer.  The readers call neither the builder nor the neuron
+# classifier.
+_LINE_BUILDER = "_relaxation_lines"
+_BUILDS = {"_relaxation_lines", "classify_neurons"}
+_LINE_READERS = {
+    "_backward": _BUILDS | {"_domain_lines"},
+    "_spec_lower": _BUILDS | {"_domain_lines"},
+    "_branch_on": _BUILDS | {"_domain_lines"},
+    "_bound_children": _BUILDS,
+}
+
+
+def _rule_breaches(tree: ast.AST):
+    """(function, what) of every division in the tree outside the line
+    builder, and of every call in a reader of ``_LINE_READERS`` to a name
+    it must not call."""
+    inside = _enclosing(tree)
+    for node in ast.walk(tree):
+        where = inside.get(id(node))
+        divide = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        divide |= isinstance(node, ast.Attribute) and node.attr in ("divide", "true_divide")
+        if divide and where != _LINE_BUILDER:
+            yield where, "/"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in _LINE_READERS.get(where, ()):
+                yield where, node.func.id
+
+
+def test_one_builder_evaluates_the_relaxation_rule():
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    names = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert {_LINE_BUILDER, "_domain_lines"} | set(_LINE_READERS) <= names
+    assert not list(_rule_breaches(tree))
+
+
+def test_the_rule_check_catches_a_stray_build():
+    # bounds.py with a reader building its lines again, the bounding pass
+    # classifying its children, and the branch choice recomputing its score
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    stray = {
+        "_spec_lower": "lines = _domain_lines(net, inter, split)",
+        "_backward": "slope = _relaxation_lines(net, inter, split, 0)[0]",
+        "_bound_children": "status = classify_neurons(inter, split)",
+        "_branch_on": "score = np.abs(l * u) / (u - l)",
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in stray:
+            node.body.insert(0, ast.parse(stray[node.name]).body[0])
+    assert sorted(_rule_breaches(tree)) == [
+        ("_backward", "_relaxation_lines"), ("_bound_children", "classify_neurons"),
+        ("_branch_on", "/"), ("_spec_lower", "_domain_lines"),
     ]

@@ -38,7 +38,7 @@ from graftcert.bounds import (
     LayerBounds,
     _bound_children,
     _branch_on,
-    _relaxation_lines,
+    _domain_lines,
     _sign_split,
 )
 from graftcert.network import input_grad_batch
@@ -79,28 +79,29 @@ class TestSpecs:
 
 
 class TestBranchSelect:
-    def _bounds_and_split(self, lus):
-        """A synthetic one-layer net's IBP bounds over the box [0, 1], which
-        equal the given per-neuron (l, u) pairs, and its free split."""
+    def _lines(self, lus):
+        """The relaxation lines of a synthetic one-layer net's free domain
+        over the box [0, 1], whose IBP bounds are the given per-neuron
+        (l, u) pairs."""
         n = len(lus)
         W = np.array([[u - l] + [0.0] * 0 for l, u in lus]).reshape(n, 1)
         b = np.array([l for l, _ in lus])
         net = Network([manual_layer(W, b), manual_layer(np.ones((1, n)), [0.0])])
         box = Box(np.array([0.0]), np.array([1.0]))
-        return ibp(net, box), SplitAssignment.free(net)
+        return _domain_lines(net, ibp(net, box), SplitAssignment.free(net))
 
     def test_single_unstable_forced_choice(self):
-        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (0.5, 2.0)])) == 0
+        assert _branch_on(self._lines([(-1.0, 1.0), (0.5, 2.0)])) == 0
 
     def test_score_arithmetic(self):
         # A: |l u| / (u - l) = 0.5; B: 0.05
-        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (-0.1, 0.1)])) == 0
+        assert _branch_on(self._lines([(-1.0, 1.0), (-0.1, 0.1)])) == 0
 
     def test_tie_breaks_to_lowest_id(self):
-        assert _branch_on(*self._bounds_and_split([(-1.0, 1.0), (-1.0, 1.0)])) == 0
+        assert _branch_on(self._lines([(-1.0, 1.0), (-1.0, 1.0)])) == 0
 
     def test_linear_leaf_gives_minus_one(self):
-        assert _branch_on(*self._bounds_and_split([(0.5, 1.0)])) == -1
+        assert _branch_on(self._lines([(0.5, 1.0)])) == -1
 
 
 class TestPgdAttack:
@@ -657,12 +658,12 @@ class TestBabVerify:
                         net.grafted,
                     )
                     split = _layer_codes(net, r.codes[slot, 0])
-                    assert r.branch[slot] == _branch_on(inter, split) >= 0
+                    assert r.branch[slot] == _branch_on(_domain_lines(net, inter, split)) >= 0
                 return super().take(slots)
 
         def checking_leaf(net, box, split, inter, spec):
             calls["leaf"] += 1
-            assert _branch_on(inter, split).tolist() == [[-1]]
+            assert _branch_on(_domain_lines(net, inter, split)).tolist() == [[-1]]
             return leaf(net, box, split, inter, spec)
 
         monkeypatch.setattr(verifier, "_Frontier", CheckingFrontier)
@@ -672,43 +673,63 @@ class TestBabVerify:
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
         assert calls["split"] > 500 and calls["leaf"] > 0
 
-    def test_classify_runs_once_per_bounding_batch(self, monkeypatch):
-        # neuron status is computed once per batch of children, in their
-        # bounding pass, plus once at the root of a search; popping a
-        # domain classifies nothing
+    def test_lines_built_once_per_bounding_batch(self, monkeypatch):
+        # a domain's relaxation lines are built once and read by both its
+        # CROWN pass and its branch choice: each batch of children builds
+        # every hidden layer's lines once, in its bounding pass, and a
+        # search's root branch comes from one build of its own.  Popping a
+        # domain builds nothing (a linear leaf's exact pass builds the
+        # leaf's), and BaB never classifies neurons
         import graftcert.bounds as bounds
         import graftcert.verifier as verifier
 
-        bound_children = verifier._bound_children
+        relaxation_lines = bounds._relaxation_lines
         run = {}
 
-        def counting(key, fn):
+        def building(net, inter, split, h):
+            run["builds"].append((run["phase"], run["bound"], h))
+            return relaxation_lines(net, inter, split, h)
+
+        def phase(name, fn):
             def wrapped(*args):
-                run[key] += 1
-                return fn(*args)
+                outer, run["phase"] = run["phase"], name
+                before = len(run["builds"])
+                try:
+                    out = fn(*args)
+                finally:
+                    run["phase"] = outer
+                # every hidden layer once per call
+                assert sorted(b[2] for b in run["builds"][before:]) == run["hidden"]
+                run[name] += 1
+                return out
             return wrapped
 
-        monkeypatch.setattr(verifier, "_branch_on", counting("root", verifier._branch_on))
-        monkeypatch.setattr(bounds, "_branch_on", counting("batch", bounds._branch_on))
-        monkeypatch.setattr(bounds, "_classify", counting("classify", bounds._classify))
-        monkeypatch.setattr(verifier, "_resolve_linear_leaf", counting("leaf", verifier._resolve_linear_leaf))
+        def classifying(*args):
+            run["classify"] += 1
+            return classify(*args)
 
-        def counting_bound_children(net, signed, box, inter, split, starts, coeffs, const):
-            run["bound"] += 1
-            run["split"] += len(starts) // 2
-            return bound_children(net, signed, box, inter, split, starts, coeffs, const)
-
-        monkeypatch.setattr(verifier, "_bound_children", counting_bound_children)
-        split = 0
-        for net, spec, box, budget, seed, root_inter in self._pin_cases():
-            run.update(root=0, batch=0, classify=0, leaf=0, bound=0, split=0)
+        # the cases' root bounds are built first: compute_bounds builds lines
+        cases = list(self._pin_cases())
+        classify = bounds.classify_neurons
+        monkeypatch.setattr(bounds, "_relaxation_lines", building)
+        monkeypatch.setattr(bounds, "classify_neurons", classifying)
+        monkeypatch.setattr(verifier, "crown_lower_bound", phase("root", verifier.crown_lower_bound))
+        monkeypatch.setattr(verifier, "_bound_children", phase("bound", verifier._bound_children))
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", phase("leaf", verifier._resolve_linear_leaf))
+        seen = {"bound": 0, "leaf": 0}
+        for net, spec, box, budget, seed, root_inter in cases:
+            run.update(builds=[], phase="search", root=0, bound=0, leaf=0, classify=0,
+                       hidden=list(range(len(net.hidden_sizes))))
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
-            # a search pops its root, which branches or is a linear leaf
-            assert run["root"] == int(run["bound"] + run["leaf"] > 0)
-            assert run["batch"] == run["bound"]
-            assert run["classify"] == run["root"] + run["batch"]
-            split += run["split"]
-        assert split > 500
+            # the builds outside a bounding pass, a leaf and the root's
+            # bound: the root branch's, before the first bounding pass,
+            # when the search pops its root, which branches or is a leaf
+            searched = run["bound"] + run["leaf"] > 0
+            rest = [(n, h) for p, n, h in run["builds"] if p == "search"]
+            assert rest == [(0, h) for h in run["hidden"] if searched]
+            assert run["root"] == 1 and run["classify"] == 0
+            seen = {k: n + run[k] for k, n in seen.items()}
+        assert seen["bound"] > 100 and seen["leaf"] > 20, seen
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
     def test_frontier_store_matches_record_loop(self, monkeypatch, batch):
@@ -854,7 +875,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     if val < 0.0:
         return verdict(VerdictStatus.FALSIFIED, val, x_adv)
     signed = (None,) + _sign_split(net.layers[1:])
-    root_branch = int(_branch_on(inter, root_split))
+    root_branch = int(_branch_on(_domain_lines(net, inter, root_split)))
     heap = [(root_bound, 0, _Record(root_split, root_bound, inter, root_branch))]
     counter = 1
     verified_floor = np.inf
@@ -931,7 +952,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
 def _reference_linear_leaf(net, box, split, inter, spec):
     # the dedicated back-substitution loop that _resolve_linear_leaf ran
     # before it shared the CROWN backward pass; the floats must not change
-    lines = [_relaxation_lines(net, inter, split, h) for h in range(len(net.hidden_sizes))]
+    lines = _domain_lines(net, inter, split)
     A = spec.coeffs[None, :]
     const = np.array([spec.const])
     for i in range(len(net.layers) - 1, -1, -1):
@@ -939,7 +960,7 @@ def _reference_linear_leaf(net, box, split, inter, spec):
         const = const + block_product(A, layer.bias)
         A = block_product(A, layer.weight)
         if i > 0:
-            slope, li, _ = lines[i - 1]
+            slope, li, *_ = lines[i - 1]
             const = const + (A * li).sum(axis=1)
             A = A * slope
     a = A[0]
