@@ -167,16 +167,25 @@ class SplitAssignment:
 class LayerBounds:
     """Sound pre-activation bounds per affine layer (output layer included).
 
-    ``feasible`` is False when a forced split contradicts the bounds; such
-    a region is empty and any bound over it is vacuous.  ``grafted`` copies
-    the network's per-layer graft masks so classification does not need the
-    network itself.
+    A split that contradicts the bounds leaves them crossed (a lower bound
+    above its upper bound): the region is empty, its bounds vacuous.
+    ``grafted`` copies the network's per-layer graft masks so
+    classification does not need the network itself.
     """
 
     lower: tuple[np.ndarray, ...]
     upper: tuple[np.ndarray, ...]
     grafted: tuple[np.ndarray, ...]
-    feasible: bool = True
+
+    @property
+    def feasible(self):
+        """False where the bounds cross (the region is empty): a ``bool`` for
+        1-D bounds, ``(R, 1)`` for ``(R, 1, d)`` stacks.  The bound code's
+        one test of emptiness."""
+        crossed = np.logical_or.reduce(
+            [np.any(l > u, axis=-1) for l, u in zip(self.lower, self.upper)]
+        )
+        return not crossed if np.ndim(crossed) == 0 else ~crossed
 
 
 @dataclass
@@ -244,8 +253,8 @@ def ibp(net: Network, box: Box, split: SplitAssignment | None = None) -> LayerBo
     Affine layers use the weight-sign split; ReLU clamps at zero; grafted
     neurons map the interval through their line.  Forced neurons intersect
     the recorded pre-activation interval with their half-line and propagate
-    the forced linear form.  An empty intersection flags the result
-    infeasible instead of raising.
+    the forced linear form.  A split that contradicts the bounds leaves
+    them crossed (an empty region) instead of raising.
     """
     if box.dim != net.input_dim:
         raise StructuralError(
@@ -305,12 +314,10 @@ def _ibp_from(
     are None.  With ``parent``, stacked bounds of the batch's rows, and
     ``starts``, a layer per row, row r takes its ``parent`` interval in
     place of the propagated one at every layer up to ``starts[r]``, and so
-    restarts there.  ``feasible`` reflects only the clamps from ``start``
-    on, one flag per row for a batch.
+    restarts there.  A clamp that empties a row leaves it crossed.
     """
     lowers = [None] * start
     uppers = [None] * start
-    feasible = True
     last = len(net.layers) - 1
     for i in range(start, last + 1):
         if i > start:
@@ -321,8 +328,7 @@ def _ibp_from(
                     zl = np.where(held, parent.lower[i], zl)
                     zu = np.where(held, parent.upper[i], zu)
         if i < last:
-            zl, zu, ok = _clamp_split(split.codes[i], zl, zu)
-            feasible = feasible & ok
+            zl, zu = _clamp_split(split.codes[i], zl, zu)
             g = net.grafted[i]
             lo = np.maximum(zl, 0.0)
             hi = np.maximum(zu, 0.0)
@@ -332,27 +338,19 @@ def _ibp_from(
                 hi = np.where(g, g_hi, hi)
         lowers.append(zl)
         uppers.append(zu)
-    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
-
-
-def _flag(ok):
-    """A feasibility flag: ``bool`` for one region, a bool array per row."""
-    return bool(ok) if np.ndim(ok) == 0 else ok
+    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
 
 
 def _clamp_split(code: np.ndarray, zl: np.ndarray, zu: np.ndarray):
-    """``(zl, zu, feasible)`` with each forced neuron's interval cut to its
-    half-line; an empty cut means an empty region, whose row is repaired to
-    ``zl = zu``.  ``feasible`` has one flag per row (a 0-d one for 1-D
-    bounds)."""
+    """``(zl, zu)`` with each forced neuron's interval cut to its
+    half-line.  A cut that contradicts the interval (a stably active
+    neuron forced inactive, or the reverse) leaves it crossed, ``zl >
+    zu``: the region is empty, and its bounds are vacuous."""
     if not code.any():
-        return zl, zu, True
+        return zl, zu
     zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
     zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
-    empty = np.any(zl > zu, axis=-1, keepdims=True)
-    if empty.any():
-        zl = np.where(empty, np.minimum(zl, zu), zl)
-    return zl, zu, ~empty[..., 0]
+    return zl, zu
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +436,11 @@ def _backward(
     product's zero sum can come out +0.0 on both chains), which 0 minus it
     erases.
 
-    ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, 1, d)`` with lines
-    shaped ``(R, 1, d_h)``: one row per domain.  Every product multiplies
-    fixed blocks of ``block`` rows (``_rows_matmul``) and every sum runs
-    over the last axis, so each row gets the floats of its one-row call
-    bit for bit.
+    ``C`` is ``(m, d)`` with 1-D lines, or a stack ``(R, m, d)`` with
+    lines shaped ``(R, 1, d_h)``: m functionals per domain.  Every product
+    multiplies fixed blocks of ``block`` rows (``_rows_matmul``) and every
+    sum runs over the last axis, so each row gets the floats of its
+    one-row call bit for bit.
     """
     A = np.asarray(C, dtype=np.float64)
     const = np.asarray(c0, dtype=np.float64)
@@ -523,8 +521,8 @@ def crown_lower_bound(
 
     Runs backward substitution through per-neuron relaxation lines and
     takes the better of that and the plain interval bound, so the result
-    never falls below the interval baseline.  Infeasible regions give +inf
-    (vacuously verified).
+    never falls below the interval baseline.  Crossed bounds (an empty
+    region) give +inf (vacuously verified).
     """
     if split is None:
         split = SplitAssignment.free(net)
@@ -539,13 +537,13 @@ def crown_lower_bound(
 def _spec_lower(net, box, lines, inter, c, const):
     """The CROWN lower bound of ``c @ logits + const`` through the domain's
     relaxation lines ``lines`` (``_domain_lines`` of ``inter``), floored by
-    the interval bound, and +inf where ``inter`` is infeasible (an empty
-    region): shape (1,) for one region's 1-D bounds, (R, 1) for a stack of
-    ``(R, 1, d)`` bounds with per-row codes and ``feasible``, or per-row
-    boxes (``Box.stack``), specs ``c`` (R, 1, K) and constants ``const``
-    (R, 1)."""
+    the interval bound, and +inf where ``inter`` crosses (an empty region):
+    shape (1,) for one region's 1-D bounds, (R, m) for a stack of ``(R, 1,
+    d)`` bounds (per-row codes, or per-row boxes from ``Box.stack``), whose
+    row r meets m specs ``c[r]`` and constants ``const[r]``; ``c`` and
+    ``const`` broadcast against the rows, so one (K,) spec gives m = 1."""
     lo, hi = inter.lower[-1], inter.upper[-1]
-    lead = lo.shape[:-1] or (1,)
+    lead = np.broadcast_shapes(lo.shape[:-1] or (1,), c.shape[:-1])
     C = np.broadcast_to(c, lead + c.shape[-1:])
     vals, _ = _backward(net, lines, box, C, np.full(lead, const), len(net.layers) - 1)
     floor = _interval_lower(lo, hi, c, const)
@@ -559,26 +557,29 @@ def _bound_children(net, signed, box, inter, split, starts, coeffs, const):
     Row r is the domain with split codes row r of ``split`` (``(R, 1, d_h)``
     per layer), which forces one more neuron of hidden layer ``starts[r]``
     than its parent.  ``inter`` holds the parents' bounds stacked the same
-    way, ``(R, 1, d_i)`` per layer (a parent must be feasible).  Each row's
-    IBP restarts at its split layer from its parent's bounds there,
+    way, ``(R, 1, d_i)`` per layer (a parent's bounds do not cross).  Each
+    row's IBP restarts at its split layer from its parent's bounds there,
     clamped under its own codes (the layers below cannot change, and the
     child's region lies inside its parent's); it is intersected with the
     parent's bounds and bounded by CROWN, floored by the interval bound.
     ``signed`` is ``_sign_split`` of the weights (layer 0 is never used).
+    A child whose split contradicts its parent's bounds comes out crossed:
+    its region is empty, its row vacuous.
 
     Returns ``(bounds, lower, branch)``: the children's bounds, ``(R, 1,
-    d)`` per layer with a per-row ``(R, 1)`` ``feasible`` (the layers below
-    the lowest split layer in the batch are ``inter``'s arrays), the lower
-    bounds of ``coeffs @ logits + const``, +inf where infeasible, and per
-    row the neuron BaB splits when it pops that child (``_branch_on`` of
-    its lines), -1 where it has no unstable neuron.  Each child's lines
-    are built once (``_domain_lines``), read by its CROWN pass and then by
-    its branch choice, so that popping a child builds nothing.  A row is a function of its parent's row and its
-    own codes alone: it holds bit for bit what ``_ibp_from``,
-    ``intersect_bounds`` and ``crown_lower_bound`` give that child alone,
-    since every product is one of fixed row blocks, in which a row's
-    floats do not depend on the other rows (``_rows_matmul``), and a row
-    takes its parent's interval at every layer up to its split layer.
+    d)`` per layer (the layers below the lowest split layer in the batch
+    are ``inter``'s arrays), the lower bounds of ``coeffs @ logits +
+    const``, +inf where a row is crossed, and per row the neuron BaB
+    splits when it pops that child (``_branch_on`` of its lines), -1 where
+    it has no unstable neuron.  Each child's lines are built once
+    (``_domain_lines``), read by its CROWN pass and then by its branch
+    choice, so that popping a child builds nothing.  A row is a function
+    of its parent's row and its own codes alone: it holds bit for bit
+    what ``_ibp_from``, ``intersect_bounds`` and ``crown_lower_bound``
+    give that child alone, since every product is one of fixed row
+    blocks, in which a row's floats do not depend on the other rows
+    (``_rows_matmul``), and a row takes its parent's interval at every
+    layer up to its split layer.
     Below its split layer a row holds its parent's values.
     """
     first = int(np.min(starts))
@@ -603,6 +604,8 @@ def compute_bounds(
     The refinement rewrites each hidden layer's bounds as the tighter of
     the IBP interval and the backward-propagated bound, reusing already
     refined earlier layers, then re-applies any forced-split intersections.
+    Where a split contradicts the bounds, or a backward bound crosses the
+    IBP one by rounding, they stay crossed: the region is empty.
     A hidden layer's bounds are final once refined, so its relaxation lines
     are built once, at the next step, and every later back-substitution
     reads them from the growing list.
@@ -615,8 +618,8 @@ def compute_bounds(
     ``(E, d, d)``, and every product of its back-substitution is one per
     box, of the box's d rows (``_rows_matmul`` with ``block`` = d, a fixed
     shape), so each row holds the floats of its own one-box call bit for
-    bit; a row whose IBP is already infeasible is refined all the same,
-    and its bounds are vacuous either way.
+    bit; a row whose IBP is already crossed is refined all the same, and
+    stays crossed.
     """
     if method not in ("ibp", "crown"):
         raise UsageError(f"unknown bound method {method!r}")
@@ -628,8 +631,7 @@ def compute_bounds(
     lowers = list(base.lower)
     uppers = list(base.upper)
     stack = box.lower.shape[:-2]
-    feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
-    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    refined = base
     lines = []
     for i in range(1, len(net.layers)):
         # the pass on layer i reads the hidden layers below it, already
@@ -649,16 +651,10 @@ def compute_bounds(
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
         hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])
         if i < len(net.layers) - 1:
-            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
-            feasible = feasible & ok
-        # a backward bound can cross the IBP bound by rounding, forced or not
-        crossed = np.any(lo > hi, axis=-1)
-        if crossed.any():
-            feasible = feasible & ~crossed
-            lo = np.minimum(lo, hi)
+            lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo
         uppers[i] = hi
-        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, _flag(feasible))
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
     return refined
 
 
@@ -668,8 +664,9 @@ def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBou
     Layers below ``start`` are taken from ``b`` as they are, for callers
     that know ``b`` lies inside ``a`` there (a BaB child's IBP restarts at
     its split layer from its parent's bounds ``b``, so below that layer it
-    has nothing tighter).  Bounds with a leading row axis and per-row
-    ``feasible`` flags are intersected row by row.
+    has nothing tighter).  Bounds with a leading row axis are intersected
+    row by row.  A row that either side, or their contradiction, empties
+    comes out crossed.
     """
     lowers = b.lower[:start] + tuple(
         np.maximum(x, y) for x, y in zip(a.lower[start:], b.lower[start:])
@@ -677,15 +674,7 @@ def intersect_bounds(a: LayerBounds, b: LayerBounds, start: int = 0) -> LayerBou
     uppers = b.upper[:start] + tuple(
         np.minimum(x, y) for x, y in zip(a.upper[start:], b.upper[start:])
     )
-    feasible = np.logical_and(a.feasible, b.feasible)
-    crossed = np.logical_or.reduce(
-        [np.any(l > u, axis=-1, keepdims=True) for l, u in zip(lowers, uppers)]
-    )
-    repair = feasible[..., None] & crossed
-    if repair.any():
-        feasible = feasible & ~crossed[..., 0]
-        lowers = tuple(np.where(repair, np.minimum(l, u), l) for l, u in zip(lowers, uppers))
-    return LayerBounds(lowers, uppers, a.grafted, _flag(feasible))
+    return LayerBounds(lowers, uppers, a.grafted)
 
 
 # ---------------------------------------------------------------------------

@@ -284,23 +284,18 @@ def _attack_phase(net: Network, X: np.ndarray, labels: np.ndarray, atk: AttackCo
 
 def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> np.ndarray:
     """Phase 4: the root CROWN bound of every margin of every example of a
-    group (``box`` stacks their boxes), one row per margin in one stacked
-    ``_spec_lower`` call; +inf where the example's root bounds are
-    infeasible, as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
-    rows = np.repeat(np.arange(len(margins)), len(margins[0]))
-    specs = [s for ms in margins for s in ms]
-    stacked = LayerBounds(
-        tuple(x[rows] for x in inter.lower), tuple(x[rows] for x in inter.upper), net.grafted,
-        np.broadcast_to(inter.feasible, (len(margins), 1))[rows],
-    )
+    group (``box`` stacks their boxes), in one ``_spec_lower`` call of
+    ``(examples, margins, K)`` specs against each example's own bounds
+    and lines; +inf where the example's root bounds cross (an empty
+    region), as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
     return _spec_lower(
         net,
-        Box(box.lower[rows], box.upper[rows]),
-        _domain_lines(net, stacked, SplitAssignment.free(net)),
-        stacked,
-        np.stack([s.coeffs for s in specs])[:, None, :],
-        np.array([[s.const] for s in specs]),
-    ).reshape(len(margins), -1)
+        box,
+        _domain_lines(net, inter, SplitAssignment.free(net)),
+        inter,
+        np.array([[s.coeffs for s in ms] for ms in margins]),
+        np.array([[s.const for s in ms] for ms in margins]),
+    )
 
 
 def _verify_example(payload: dict) -> dict:
@@ -391,7 +386,6 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
         inter = compute_bounds(net, stacked, None, payload["intermediate"])
         root = _root_margins(net, stacked, inter, [margins[e] for e in group])
         share = (time.perf_counter() - t0) / len(group)
-        feasible = np.broadcast_to(inter.feasible, (len(group), 1))[:, 0]
         for j, e in enumerate(group):
             records[e]["ra"] = True
             records[e].update(_verify_example({
@@ -400,7 +394,7 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
                 "box": boxes[j],
                 "root_inter": LayerBounds(
                     tuple(x[j, 0] for x in inter.lower), tuple(x[j, 0] for x in inter.upper),
-                    net.grafted, bool(feasible[j]),
+                    net.grafted,
                 ),
                 "margins": margins[e],
                 "root": root[j],

@@ -67,6 +67,8 @@ class AttackConfig:
     clip: tuple[float, float] | None = None
 
     def __post_init__(self):
+        require_integers(steps=self.steps, restarts=self.restarts)
+        require_finite(self)
         if self.eps < 0:
             raise DomainError("attack eps must be >= 0")
         if self.steps < 1 or self.restarts < 1:

@@ -32,6 +32,7 @@ from graftcert.bounds import (
     FORCED_INACTIVE,
     FREE,
     LayerBounds,
+    _affine_interval,
     _backward,
     _bound_children,
     _branch_on,
@@ -46,6 +47,7 @@ from graftcert.bounds import (
     _ROW_BLOCK,
     _rows_matmul,
     _sign_split,
+    _spec_lower,
     intersect_bounds,
 )
 
@@ -299,10 +301,10 @@ def _reference_child(net, box, parent, split, h, coeffs, const):
     # loop restarted at split layer h from the parent's bounds there, the
     # intersection with the parent's bounds from h on (intersect_bounds),
     # then crown_lower_bound; the batched kernel must give each row these
-    # floats
+    # floats.  A contradictory split leaves the bounds crossed (no repair),
+    # and a crossed child is empty, its bound +inf
     lowers, uppers = [], []
     zl, zu = parent.lower[h], parent.upper[h]
-    feasible = True
     last = len(net.layers) - 1
     for i in range(h, last + 1):
         if i > h:
@@ -315,9 +317,6 @@ def _reference_child(net, box, parent, split, h, coeffs, const):
             if code.any():
                 zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
                 zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
-                if np.any(zl > zu):
-                    feasible = False
-                    zl = np.minimum(zl, zu)
             g = net.grafted[i]
             lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
             if g.any():
@@ -331,11 +330,8 @@ def _reference_child(net, box, parent, split, h, coeffs, const):
     uppers = parent.upper[:h] + tuple(
         np.minimum(x, y) for x, y in zip(uppers, parent.upper[h:])
     )
-    if feasible and any(np.any(l > u) for l, u in zip(lowers, uppers)):
-        feasible = False
-        lowers = tuple(np.minimum(l, u) for l, u in zip(lowers, uppers))
-    inter = LayerBounds(lowers, uppers, net.grafted, feasible)
-    if not feasible:
+    inter = LayerBounds(lowers, uppers, net.grafted)
+    if any(np.any(l > u) for l, u in zip(lowers, uppers)):
         return inter, float("inf")
     lines = _reference_relaxation_lines(net, inter, split)
     A, c0 = coeffs[None, :], np.array([const])
@@ -665,14 +661,14 @@ def _reference_compute_bounds(net, box, split):
     # compute_bounds(..., "crown") as it was when every refinement step
     # rebuilt every hidden layer's relaxation lines and ran the two-sense
     # kernel; building only the newly refined layer's lines, and taking
-    # upper bounds as negated lower bounds, must not move a bit
+    # upper bounds as negated lower bounds, must not move a bit.  Bounds
+    # that cross (an empty region) stay crossed
     base = ibp(net, box, split)
     if not base.feasible:
         return base
     lowers = [b.copy() for b in base.lower]
     uppers = [b.copy() for b in base.upper]
-    feasible = True
-    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
     for i in range(1, len(net.layers)):
         lines = _reference_relaxation_lines(net, refined, split)[:i]
         d = net.layers[i].out_dim
@@ -682,14 +678,10 @@ def _reference_compute_bounds(net, box, split):
         lo = np.maximum(lo, lowers[i])
         hi = np.minimum(hi, uppers[i])
         if i < len(net.layers) - 1:
-            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
-            feasible = feasible and ok
-        if np.any(lo > hi):
-            feasible = False
-            lo = np.minimum(lo, hi)
+            lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo
         uppers[i] = hi
-        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
     return refined
 
 
@@ -737,7 +729,7 @@ class TestComputeBoundsLines:
 
     def test_stacked_boxes_equal_one_box_reference(self):
         # eps 0 makes the backward bounds cross the IBP ones by rounding,
-        # which flags a row infeasible
+        # which leaves a row crossed (empty)
         feasible = set()
         for seed in range(24):
             rng = np.random.default_rng(7500 + seed)
@@ -752,15 +744,15 @@ class TestComputeBoundsLines:
             ]
             for method in ("ibp", "crown"):
                 got = compute_bounds(net, Box.stack(boxes), None, method)
-                flags = np.broadcast_to(got.feasible, (len(boxes), 1))[:, 0]
                 for e, box in enumerate(boxes):
                     split = SplitAssignment.free(net)
                     want = ibp(net, box) if method == "ibp" else _reference_compute_bounds(net, box, split)
                     row = LayerBounds(
                         tuple(x[e, 0] for x in got.lower), tuple(x[e, 0] for x in got.upper),
-                        net.grafted, bool(flags[e]),
+                        net.grafted,
                     )
                     assert _same_bytes(row, want), (seed, method, e)
+                    assert bool(got.feasible[e, 0]) == want.feasible
                     feasible.add(want.feasible)
         assert feasible == {True, False}
 
@@ -873,15 +865,15 @@ def _two_chain_backward(net, lines, box, C, c0, start):
 def _two_chain_compute_bounds(net, box, split):
     # compute_bounds(..., "crown") as it was when every refined layer ran
     # two back-substitutions, one on I and one on -I, for one box or a
-    # stack of them; one chain for both sides must not move a bit
+    # stack of them; one chain for both sides must not move a bit.  Bounds
+    # that cross (an empty region) stay crossed
     base = ibp(net, box, split)
     if not np.any(base.feasible):
         return base
     lowers = [b.copy() for b in base.lower]
     uppers = [b.copy() for b in base.upper]
     stack = box.lower.shape[:-2]
-    feasible = np.ones(box.lower.shape[:-1], dtype=bool) & base.feasible
-    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, True)
+    refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
     lines = []
     for i in range(1, len(net.layers)):
         lines.append(_relaxation_lines(net, refined, split, i - 1))
@@ -894,16 +886,10 @@ def _two_chain_compute_bounds(net, box, split):
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
         hi = np.minimum(hi.reshape(uppers[i].shape), uppers[i])
         if i < len(net.layers) - 1:
-            lo, hi, ok = _clamp_split(split.codes[i], lo, hi)
-            feasible = feasible & ok
-        crossed = np.any(lo > hi, axis=-1)
-        if crossed.any():
-            feasible = feasible & ~crossed
-            lo = np.minimum(lo, hi)
+            lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo
         uppers[i] = hi
-        flag = bool(feasible) if np.ndim(feasible) == 0 else feasible
-        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted, flag)
+        refined = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
     return refined
 
 
@@ -1212,8 +1198,8 @@ class TestTally:
 def _reference_ibp(net, box, split):
     # IBP with column products W @ lo, as ibp computed it before it shared
     # its row-product layer loop with the batched tally; the floats must
-    # not change
-    lowers, uppers, feasible = [], [], True
+    # not change.  A contradictory split leaves the bounds crossed
+    lowers, uppers = [], []
     lo, hi = box.lower, box.upper
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
@@ -1226,9 +1212,6 @@ def _reference_ibp(net, box, split):
             if code.any():
                 zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
                 zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
-                if np.any(zl > zu):
-                    feasible = False
-                    zl = np.minimum(zl, zu)
             g = net.grafted[i]
             lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
             if g.any():
@@ -1236,7 +1219,7 @@ def _reference_ibp(net, box, split):
                 lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
         lowers.append(zl)
         uppers.append(zu)
-    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted, feasible)
+    return LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
 
 
 def _reference_tally(net, X, eps, clip, batch_size=512):
@@ -1605,3 +1588,233 @@ def _reference_classify(inter, split):
         status[inter.grafted[h]] = NeuronStatus.GRAFTED
         out.append(status)
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
+
+
+# The flag-and-repair path that LayerBounds.feasible replaced: _clamp_split,
+# compute_bounds and intersect_bounds each decided emptiness themselves,
+# kept a flag per row, and rewrote a crossed row's lower bounds to
+# min(l, u).  Bounds are (lowers, uppers, flag) triples here.  A row it
+# flags is empty; every other row must keep its floats.
+
+
+def _repair_clamp(code, zl, zu):
+    if not code.any():
+        return zl, zu, True
+    zu = np.where(code == FORCED_INACTIVE, np.minimum(zu, 0.0), zu)
+    zl = np.where(code == FORCED_ACTIVE, np.maximum(zl, 0.0), zl)
+    empty = np.any(zl > zu, axis=-1, keepdims=True)
+    if empty.any():
+        zl = np.where(empty, np.minimum(zl, zu), zl)
+    return zl, zu, ~empty[..., 0]
+
+
+def _repair_ibp_from(net, signed, split, start, zl, zu, parent=None, starts=None):
+    lowers, uppers, flag = [None] * start, [None] * start, True
+    last = len(net.layers) - 1
+    for i in range(start, last + 1):
+        if i > start:
+            zl, zu = _affine_interval(signed[i], net.layers[i].bias, lo, hi)
+            if parent is not None:
+                held = (np.asarray(starts) >= i)[:, None, None]
+                zl, zu = np.where(held, parent[0][i], zl), np.where(held, parent[1][i], zu)
+        if i < last:
+            zl, zu, ok = _repair_clamp(split.codes[i], zl, zu)
+            flag = flag & ok
+            g = net.grafted[i]
+            lo, hi = np.maximum(zl, 0.0), np.maximum(zu, 0.0)
+            if g.any():
+                g_lo, g_hi = _graft_interval(net.slopes[i], net.intercepts[i], zl, zu)
+                lo, hi = np.where(g, g_lo, lo), np.where(g, g_hi, hi)
+        lowers.append(zl)
+        uppers.append(zu)
+    return lowers, uppers, flag
+
+
+def _repair_ibp(net, box, split):
+    signed = _sign_split(net.layers)
+    zl, zu = _affine_interval(signed[0], net.layers[0].bias, box.lower, box.upper)
+    return _repair_ibp_from(net, signed, split, 0, zl, zu)
+
+
+def _repair_compute_bounds(net, box, split):
+    lowers, uppers, flag = _repair_ibp(net, box, split)
+    if not np.any(flag):
+        return lowers, uppers, flag
+    stack = box.lower.shape[:-2]
+    flag = np.ones(box.lower.shape[:-1], dtype=bool) & flag
+    lines = []
+    for i in range(1, len(net.layers)):
+        inter = LayerBounds(tuple(lowers), tuple(uppers), net.grafted)
+        lines.append(_relaxation_lines(net, inter, split, i - 1))
+        d = net.layers[i].out_dim
+        lo, neg = _backward(
+            net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)),
+            np.zeros(stack + (d,)), i, both=True, block=d,
+        )[0]
+        lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
+        hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])
+        if i < len(net.layers) - 1:
+            lo, hi, ok = _repair_clamp(split.codes[i], lo, hi)
+            flag = flag & ok
+        crossed = np.any(lo > hi, axis=-1)
+        if crossed.any():
+            flag = flag & ~crossed
+            lo = np.minimum(lo, hi)
+        lowers[i], uppers[i] = lo, hi
+    return lowers, uppers, flag
+
+
+def _repair_intersect(a, b, start=0):
+    lowers = list(b[0][:start]) + [np.maximum(x, y) for x, y in zip(a[0][start:], b[0][start:])]
+    uppers = list(b[1][:start]) + [np.minimum(x, y) for x, y in zip(a[1][start:], b[1][start:])]
+    flag = np.logical_and(a[2], b[2])
+    crossed = np.logical_or.reduce(
+        [np.any(l > u, axis=-1, keepdims=True) for l, u in zip(lowers, uppers)]
+    )
+    repair = flag[..., None] & crossed
+    if repair.any():
+        flag = flag & ~crossed[..., 0]
+        lowers = [np.where(repair, np.minimum(l, u), l) for l, u in zip(lowers, uppers)]
+    return lowers, uppers, flag
+
+
+def _repair_bound_children(net, signed, box, inter, split, starts, coeffs, const):
+    first = int(np.min(starts))
+    parent = (inter.lower, inter.upper, True)
+    raw = _repair_ibp_from(
+        net, signed, split, first, inter.lower[first], inter.upper[first], parent, starts
+    )
+    lowers, uppers, flag = _repair_intersect(raw, parent, first)
+    lines = _domain_lines(net, LayerBounds(tuple(lowers), tuple(uppers), net.grafted), split)
+    # the repaired rows do not cross, so the flag alone gave their +inf
+    vals = _spec_lower(
+        net, box, lines, LayerBounds(tuple(lowers), tuple(uppers), net.grafted), coeffs, const
+    )
+    return (lowers, uppers, flag), np.where(flag, vals, np.inf)[:, 0], _branch_on(lines)[:, 0]
+
+
+def _crossed_rows(bounds: LayerBounds):
+    # per row, whether some neuron of some layer has lower > upper
+    return np.logical_or.reduce([(l > u).any(axis=-1) for l, u in zip(bounds.lower, bounds.upper)])
+
+
+class TestEmptyIsCrossed:
+    """A region is empty exactly where its bounds cross: ``feasible`` is
+    False on exactly those rows, which are the rows the flag-and-repair
+    path flagged, bounds over them are +inf, and every other row keeps
+    the floats that path gave it."""
+
+    def _check(self, got: LayerBounds, want):
+        # got: the bound code's bounds; want: the repair path's (lowers,
+        # uppers, flag).  Returns got's feasibility
+        feasible = np.asarray(got.feasible)
+        assert np.array_equal(feasible, ~_crossed_rows(got))
+        assert np.array_equal(feasible, np.broadcast_to(want[2], feasible.shape))
+        rows = feasible.reshape(-1)  # 1-D bounds are one row
+        for x, y in zip(got.lower + got.upper, want[0] + want[1]):
+            x, y = x.reshape(len(rows), -1), y.reshape(len(rows), -1)
+            assert x[rows].tobytes() == y[rows].tobytes()
+        return feasible
+
+    def _case(self, seed):
+        # a random net, R boxes, and per row random codes, half of them
+        # contradicting the row's IBP bounds: a stably active neuron forced
+        # inactive or a stably inactive one forced active
+        rng = np.random.default_rng(9100 + seed)
+        widths = [int(rng.integers(2, 5))]
+        widths += [int(rng.integers(4, 9)) for _ in range(int(rng.integers(1, 4)))] + [3]
+        net, _ = _net_with_dead_neurons(9100 + seed, widths, 0.2 if seed % 2 else 0.0)
+        R = 6
+        boxes = [
+            input_region(rng.uniform(0, 1, net.input_dim), float(rng.choice([0.02, 0.1, 0.3])),
+                         (0, 1))
+            for _ in range(R)
+        ]
+        free = SplitAssignment.free(net)
+        flat = []
+        for r, box in enumerate(boxes):
+            base = ibp(net, box)
+            l = np.concatenate(base.lower[:-1])
+            u = np.concatenate(base.upper[:-1])
+            ok = ~np.concatenate(net.grafted)
+            code = np.zeros(ok.shape, np.int8)
+            forced = rng.choice(np.flatnonzero(ok), int(rng.integers(0, 3)), replace=False)
+            code[forced] = rng.choice([FORCED_ACTIVE, FORCED_INACTIVE], forced.size)
+            if r % 2:
+                stable = np.flatnonzero(ok & ((l > 0.0) | (u < 0.0)))
+                if stable.size:
+                    j = int(rng.choice(stable))
+                    code[j] = FORCED_INACTIVE if l[j] > 0.0 else FORCED_ACTIVE
+            flat.append(code)
+        offs = net.layer_offsets()[1:]
+        rows = [SplitAssignment(np.split(code, offs)[: len(net.hidden_sizes)]) for code in flat]
+        stacked = SplitAssignment([np.stack(c)[:, None, :] for c in zip(*(s.codes for s in rows))])
+        return net, boxes, rows, stacked, free
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ibp_crown_and_intersection(self, seed):
+        net, boxes, rows, stacked, free = self._case(seed)
+        c = np.random.default_rng(seed).normal(0, 1, net.output_dim)
+        stack = Box.stack(boxes)
+        for method, repair in (("ibp", _repair_ibp), ("crown", _repair_compute_bounds)):
+            got = compute_bounds(net, stack, stacked, method)
+            feasible = self._check(got, repair(net, stack, stacked))
+            lines = _domain_lines(net, got, stacked)
+            lower = _spec_lower(net, stack, lines, got, c, 0.5)[:, 0]
+            assert np.all(lower[~feasible[:, 0]] == np.inf)
+            for r, (box, split) in enumerate(zip(boxes, rows)):
+                one = compute_bounds(net, box, split, method)
+                self._check(one, repair(net, box, split))
+                assert one.feasible == feasible[r, 0]
+                if not one.feasible:
+                    assert crown_lower_bound(net, box, split, one, c, 0.5) == np.inf
+                # the child's bounds intersected with its parent's (the
+                # root's, by CROWN), as BaB intersects them
+                parent = compute_bounds(net, box, None, "crown")
+                want = _repair_intersect(
+                    repair(net, box, split), _repair_compute_bounds(net, box, free)
+                )
+                self._check(intersect_bounds(one, parent), want)
+
+    def test_kinds_seen(self):
+        seen = set()
+        for seed in range(12):
+            net, boxes, rows, stacked, _ = self._case(seed)
+            seen |= set(np.asarray(compute_bounds(net, Box.stack(boxes), stacked).feasible).ravel())
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("case", ["deep", "infeasible"])
+    def test_bound_children(self, case):
+        seen = set()
+        for seed in range(10):
+            make = _deep_case if case == "deep" else _infeasible_case
+            _, args = _child_batch(*make(seed))
+            got, lower, branch = _bound_children(*args)
+            want, want_lower, want_branch = _repair_bound_children(*args)
+            feasible = self._check(got, want)[:, 0]
+            assert np.all(lower[~feasible] == np.inf)
+            assert lower[feasible].tobytes() == want_lower[feasible].tobytes()
+            assert branch[feasible].tobytes() == want_branch[feasible].tobytes()
+            seen |= set(feasible.tolist())
+        assert seen == {True, False}
+
+    def test_contradictory_split_stays_crossed(self):
+        # z = x + 5 on x in [0, 1] is stably active; forced inactive, its
+        # interval is cut to [5, 0], and stays so through the refinement
+        # and an intersection with the free bounds
+        net = Network([manual_layer([[1.0]], [5.0]), manual_layer([[2.0]], [1.0])])
+        box = Box(np.array([0.0]), np.array([1.0]))
+        split = SplitAssignment.free(net).force(net, 0, FORCED_INACTIVE)
+        free = compute_bounds(net, box, None, "crown")
+        for inter in (
+            ibp(net, box, split),
+            compute_bounds(net, box, split, "crown"),
+            intersect_bounds(ibp(net, box, split), free),
+            intersect_bounds(free, compute_bounds(net, box, split, "crown")),
+        ):
+            assert (inter.lower[0][0], inter.upper[0][0]) == (5.0, 0.0)
+            assert inter.feasible is False
+            lines = _domain_lines(net, inter, split)
+            assert _spec_lower(net, box, lines, inter, np.array([1.0]), 0.0)[0] == np.inf
+            assert crown_lower_bound(net, box, split, inter, np.array([-1.0])) == np.inf
+        assert free.feasible is True

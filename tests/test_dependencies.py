@@ -199,3 +199,73 @@ def test_the_rule_check_catches_a_stray_build():
         ("_backward", "_relaxation_lines"), ("_bound_children", "classify_neurons"),
         ("_branch_on", "/"), ("_spec_lower", "_domain_lines"),
     ]
+
+
+# A region is empty where its bounds cross, and one place decides that:
+# LayerBounds.feasible.  Box.__post_init__ checks its input the same way.
+_EMPTINESS_TESTS = {"LayerBounds.feasible", "Box.__post_init__"}
+
+
+def _qualified(tree: ast.AST) -> dict:
+    """The dotted name of the innermost class or function around each node
+    of the tree (``Class.method``), by node id; module-level nodes are
+    missing."""
+    names = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                for sub in ast.walk(child):
+                    names[id(sub)] = name
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return names
+
+
+def _constant(node) -> bool:
+    return isinstance(node, ast.Constant) or (
+        isinstance(node, ast.UnaryOp) and isinstance(node.operand, ast.Constant)
+    )
+
+
+def _emptiness_tests(tree: ast.AST):
+    """(line, where) of every ``np.any(a > b)`` or ``(a > b).any()`` in the
+    tree whose comparison has no constant operand: a test of whether two
+    arrays cross."""
+    where = _qualified(tree)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr != "any":
+            continue
+        owner = node.func.value
+        np_any = isinstance(owner, ast.Name) and owner.id == "np" and node.args
+        operand = node.args[0] if np_any else owner
+        if isinstance(operand, ast.Compare) and not any(
+            _constant(x) for x in [operand.left, *operand.comparators]
+        ):
+            yield node.lineno, where.get(id(node))
+
+
+def test_one_place_decides_emptiness():
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    assert {where for _, where in _emptiness_tests(tree)} == _EMPTINESS_TESTS
+
+
+def test_the_emptiness_check_catches_a_second_decision():
+    # _clamp_split deciding emptiness again, as it did with a stored flag
+    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_clamp_split":
+            node.body.insert(0, ast.parse("empty = np.any(zl > zu, axis=-1, keepdims=True)").body[0])
+    assert {where for _, where in _emptiness_tests(tree)} == _EMPTINESS_TESTS | {"_clamp_split"}
+    snippet = ast.parse(
+        "import numpy as np\n"
+        "class B:\n    def f(self, l, u):\n        return np.any(l > u), (l < 0.0).any()\n"
+        "def g(a, b):\n    return (a > b).any() or np.any(a <= -1.0)\n"
+    )
+    assert sorted(_emptiness_tests(snippet)) == [(4, "B.f"), (6, "g")]

@@ -444,7 +444,7 @@ class TestLockstepEvaluation:
             for j, (box, specs) in enumerate(zip(boxes, margins)):
                 one = LayerBounds(
                     tuple(x[j, 0] for x in inter.lower), tuple(x[j, 0] for x in inter.upper),
-                    net.grafted, bool(np.broadcast_to(inter.feasible, (len(boxes), 1))[j, 0]),
+                    net.grafted,
                 )
                 for spec, got in zip(specs, root[j]):
                     want = crown_lower_bound(net, box, None, one, spec.coeffs, spec.const)

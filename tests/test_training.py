@@ -59,6 +59,14 @@ class TestConfigs:
             AttackConfig(eps=0.1, steps=0)
         with pytest.raises(UsageError):
             AttackConfig(eps=0.1, restarts=0)
+        # a fractional or boolean count, and a non-finite radius, fail here
+        # as the other configs' do, not later inside the attack
+        for bad in ({"steps": 2.5}, {"restarts": True}, {"restarts": 1.0}):
+            with pytest.raises(UsageError, match="must be an integer"):
+                AttackConfig(0.1, **bad)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(UsageError, match="eps must be finite"):
+                AttackConfig(eps)
 
     def test_finetune_config_validation(self):
         with pytest.raises(UsageError):

@@ -889,7 +889,6 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
             parent.lower[:h] + tuple(x[r, 0].copy() for x in batch.lower[h:]),
             parent.upper[:h] + tuple(x[r, 0].copy() for x in batch.upper[h:]),
             parent.grafted,
-            True,
         )
 
     while heap:
