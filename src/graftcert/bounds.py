@@ -604,8 +604,9 @@ def compute_bounds(
     The refinement rewrites each hidden layer's bounds as the tighter of
     the IBP interval and the backward-propagated bound, reusing already
     refined earlier layers, then re-applies any forced-split intersections.
-    Where a split contradicts the bounds, or a backward bound crosses the
-    IBP one by rounding, they stay crossed: the region is empty.
+    A neuron whose refined bounds cross before that clamp, which only
+    rounding does (on a neuron whose range is a point, say), keeps its IBP
+    interval, so only a split leaves bounds crossed: the region is empty.
     A hidden layer's bounds are final once refined, so its relaxation lines
     are built once, at the next step, and every later back-substitution
     reads them from the growing list.
@@ -618,8 +619,8 @@ def compute_bounds(
     ``(E, d, d)``, and every product of its back-substitution is one per
     box, of the box's d rows (``_rows_matmul`` with ``block`` = d, a fixed
     shape), so each row holds the floats of its own one-box call bit for
-    bit; a row whose IBP is already crossed is refined all the same, and
-    stays crossed.
+    bit; a row whose IBP a split already crossed is refined all the same,
+    and stays crossed.
     """
     if method not in ("ibp", "crown"):
         raise UsageError(f"unknown bound method {method!r}")
@@ -650,6 +651,11 @@ def compute_bounds(
         )[0]
         lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
         hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])
+        # not a blanket min/max: every other neuron keeps its bytes, -0.0 too
+        crossed = lo > hi
+        if crossed.any():
+            lo = np.where(crossed, lowers[i], lo)
+            hi = np.where(crossed, uppers[i], hi)
         if i < len(net.layers) - 1:
             lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo

@@ -116,7 +116,6 @@ class ExperimentConfig:
     num_verify: int = 100
     score_subset: int = 512
     score_eps: float | None = None
-    intermediate: str = "crown"
     seed: int = 0
     deterministic: bool = True
     workers: int = 1
@@ -153,8 +152,6 @@ class ExperimentConfig:
             raise UsageError("attack_steps, attack_restarts and train_attack_steps must be >= 1")
         if self.num_verify < 1:
             raise UsageError(f"num_verify must be >= 1, got {self.num_verify}")
-        if self.intermediate not in ("ibp", "crown"):
-            raise UsageError(f"intermediate must be 'ibp' or 'crown', got {self.intermediate!r}")
         if self.score_subset < 1:
             raise UsageError(f"score_subset must be >= 1, got {self.score_subset}")
         if self.score_eps is not None and self.score_eps < 0:
@@ -286,8 +283,7 @@ def _root_margins(net: Network, box: Box, inter: LayerBounds, margins: list) -> 
     """Phase 4: the root CROWN bound of every margin of every example of a
     group (``box`` stacks their boxes), in one ``_spec_lower`` call of
     ``(examples, margins, K)`` specs against each example's own bounds
-    and lines; +inf where the example's root bounds cross (an empty
-    region), as ``crown_lower_bound`` gives.  Shape (examples, margins)."""
+    and lines.  Shape (examples, margins)."""
     return _spec_lower(
         net,
         box,
@@ -383,7 +379,7 @@ def _evaluate_chunk(payload: dict) -> list[dict]:
         # an equal share of its group's seconds
         t0 = time.perf_counter()
         stacked = Box.stack(boxes)
-        inter = compute_bounds(net, stacked, None, payload["intermediate"])
+        inter = compute_bounds(net, stacked, None, "crown")
         root = _root_margins(net, stacked, inter, [margins[e] for e in group])
         share = (time.perf_counter() - t0) / len(group)
         for j, e in enumerate(group):
@@ -416,7 +412,6 @@ def evaluate_network(
     num_verify: int,
     attack_steps: int = 20,
     attack_restarts: int = 2,
-    intermediate: str = "crown",
     seed: int = 0,
     deterministic: bool = True,
     workers: int = 1,
@@ -426,7 +421,8 @@ def evaluate_network(
 
     The examples go through phases, each run once over a stack of them:
     the clean forward pass; PGD on the correctly classified ones; root
-    bounds (``compute_bounds``) of those that held, in groups of
+    bounds (``compute_bounds(..., "crown")``, as ``bab_verify`` bounds a
+    root it is not given) of those that held, in groups of
     ``_root_group_size``; the root CROWN bound of each of their margins;
     then, per example, ``bab_verify`` on each margin from that bound,
     which decides it at once where positive.  Every example gets the
@@ -441,10 +437,6 @@ def evaluate_network(
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")
-    if intermediate not in ("ibp", "crown"):
-        # checked here too: an example reaches the root bounds only if it
-        # holds against PGD
-        raise UsageError(f"unknown bound method {intermediate!r}")
     features = np.asarray(test.features[:k], dtype=np.float64)
     labels = np.asarray(test.labels[:k])
     chunks = np.array_split(np.arange(k), min(workers, k))
@@ -460,7 +452,6 @@ def evaluate_network(
             "max_domains": budget.max_domains,
             "attack_steps": attack_steps,
             "attack_restarts": attack_restarts,
-            "intermediate": intermediate,
             "seed": seed,
         }
         for c in chunks
@@ -787,7 +778,6 @@ def verify_stage(cfg: ExperimentConfig, out: str) -> None:
             num_verify=cfg.num_verify,
             attack_steps=cfg.attack_steps,
             attack_restarts=cfg.attack_restarts,
-            intermediate=cfg.intermediate,
             seed=cfg.seed,
             deterministic=cfg.deterministic,
             workers=cfg.workers,

@@ -21,6 +21,7 @@ from .bounds import (
     Box,
     LayerBounds,
     SplitAssignment,
+    compute_bounds,
     crown_lower_bound,
     ibp,
     input_region,
@@ -401,11 +402,12 @@ def bab_verify(
     falsified search stops (or whether it runs out of budget first),
     depend on the search order.  The clock is read before each pop, so a
     search can overrun ``time_limit`` by one step (up to 64 children).
-    ``root_inter`` supplies the root's intermediate bounds (default: IBP),
-    sound for the box, as ``compute_bounds`` output is; it is used as
-    given.  ``root_bound`` supplies the root's ``crown_lower_bound`` of the
-    spec (default: computed here), for callers that have bounded the root;
-    the root's branch neuron is chosen only when a search starts.
+    ``root_inter`` supplies the root's bounds, those of the whole box with
+    no split (default: ``compute_bounds(..., "crown")``, as the verify
+    stage computes them); it is used as given.  ``root_bound`` supplies
+    the root's ``crown_lower_bound`` of the spec (default: computed here),
+    for callers that have bounded the root; the root's branch neuron is
+    chosen only when a search starts.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
@@ -416,7 +418,7 @@ def bab_verify(
         cex = None if cex is None else np.asarray(cex, dtype=np.float64)
         return VerdictRecord(status, float(bound), cex, time.perf_counter() - t0, explored)
 
-    inter = ibp(net, box, root_split) if root_inter is None else root_inter
+    inter = compute_bounds(net, box, root_split, "crown") if root_inter is None else root_inter
     if root_bound is None:
         root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graftcert import AffineLayer, GraftPlan, Network, apply_graft, make_mlp
+from graftcert import AffineLayer, GraftPlan, Network, apply_graft, input_region, make_mlp
 from graftcert.bounds import _ROW_BLOCK
 
 
@@ -37,6 +37,23 @@ def random_net(
         )
         net = apply_graft(net, plan)
     return net
+
+
+# (net seed, input seed, eps) of roots whose CROWN refinement crossed the
+# IBP bounds by rounding, on a neuron whose range is a point, while
+# compute_bounds kept crossed refined bounds: each then read as an empty
+# box, and BaB verified margins that are negative at the box's own input
+ROUNDING_CROSS_CASES = [
+    (7500, 0, 0.0), (7501, 1, 0.0), (7059, 59, 0.1), (7078, 78, 0.1), (7180, 180, 0.1),
+]
+
+
+def rounding_cross_case(net_seed, x_seed, eps):
+    """``random_net(net_seed)``, an input drawn uniformly from [0, 1) by
+    ``default_rng(x_seed)``, and its unclipped eps box."""
+    net = random_net(net_seed)
+    x = np.random.default_rng(x_seed).uniform(0, 1, net.input_dim)
+    return net, x, input_region(x, eps)
 
 
 def block_product(A, W, block=_ROW_BLOCK) -> np.ndarray:

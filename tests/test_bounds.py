@@ -18,6 +18,7 @@ from graftcert import (
     SplitAssignment,
     UsageError,
     apply_graft,
+    build_specs,
     classify_neurons,
     compute_bounds,
     crown_lower_bound,
@@ -51,7 +52,14 @@ from graftcert.bounds import (
     intersect_bounds,
 )
 
-from conftest import block_product, manual_layer, per_row_products, random_net
+from conftest import (
+    ROUNDING_CROSS_CASES,
+    block_product,
+    manual_layer,
+    per_row_products,
+    random_net,
+    rounding_cross_case,
+)
 
 
 def closed_form_box_min(coeffs, const, box):
@@ -657,12 +665,20 @@ def _reference_backward(net, lines, box, C, c0, start, sense, block=_ROW_BLOCK):
     return vals + const, A
 
 
+def _ibp_where_crossed(lo, hi, ibp_lo, ibp_hi):
+    # compute_bounds' rule before the split clamp: a refined neuron whose
+    # bounds cross (only rounding does that) keeps its IBP interval; every
+    # other neuron keeps its bytes
+    crossed = lo > hi
+    return np.where(crossed, ibp_lo, lo), np.where(crossed, ibp_hi, hi)
+
+
 def _reference_compute_bounds(net, box, split):
     # compute_bounds(..., "crown") as it was when every refinement step
     # rebuilt every hidden layer's relaxation lines and ran the two-sense
     # kernel; building only the newly refined layer's lines, and taking
     # upper bounds as negated lower bounds, must not move a bit.  Bounds
-    # that cross (an empty region) stay crossed
+    # that a split crosses (an empty region) stay crossed
     base = ibp(net, box, split)
     if not base.feasible:
         return base
@@ -675,8 +691,9 @@ def _reference_compute_bounds(net, box, split):
         C, c0 = np.eye(d), np.zeros(d)
         lo = _reference_backward(net, lines, box, C, c0, i, sense=-1, block=d)[0]
         hi = _reference_backward(net, lines, box, C, c0, i, sense=+1, block=d)[0]
-        lo = np.maximum(lo, lowers[i])
-        hi = np.minimum(hi, uppers[i])
+        lo, hi = _ibp_where_crossed(
+            np.maximum(lo, lowers[i]), np.minimum(hi, uppers[i]), lowers[i], uppers[i]
+        )
         if i < len(net.layers) - 1:
             lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo
@@ -728,8 +745,9 @@ class TestComputeBoundsLines:
         assert _same_bytes(got, _reference_compute_bounds(net, box, split))
 
     def test_stacked_boxes_equal_one_box_reference(self):
-        # eps 0 makes the backward bounds cross the IBP ones by rounding,
-        # which leaves a row crossed (empty)
+        # eps 0 makes the backward bounds cross the IBP ones by rounding;
+        # those neurons keep their IBP intervals, so every row, a point
+        # box's included, stays feasible
         feasible = set()
         for seed in range(24):
             rng = np.random.default_rng(7500 + seed)
@@ -754,7 +772,7 @@ class TestComputeBoundsLines:
                     assert _same_bytes(row, want), (seed, method, e)
                     assert bool(got.feasible[e, 0]) == want.feasible
                     feasible.add(want.feasible)
-        assert feasible == {True, False}
+        assert feasible == {True}
 
 
 class TestLowerBoundKernel:
@@ -866,7 +884,7 @@ def _two_chain_compute_bounds(net, box, split):
     # compute_bounds(..., "crown") as it was when every refined layer ran
     # two back-substitutions, one on I and one on -I, for one box or a
     # stack of them; one chain for both sides must not move a bit.  Bounds
-    # that cross (an empty region) stay crossed
+    # that a split crosses (an empty region) stay crossed
     base = ibp(net, box, split)
     if not np.any(base.feasible):
         return base
@@ -883,8 +901,11 @@ def _two_chain_compute_bounds(net, box, split):
         hi = 0.0 - _two_chain_backward(
             net, lines, box, np.broadcast_to(-np.eye(d), stack + (d, d)), c0, i
         )
-        lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
-        hi = np.minimum(hi.reshape(uppers[i].shape), uppers[i])
+        lo, hi = _ibp_where_crossed(
+            np.maximum(lo.reshape(lowers[i].shape), lowers[i]),
+            np.minimum(hi.reshape(uppers[i].shape), uppers[i]),
+            lowers[i], uppers[i],
+        )
         if i < len(net.layers) - 1:
             lo, hi = _clamp_split(split.codes[i], lo, hi)
         lowers[i] = lo
@@ -1590,11 +1611,13 @@ def _reference_classify(inter, split):
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int8)
 
 
-# The flag-and-repair path that LayerBounds.feasible replaced: _clamp_split,
-# compute_bounds and intersect_bounds each decided emptiness themselves,
-# kept a flag per row, and rewrote a crossed row's lower bounds to
-# min(l, u).  Bounds are (lowers, uppers, flag) triples here.  A row it
-# flags is empty; every other row must keep its floats.
+# The flag-and-repair path that LayerBounds.feasible replaced: _clamp_split
+# and intersect_bounds each decided emptiness themselves, kept a flag per
+# row, and rewrote a crossed row's lower bounds to min(l, u).  Its
+# compute_bounds here takes today's rule for a refinement that crosses by
+# rounding (the IBP interval), so only a clamp flags a row.  Bounds are
+# (lowers, uppers, flag) triples here.  A row it flags is empty; every
+# other row must keep its floats.
 
 
 def _repair_clamp(code, zl, zu):
@@ -1651,15 +1674,14 @@ def _repair_compute_bounds(net, box, split):
             net, lines, box, np.broadcast_to(np.eye(d), stack + (d, d)),
             np.zeros(stack + (d,)), i, both=True, block=d,
         )[0]
-        lo = np.maximum(lo.reshape(lowers[i].shape), lowers[i])
-        hi = np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i])
+        lo, hi = _ibp_where_crossed(
+            np.maximum(lo.reshape(lowers[i].shape), lowers[i]),
+            np.minimum((0.0 - neg).reshape(uppers[i].shape), uppers[i]),
+            lowers[i], uppers[i],
+        )
         if i < len(net.layers) - 1:
             lo, hi, ok = _repair_clamp(split.codes[i], lo, hi)
             flag = flag & ok
-        crossed = np.any(lo > hi, axis=-1)
-        if crossed.any():
-            flag = flag & ~crossed
-            lo = np.minimum(lo, hi)
         lowers[i], uppers[i] = lo, hi
     return lowers, uppers, flag
 
@@ -1818,3 +1840,35 @@ class TestEmptyIsCrossed:
             assert _spec_lower(net, box, lines, inter, np.array([1.0]), 0.0)[0] == np.inf
             assert crown_lower_bound(net, box, split, inter, np.array([-1.0])) == np.inf
         assert free.feasible is True
+
+
+class TestRoundingCannotEmptyABox:
+    """Only a split empties a region: where a CROWN-refined bound crosses
+    the IBP one by rounding, ``compute_bounds`` keeps the IBP interval, so
+    a box with no split always reads feasible."""
+
+    @pytest.mark.parametrize("case", ROUNDING_CROSS_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_crossing_cases(self, case):
+        net, x, box = rounding_cross_case(*case)
+        inter = compute_bounds(net, box, None, "crown")
+        assert inter.feasible is True
+        logits = forward_batch(net, x[None, :])[0][0]
+        for label in range(net.output_dim):
+            for spec in build_specs(net.output_dim, label):
+                bound = crown_lower_bound(net, box, None, inter, spec.coeffs, spec.const)
+                # finite, and sound at the box's own input
+                assert np.isfinite(bound) and bound <= spec.value(logits) + 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.1])
+    def test_every_root_of_the_sweep_is_feasible(self, eps):
+        crossed = []
+        for s in range(200):
+            net = random_net(7000 + s)
+            rng = np.random.default_rng(s)
+            X = rng.uniform(0, 1, (3, net.input_dim))
+            boxes = [input_region(x, eps) for x in X]
+            if not compute_bounds(net, boxes[0], None, "crown").feasible:
+                crossed.append((s, "1-D"))
+            if not compute_bounds(net, Box.stack(boxes), None, "crown").feasible.all():
+                crossed.append((s, "stacked"))
+        assert crossed == []

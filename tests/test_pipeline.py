@@ -245,19 +245,6 @@ class TestRunPipeline:
             assert record["verdict"] == verdict
             assert record["time_seconds"] >= delay
 
-    @pytest.mark.parametrize("method", ["lp", "CROWN", ""])
-    @pytest.mark.parametrize("label", [0, 1])
-    def test_unknown_intermediate_is_usage_error(self, method, label):
-        # a direct call, with no config to check the value first; label 1
-        # is misclassified, so no example reaches the root bounds
-        net = Network([manual_layer([[1.0]], [0.0]), manual_layer([[1.0], [-1.0]], [0.0, 0.0])])
-        test = Dataset(np.array([[0.5]]), np.array([label]))
-        with pytest.raises(UsageError, match="unknown bound method"):
-            evaluate_network(
-                net, test, eps_verify=0.1, clip=(0.0, 1.0), budget=VerifyBudget(None, 100),
-                num_verify=1, intermediate=method,
-            )
-
     def test_checkpoint_roundtrip_same_verdicts(self, graft_run, tmp_path):
         cfg, rep, out = graft_run
         net = load_checkpoint(out / "grafted.json")
@@ -269,7 +256,6 @@ class TestRunPipeline:
             num_verify=8,
             attack_steps=cfg.attack_steps,
             attack_restarts=cfg.attack_restarts,
-            intermediate=cfg.intermediate,
             seed=cfg.seed,
             deterministic=True,
         )
@@ -315,7 +301,7 @@ def _reference_verify_example(payload):
     record["ra"] = True
     box = input_region(x0, eps, clip)
     t0 = time.perf_counter()
-    root_inter = compute_bounds(net, box, None, method=payload["intermediate"])
+    root_inter = compute_bounds(net, box, None, "crown")
     work, worst, verdict = 0, math.inf, "verified"
     for k, spec in enumerate(margins):
         remaining = None
@@ -344,15 +330,14 @@ def _reference_verify_example(payload):
 
 
 def _reference_records(net, test, *, eps_verify, clip, budget, num_verify, attack_steps=20,
-                       attack_restarts=2, intermediate="crown", seed=0, deterministic=True):
+                       attack_restarts=2, seed=0, deterministic=True):
     return [
         _reference_verify_example({
             "net": net, "x0": test.features[i], "label": int(test.labels[i]), "index": i,
             "eps": eps_verify, "clip": clip,
             "time_limit": None if deterministic else budget.time_limit,
             "max_domains": budget.max_domains, "attack_steps": attack_steps,
-            "attack_restarts": attack_restarts, "intermediate": intermediate,
-            "seed": seed * 1_000_003 + i,
+            "attack_restarts": attack_restarts, "seed": seed * 1_000_003 + i,
         })
         for i in range(min(num_verify, len(test)))
     ]
@@ -383,7 +368,7 @@ def _lockstep_cases():
             budget=VerifyBudget(30.0, (3, 60)[seed % 2 == 0 or seed % 5 == 0]),
             num_verify=int(rng.integers(20, 31)),
             attack_steps=(1, 20)[seed % 4 == 0], attack_restarts=(1, 2)[seed % 3 == 0],
-            intermediate=("crown", "ibp")[seed % 7 == 6], seed=seed,
+            seed=seed,
         )
         yield seed, net, Dataset(X, labels), kwargs
 
@@ -512,7 +497,7 @@ class TestLockstepEvaluation:
             evaluate_network(net, test, **kwargs)
             for box, inter in seen:
                 boxes.add(id(box))
-                want = compute_bounds(net, box, None, kwargs["intermediate"])
+                want = compute_bounds(net, box, None, "crown")
                 assert inter.feasible == want.feasible
                 assert all(
                     x.tobytes() == y.tobytes()
@@ -756,7 +741,8 @@ class TestCli:
         pytest.param({"score_eps": -0.1}, id="score_eps=-0.1"),
         pytest.param({"warmup_lr": 0.0}, id="warmup_lr=0"),
         pytest.param({"warmup_lr": -0.05}, id="warmup_lr=-0.05"),
-        pytest.param({"intermediate": "lp"}, id="intermediate=lp"),
+        # a removed field
+        pytest.param({"intermediate": "crown"}, id="intermediate=crown"),
         # non-finite floats, which json reads from NaN and Infinity
         pytest.param({"eps_train": float("nan")}, id="eps_train=nan"),
         pytest.param({"eps_verify": float("inf")}, id="eps_verify=inf"),
@@ -811,9 +797,15 @@ class TestCli:
         assert main(["pipeline", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
 
-    def test_intermediate_error_names_the_value(self, tmp_path):
-        with pytest.raises(UsageError, match="got 'lp'"):
-            tiny_config(tmp_path, intermediate="lp")
+    @pytest.mark.parametrize("value", ["crown", "ibp"])
+    def test_removed_intermediate_is_config_error(self, tmp_path, capsys, value):
+        # every root is CROWN-refined: a config that still picks the
+        # intermediate bounds is stale
+        cfg = _write_cfg(tmp_path, intermediate=value)
+        assert main(["verify", "--out", str(tmp_path / "out"), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unexpected keyword argument" in err and "intermediate" in err, err
+        assert not (tmp_path / "out").exists()
 
     def test_score_eps_null_is_eps_verify(self, tmp_path):
         # score_eps null scores neurons at eps_verify; another radius
@@ -835,15 +827,16 @@ class TestCli:
         assert unstable[0] != unstable[1]
 
     def test_readme_documents_every_config_field(self):
+        # exactly the config's fields, so a field added without its docs,
+        # or removed with its docs left behind, fails here
         readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
         block = re.search(r"```jsonc\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
         assert block is not None, "README has no jsonc config block"
         doc = json.loads(re.sub(r"//.*", "", block.group(1)))
-        missing = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in doc]
+        assert sorted(doc) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
         # each section's fields inside that section's own object
         for key, section in (("train", TrainConfig), ("finetune", FinetuneConfig), ("budget", VerifyBudget)):
-            missing += [f"{key}.{f.name}" for f in dataclasses.fields(section) if f.name not in doc[key]]
-        assert not missing, missing
+            assert sorted(doc[key]) == sorted(f.name for f in dataclasses.fields(section)), key
 
     def test_bad_labels_fail_in_data_stage(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

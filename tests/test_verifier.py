@@ -51,7 +51,14 @@ from graftcert.verifier import (
     _resolve_linear_leaf,
 )
 
-from conftest import block_product, manual_layer, per_row_products, random_net
+from conftest import (
+    ROUNDING_CROSS_CASES,
+    block_product,
+    manual_layer,
+    per_row_products,
+    random_net,
+    rounding_cross_case,
+)
 
 
 class TestSpecs:
@@ -432,41 +439,51 @@ class TestBabVerify:
     # case of _pin_cases, recorded with every child bounded by a full IBP
     # pass and re-recorded when every bound product became a product of
     # fixed row blocks (bounds._rows_matmul), which moved the low bits of
-    # bounds and nothing else (PIN_WORK), and again when a child's IBP
+    # bounds and nothing else (PIN_WORK), again when a child's IBP
     # restarted from its parent's bounds instead of its parent's raw IBP,
     # which moved case 12 alone (falsified at the same point after 71
-    # domains, not 97); bounding children incrementally, or in batches of
-    # one domain's children, must not move a bit of it
-    PIN_DIGEST = "e47c47123cfebf7a26380ca3b3ac1e00a29691208a2ddf1cd98c10e633bc1399"
+    # domains, not 97), and again when a root not given became
+    # CROWN-refined instead of plain IBP (see PIN_WORK); bounding children
+    # incrementally, or in batches of one domain's children, must not move
+    # a bit of it
+    PIN_DIGEST = "338626548c8806513bf160ea78840856f62c85196ab44c7ff18e95fcff26fb44"
     # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
     # bounds and where falsified searches stop.  The parent-bounds restart
-    # moved case 12 (f135 -> f89)
-    BATCHED_PIN_DIGEST = "4bb2f5f694de961512dc0edeb5afa0d9deeb54bc067b1af034f7e6684b9fa050"
+    # moved case 12 (f135 -> f89); re-recorded at the CROWN root
+    BATCHED_PIN_DIGEST = "f2bd7f2a8488fbd903981efa08975965dcbe7d24d48ed85017d93947c9e0c12a"
     # the same at the default of 32 domains per step, which differs from
     # both only in timeout bounds and where falsified searches stop.  The
     # parent-bounds restart moved case 12's timeout bound (-0x1.b55e13b554ddep+1
-    # -> -0x1.b3764344f207cp+1)
-    WIDE_PIN_DIGEST = "cd3cda7b335a686419c927e9225ad260b6b36b6ca3562dfeba5fea009a275ad1"
+    # -> -0x1.b3764344f207cp+1); re-recorded at the CROWN root
+    WIDE_PIN_DIGEST = "b7d712f7699ff91a911bcbb2a58e6163b74dade23888345b74297972c6409d2d"
     # per case of _pin_cases, its status (first letter) and domains
     # explored at 1, 8 and 32 domains per step, recorded before the bound
     # products were blocked (a new bound product may move the digests
-    # above only through the bounds) and again at the parent-bounds restart
+    # above only through the bounds), again at the parent-bounds restart,
+    # and at the CROWN root.  There, at every batch size, the IBP-rooted
+    # cases 4, 5, 20, 28, 29 and 34 went from timeouts to verified, cases
+    # 11, 14, 15, 35 and 38 verified in fewer domains, and no verdict went
+    # between verified and falsified; seeds 20-27 (cases 40-55) joined
+    # then, to keep the search work the tests below count
     PIN_WORK = {
-        1: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f71 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
-           "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
-        8: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 f89 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
-           "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
-        32: "t149 t149 v1 v1 t149 t149 v1 v1 v1 f1 v1 v13 t149 f1 v15 v99 v1 v1 v1 v1 t149 f1 "
-            "v1 v1 v1 v1 v1 f1 t149 t149 v1 v1 t149 t149 t149 v29 v1 v1 v15 v1 f3",
+        1: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 f71 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
+           "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+           "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
+        8: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 f89 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
+           "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+           "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
+        32: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 t149 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
+            "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+            "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
     }
 
     @staticmethod
     def _pin_cases():
-        """Deep random nets (three hidden layers, some grafted, some with a
-        CROWN-refined root), each margin of a 3-class output, plus the
+        """Deep random nets (three hidden layers, some grafted, some given
+        their root bounds), each margin of a 3-class output, plus the
         corner net, which is falsified below the root."""
-        for seed in range(20):
+        for seed in range(28):
             rng = np.random.default_rng(4000 + seed)
             widths = [2, 5, 5, 5, 3] if seed % 2 else [3, 8, 8, 8, 3]
             graft = 0.2 if seed % 4 in (1, 2) else 0.0
@@ -574,11 +591,11 @@ class TestBabVerify:
     # the pin digests at 1, 8 and 32 domains per step with the products of
     # the bound code before it multiplied fixed row blocks, one
     # matrix-vector product per row (conftest.per_row_products); re-recorded
-    # at the parent-bounds restart
+    # at the parent-bounds restart and at the CROWN root
     PER_ROW_PIN_DIGESTS = {
-        1: "a301d1b9d1efbeec2e0d5a8381cfbd69a6e77138543af4603004747063ba8c7e",
-        8: "0665e9786029e0ed1218ac3ec1371ded8b1fd5eb20624a2a4e4823b70b94bae8",
-        32: "07c482e3fed3305a806a384db712c17f0c17662aad43c8b60190cc69d3dda4a1",
+        1: "841fcb7ae418aa9c19420667e71155215ee794835419b55db805e7edc6d01b94",
+        8: "71829073f4190a1811f58a32bb35fb4f8cfceacc6dbed297ab7ee07b2455321a",
+        32: "18947687f2501dba6db4b88d80c4d0029128df24335a86f3af8ab9143e76202a",
     }
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
@@ -713,12 +730,13 @@ class TestBabVerify:
         classify = bounds.classify_neurons
         monkeypatch.setattr(bounds, "_relaxation_lines", building)
         monkeypatch.setattr(bounds, "classify_neurons", classifying)
+        monkeypatch.setattr(verifier, "compute_bounds", phase("inter", verifier.compute_bounds))
         monkeypatch.setattr(verifier, "crown_lower_bound", phase("root", verifier.crown_lower_bound))
         monkeypatch.setattr(verifier, "_bound_children", phase("bound", verifier._bound_children))
         monkeypatch.setattr(verifier, "_resolve_linear_leaf", phase("leaf", verifier._resolve_linear_leaf))
         seen = {"bound": 0, "leaf": 0}
         for net, spec, box, budget, seed, root_inter in cases:
-            run.update(builds=[], phase="search", root=0, bound=0, leaf=0, classify=0,
+            run.update(builds=[], phase="search", inter=0, root=0, bound=0, leaf=0, classify=0,
                        hidden=list(range(len(net.hidden_sizes))))
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
             # the builds outside a bounding pass, a leaf and the root's
@@ -728,6 +746,9 @@ class TestBabVerify:
             rest = [(n, h) for p, n, h in run["builds"] if p == "search"]
             assert rest == [(0, h) for h in run["hidden"] if searched]
             assert run["root"] == 1 and run["classify"] == 0
+            # a root not given is bounded by compute_bounds, whose
+            # refinement builds every hidden layer's lines once
+            assert run["inter"] == (root_inter is None)
             seen = {k: n + run[k] for k, n in seen.items()}
         assert seen["bound"] > 100 and seen["leaf"] > 20, seen
 
@@ -811,6 +832,29 @@ class TestBabVerify:
         rows = store.rows
         assert sum(a.nbytes for a in rows.arrays()) // len(rows.bound) == 2 * 394 * 8 + 384 + 16
 
+    @pytest.mark.parametrize("case", ROUNDING_CROSS_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_library_root_is_the_verify_stage_root(self, case):
+        # bab_verify bounds a root it is not given as the verify stage does,
+        # by compute_bounds(..., "crown"): both calls run the same search.
+        # On these roots a refinement that crossed by rounding once made
+        # the box read empty, and BaB verified every margin, those negative
+        # at the box's own input among them (on 7500, label 1 against 0)
+        net, x, box = rounding_cross_case(*case)
+        inter = compute_bounds(net, box, None, "crown")
+        logits = forward(net, x)[0]
+        falsified = 0
+        for label in range(net.output_dim):
+            for spec in build_specs(net.output_dim, label):
+                given = bab_verify(net, spec, box, VerifyBudget(None, 64), root_inter=inter)
+                alone = bab_verify(net, spec, box, VerifyBudget(None, 64))
+                assert self._pin_line(given) == self._pin_line(alone)
+                assert np.isfinite(given.bound)
+                if spec.value(logits) < 0.0:
+                    assert given.status == VerdictStatus.FALSIFIED
+                    assert spec.value(forward(net, given.counterexample)[0]) < 0.0
+                    falsified += 1
+        assert falsified > 0
+
     def test_zero_graft_never_increases_unstable_count(self):
         # slope-0 grafts shrink every downstream interval, so instability
         # can only go down
@@ -865,7 +909,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         return VerdictRecord(status, float(bound), cex, 0.0, explored)
 
     root_split = SplitAssignment.free(net)
-    inter = ibp(net, box, root_split) if root_inter is None else root_inter
+    inter = compute_bounds(net, box, root_split, "crown") if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         return verdict(VerdictStatus.VERIFIED, root_bound)
