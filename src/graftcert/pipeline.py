@@ -434,6 +434,10 @@ def evaluate_network(
     With ``workers`` > 1 each process of a pool evaluates one contiguous
     chunk of the examples; in deterministic mode the records do not
     depend on ``workers``."""
+    if workers < 1:
+        raise UsageError(f"workers must be >= 1, got {workers}")
+    if num_verify < 0:
+        raise UsageError(f"num_verify must be >= 0, got {num_verify}")
     k = min(num_verify, len(test))
     if k == 0:
         raise UsageError("no test examples to evaluate")

@@ -48,9 +48,9 @@ __all__ = [
     "attack_examples",
 ]
 
-# BaB falsifies by attack only at the root and from linear-leaf witnesses;
-# every other domain is decided by its bounds (Bunel et al., JMLR 2020;
-# Wang et al., NeurIPS 2021)
+# BaB falsifies by attack only from linear-leaf witnesses and, once, at the
+# root when its search ends open; every other domain is decided by its
+# bounds (Bunel et al., JMLR 2020; Wang et al., NeurIPS 2021)
 _ROOT_ATTACK_STEPS = 20
 _ROOT_ATTACK_RESTARTS = 2
 _LEAF_ATTACK_STEPS = 20
@@ -374,26 +374,19 @@ def bab_verify(
 ) -> VerdictRecord:
     """Branch-and-bound complete verification of ``spec > 0`` over the box.
 
-    The root is bounded by CROWN first; only when that bound is not
-    positive does a PGD attack from the box center plus seeded random
-    restarts run, once.  Then a worst-bound-first worklist of domains,
-    ordered by (bound, insertion counter), is searched.  The domains are
-    rows (``_Rows``) of one store (``_Frontier``); the heap holds
-    ``(bound, counter, slot)``.  Each step pops up to ``_BAB_BATCH`` (32)
-    worst domains, gathers their rows twice each, and forces each popped
-    domain's branch neuron, its worst unstable neuron, both ways in the
-    gathered codes.  The children of all popped domains are bounded in one
-    batched call: each is re-bounded by IBP restarted at its split
-    neuron's layer from its parent's bounds there (the layers below it
-    cannot change), intersected with the parent's bounds, then bounded by
-    CROWN, and its own branch neuron is chosen from those bounds; it is
-    discarded once positive.  A child is a function of its parent's row.
-    The kept children are written into free slots, popped domains' among
-    them.  Domains with no unstable neurons are resolved exactly by the
-    linear closed form, which falsifies from its witness corner or, when
-    the witness leaves the split region, from a PGD attack seeded at the
-    witness.  Both attacks are ``pgd_attack``'s descent loop
-    run on the spec alone.
+    The root is bounded by CROWN first, and a positive bound verifies it.
+    Otherwise a worst-bound-first worklist of domains, ordered by (bound,
+    insertion counter), is searched (``_search``).  A PGD attack on the
+    whole box, from its center plus seeded random restarts, runs once,
+    and only when the search ends open: a TIMEOUT (domain budget or
+    clock), or a VERIFIED result after some linear leaf was discarded,
+    whose region may hold a counterexample (README, "Soundness model").
+    If it finds one, the verdict is FALSIFIED at that point, and
+    ``domains_explored`` counts the search that ran.  A search that
+    verifies with no discarded leaf, or falsifies at a leaf, has proved
+    its verdict and is not attacked.  A margin the root attack would
+    falsify thus pays for its search first.  The attack is
+    ``pgd_attack``'s descent loop run on the spec alone.
 
     ``max_domains`` counts bounded domains: a step pops at most half the
     budget left.  A domain's children depend only on that domain, so a
@@ -401,34 +394,62 @@ def bab_verify(
     size; a timeout's reported worst remaining bound, and where a
     falsified search stops (or whether it runs out of budget first),
     depend on the search order.  The clock is read before each pop, so a
-    search can overrun ``time_limit`` by one step (up to 64 children).
-    ``root_inter`` supplies the root's bounds, those of the whole box with
-    no split (default: ``compute_bounds(..., "crown")``, as the verify
-    stage computes them); it is used as given.  ``root_bound`` supplies
-    the root's ``crown_lower_bound`` of the spec (default: computed here),
-    for callers that have bounded the root; the root's branch neuron is
-    chosen only when a search starts.
+    search can overrun ``time_limit`` by one step (up to 64 children) plus
+    one root attack.  ``root_inter`` supplies the root's bounds, those of
+    the whole box with no split (default: ``compute_bounds(..., "crown")``,
+    as the verify stage computes them); it is used as given.
+    ``root_bound`` supplies the root's ``crown_lower_bound`` of the spec
+    (default: computed here), for callers that have bounded the root; the
+    root's branch neuron is chosen only when a search starts.
     """
     t0 = time.perf_counter()
     budget = budget or VerifyBudget()
     root_split = SplitAssignment.free(net)
-    explored = 1
-
-    def verdict(status, bound, cex=None):
-        cex = None if cex is None else np.asarray(cex, dtype=np.float64)
-        return VerdictRecord(status, float(bound), cex, time.perf_counter() - t0, explored)
-
     inter = compute_bounds(net, box, root_split, "crown") if root_inter is None else root_inter
     if root_bound is None:
         root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         # a sound positive bound admits no counterexample to attack
-        return verdict(VerdictStatus.VERIFIED, root_bound)
-    restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
-    starts = np.vstack([box.center()[None, :], restarts])
-    x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
-    if val < 0.0:
-        return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+        elapsed = time.perf_counter() - t0
+        return VerdictRecord(VerdictStatus.VERIFIED, float(root_bound), None, elapsed, 1)
+    status, bound, cex, explored, discarded = _search(
+        net, spec, box, budget, t0, inter, root_split, root_bound
+    )
+    if status is VerdictStatus.TIMEOUT or (status is VerdictStatus.VERIFIED and discarded):
+        # the search left some region undecided: attack the whole box once
+        restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
+        starts = np.vstack([box.center()[None, :], restarts])
+        x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
+        if val < 0.0:
+            status, bound, cex = VerdictStatus.FALSIFIED, val, x_adv
+    cex = None if cex is None else np.asarray(cex, dtype=np.float64)
+    return VerdictRecord(status, float(bound), cex, time.perf_counter() - t0, explored)
+
+
+def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
+    """``bab_verify``'s search from a root whose bound is not positive.
+
+    The domains are rows (``_Rows``) of one store (``_Frontier``); the
+    heap holds ``(bound, counter, slot)``.  Each step pops up to
+    ``_BAB_BATCH`` (32) worst domains, gathers their rows twice each, and
+    forces each popped domain's branch neuron, its worst unstable neuron,
+    both ways in the gathered codes.  The children of all popped domains
+    are bounded in one batched call: each is re-bounded by IBP restarted
+    at its split neuron's layer from its parent's bounds there (the layers
+    below it cannot change), intersected with the parent's bounds, then
+    bounded by CROWN, and its own branch neuron is chosen from those
+    bounds; it is discarded once positive.  A child is a function of its
+    parent's row.  The kept children are written into free slots, popped
+    domains' among them.  Domains with no unstable neurons are resolved
+    exactly by the linear closed form, which falsifies from its witness
+    corner or, when the witness leaves the split region, from a PGD
+    attack seeded at the witness; failing that, the leaf is discarded.
+
+    Returns ``(status, bound, counterexample, domains explored,
+    discarded)``, where ``discarded`` tells whether some linear leaf was
+    discarded."""
+    explored = 1
+    discarded = False
     # a child starts from its split layer's pre-activations, so it never
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
@@ -447,7 +468,7 @@ def bab_verify(
         # each branching pop bounds two children, and never past the budget
         room = min(_BAB_BATCH, (budget.max_domains - explored) // 2)
         if room < 1:
-            return verdict(VerdictStatus.TIMEOUT, heap[0][0])
+            return VerdictStatus.TIMEOUT, heap[0][0], None, explored, discarded
         parents = []
         for _ in range(room):
             if not heap:
@@ -455,7 +476,7 @@ def bab_verify(
             if budget.time_limit is not None and time.perf_counter() - t0 > budget.time_limit:
                 # popped in bound order, so the first pending parent is the worst
                 worst = store.rows.bound[parents[0]] if parents else heap[0][0]
-                return verdict(VerdictStatus.TIMEOUT, worst)
+                return VerdictStatus.TIMEOUT, worst, None, explored, discarded
             slot = heapq.heappop(heap)[2]
             if store.rows.branch[slot] < 0:
                 store.free.append(slot)
@@ -468,12 +489,13 @@ def bab_verify(
                     verified_floor = min(verified_floor, leaf_val)
                     continue
                 if kind == "falsified":
-                    return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
+                    return VerdictStatus.FALSIFIED, leaf_val, witness, explored, discarded
                 # witness left the split region: one seeded attempt, then the
                 # domain is discarded, though it may hold a counterexample
                 x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
                 if val < 0.0:
-                    return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+                    return VerdictStatus.FALSIFIED, val, x_adv, explored, discarded
+                discarded = True
                 continue
             parents.append(slot)
         if not parents:
@@ -508,7 +530,7 @@ def bab_verify(
         for bound, slot in zip(kids.bound.tolist(), store.put(kids)):
             heapq.heappush(heap, (bound, counter, slot))
             counter += 1
-    return verdict(VerdictStatus.VERIFIED, verified_floor)
+    return VerdictStatus.VERIFIED, verified_floor, None, explored, discarded
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,10 @@ def test_the_rule_check_catches_a_stray_build():
 # A region is empty where its bounds cross, and one place decides that:
 # LayerBounds.feasible.  Box.__post_init__ checks its input the same way.
 _EMPTINESS_TESTS = {"LayerBounds.feasible", "Box.__post_init__"}
+# compute_bounds' rounding rule tests for crossed neurons too, but only to
+# un-cross them (each takes its IBP interval): it decides no emptiness.
+# Each of these places tests once
+_UNCROSSING = {"compute_bounds"}
 
 
 def _qualified(tree: ast.AST) -> dict:
@@ -235,8 +239,21 @@ def _constant(node) -> bool:
 def _emptiness_tests(tree: ast.AST):
     """(line, where) of every ``np.any(a > b)`` or ``(a > b).any()`` in the
     tree whose comparison has no constant operand: a test of whether two
-    arrays cross."""
+    arrays cross.  The comparison may also be a name it was assigned to in
+    the same scope (``crossed = a > b`` then ``crossed.any()``)."""
     where = _qualified(tree)
+
+    def crossing(node):
+        return isinstance(node, ast.Compare) and not any(
+            _constant(x) for x in [node.left, *node.comparators]
+        )
+
+    masks = {
+        (where.get(id(node)), node.targets[0].id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name) and crossing(node.value)
+    }
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
@@ -245,27 +262,38 @@ def _emptiness_tests(tree: ast.AST):
         owner = node.func.value
         np_any = isinstance(owner, ast.Name) and owner.id == "np" and node.args
         operand = node.args[0] if np_any else owner
-        if isinstance(operand, ast.Compare) and not any(
-            _constant(x) for x in [operand.left, *operand.comparators]
-        ):
+        named = isinstance(operand, ast.Name) and (where.get(id(node)), operand.id) in masks
+        if crossing(operand) or named:
             yield node.lineno, where.get(id(node))
 
 
 def test_one_place_decides_emptiness():
     tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
-    assert {where for _, where in _emptiness_tests(tree)} == _EMPTINESS_TESTS
+    assert sorted(where for _, where in _emptiness_tests(tree)) == sorted(
+        _EMPTINESS_TESTS | _UNCROSSING
+    )
 
 
 def test_the_emptiness_check_catches_a_second_decision():
-    # _clamp_split deciding emptiness again, as it did with a stored flag
-    tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_clamp_split":
-            node.body.insert(0, ast.parse("empty = np.any(zl > zu, axis=-1, keepdims=True)").body[0])
-    assert {where for _, where in _emptiness_tests(tree)} == _EMPTINESS_TESTS | {"_clamp_split"}
+    # _clamp_split deciding emptiness again, as it did with a stored flag,
+    # inline or through a named mask
+    for decision in (
+        "empty = np.any(zl > zu, axis=-1, keepdims=True)",
+        "crossed = zl > zu\nempty = crossed.any(axis=-1)",
+    ):
+        tree = ast.parse((SRC / "bounds.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_clamp_split":
+                node.body[0:0] = ast.parse(decision).body
+        assert sorted(where for _, where in _emptiness_tests(tree)) == sorted(
+            _EMPTINESS_TESTS | _UNCROSSING | {"_clamp_split"}
+        )
     snippet = ast.parse(
         "import numpy as np\n"
         "class B:\n    def f(self, l, u):\n        return np.any(l > u), (l < 0.0).any()\n"
         "def g(a, b):\n    return (a > b).any() or np.any(a <= -1.0)\n"
+        "def h(a, c):\n    n = a > 0.0\n    crossed = a > c\n"
+        "    return crossed.any(), np.any(n)\n"
+        "def k(crossed):\n    return crossed.any()\n"
     )
-    assert sorted(_emptiness_tests(snippet)) == [(4, "B.f"), (6, "g")]
+    assert sorted(_emptiness_tests(snippet)) == [(4, "B.f"), (6, "g"), (10, "h")]

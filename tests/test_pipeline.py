@@ -224,6 +224,15 @@ class TestRunPipeline:
         )
         assert len(records) == 1
 
+    @pytest.mark.parametrize("key, value", [("workers", 0), ("num_verify", -1)])
+    def test_bad_split_count_is_usage_error(self, key, value):
+        # either once died splitting the examples into chunks, in np.array_split
+        net = Network([manual_layer([[1.0], [-1.0]], [0.0, 0.0])])
+        kwargs = dict(eps_verify=0.1, clip=None, budget=VerifyBudget(None, 10), num_verify=1)
+        kwargs[key] = value
+        with pytest.raises(UsageError, match=rf"{key} must be >= \d, got {value}"):
+            evaluate_network(net, Dataset(np.array([[0.5]]), np.array([0])), **kwargs)
+
     def test_root_bounds_count_in_verification_time(self, monkeypatch):
         # one hidden neuron, logits (z, -z) with z in [0.4, 0.6]: robust, so
         # the example reaches the root's bound computation and BaB
@@ -350,7 +359,7 @@ def _without_time(records):
 def _lockstep_cases():
     """Random nets with 2-5 classes and one or two hidden layers; most
     labels are the clean prediction.  Weak attacks leave counterexamples to
-    BaB's root attack (falsified), small domain budgets give timeouts."""
+    BaB (falsified), small domain budgets give timeouts."""
     for seed in range(16):
         rng = np.random.default_rng(8800 + seed)
         classes = 2 + seed % 4

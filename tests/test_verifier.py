@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,39 +293,57 @@ class TestBabVerify:
         assert v.domains_explored == 1
         assert v.bound > 0
 
-    def test_root_attack_runs_only_when_root_bound_not_positive(self, monkeypatch):
+    # root attacks per run, by how the run ended: at a positive root bound,
+    # or by a search that verified with no discarded leaf, verified after
+    # one, falsified at a leaf or ran out of budget
+    ROOT_ATTACKS = {"root": 0, "verified": 0, "discarded": 1, "leaf": 0, "timeout": 1}
+
+    def test_root_attack_runs_only_when_the_search_ends_open(self, monkeypatch):
         from graftcert import verifier
 
-        calls = []
+        search, minimize = verifier._search, verifier._minimize_spec
+        run = {}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return _minimize_spec(*args, **kwargs)
+        def ending(*args):
+            out = search(*args)
+            status, _, _, _, discarded = out
+            run["end"] = {
+                VerdictStatus.VERIFIED: "discarded" if discarded else "verified",
+                VerdictStatus.FALSIFIED: "leaf",
+                VerdictStatus.TIMEOUT: "timeout",
+            }[status]
+            return out
 
+        def counted(net, spec, box, steps, starts):
+            # the root attack starts at the box center and its restarts, a
+            # leaf's attack at its witness alone
+            run["root"] += len(starts) == _ROOT_ATTACK_RESTARTS
+            return minimize(net, spec, box, steps, starts)
+
+        monkeypatch.setattr(verifier, "_search", ending)
         monkeypatch.setattr(verifier, "_minimize_spec", counted)
-        net = Network([manual_layer([[1.0], [0.0]], [5.0, 0.0])])
-        box = Box(np.array([0.0]), np.array([1.0]))
-        v = bab_verify(net, build_specs(2, 0)[0], box, VerifyBudget(None, 100), seed=0)
-        assert v.status == VerdictStatus.VERIFIED and calls == []
-        # the reversed margin is negative everywhere: the root attack runs
-        v = bab_verify(net, build_specs(2, 1)[0], box, VerifyBudget(None, 100), seed=0)
-        assert v.status == VerdictStatus.FALSIFIED and len(calls) == 1
-        # random nets: a margin verified at the root was never attacked
+        cases = []
         rng = np.random.default_rng(3)
-        root_verified = 0
         for seed in range(20):
-            net = random_net(900 + seed, widths=[2, 6, 6, 3])
+            net = random_net(900 + seed, widths=[2, 8, 8, 3])
             x0 = rng.uniform(0.2, 0.8, 2)
             label = int(np.argmax(forward(net, x0)[0]))
-            for spec in build_specs(3, label):
-                del calls[:]
-                v = bab_verify(net, spec, input_region(x0, 0.02, (0, 1)), VerifyBudget(None, 50), seed=seed)
-                if v.status == VerdictStatus.VERIFIED and v.domains_explored == 1:
-                    root_verified += 1
-                    assert calls == []
-                else:
-                    assert len(calls) >= 1
-        assert root_verified > 0
+            box = input_region(x0, 0.3, (0, 1))
+            cases += [(net, spec, box, seed) for spec in build_specs(3, label)]
+        seen = Counter()
+        for net, spec, box, seed in cases:
+            run.update(end="root", root=0)
+            v = bab_verify(net, spec, box, VerifyBudget(None, 50), seed=seed)
+            assert run["root"] == self.ROOT_ATTACKS[run["end"]], run
+            if run["end"] == "root":
+                assert v.status == VerdictStatus.VERIFIED and v.domains_explored == 1
+            if v.status == VerdictStatus.FALSIFIED:
+                assert box.contains(v.counterexample)
+                assert spec.value(forward(net, v.counterexample)[0]) < 0.0
+            seen[run["end"], v.status] += 1
+        assert {end for end, _ in seen} == set(self.ROOT_ATTACKS), seen
+        # the attack after a timeout falsifies some margins
+        assert seen["timeout", VerdictStatus.FALSIFIED] > 0
 
     def test_falsified_has_valid_counterexample(self):
         rng = np.random.default_rng(7)
@@ -443,20 +462,23 @@ class TestBabVerify:
     # restarted from its parent's bounds instead of its parent's raw IBP,
     # which moved case 12 alone (falsified at the same point after 71
     # domains, not 97), and again when a root not given became
-    # CROWN-refined instead of plain IBP (see PIN_WORK); bounding children
+    # CROWN-refined instead of plain IBP, and again when the root attack
+    # moved after the search (see PIN_WORK); bounding children
     # incrementally, or in batches of one domain's children, must not move
     # a bit of it
-    PIN_DIGEST = "338626548c8806513bf160ea78840856f62c85196ab44c7ff18e95fcff26fb44"
+    PIN_DIGEST = "1aee8c9684dca7e619d99890605e5b88d2e2fe03a909cdd99b6710e300b4d0c2"
     # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
     # bounds and where falsified searches stop.  The parent-bounds restart
-    # moved case 12 (f135 -> f89); re-recorded at the CROWN root
-    BATCHED_PIN_DIGEST = "f2bd7f2a8488fbd903981efa08975965dcbe7d24d48ed85017d93947c9e0c12a"
+    # moved case 12 (f135 -> f89); re-recorded at the CROWN root and when
+    # the root attack moved after the search
+    BATCHED_PIN_DIGEST = "6ee9887e433185646fd007816843975b7da9659728ce3c0d5c8f793f33fe0bb2"
     # the same at the default of 32 domains per step, which differs from
     # both only in timeout bounds and where falsified searches stop.  The
     # parent-bounds restart moved case 12's timeout bound (-0x1.b55e13b554ddep+1
-    # -> -0x1.b3764344f207cp+1); re-recorded at the CROWN root
-    WIDE_PIN_DIGEST = "b7d712f7699ff91a911bcbb2a58e6163b74dade23888345b74297972c6409d2d"
+    # -> -0x1.b3764344f207cp+1); re-recorded at the CROWN root and when the
+    # root attack moved after the search
+    WIDE_PIN_DIGEST = "2a0d8230b917282400e8e43660801cd08aa7496a79407380554572395d3d546a"
     # per case of _pin_cases, its status (first letter) and domains
     # explored at 1, 8 and 32 domains per step, recorded before the bound
     # products were blocked (a new bound product may move the digests
@@ -465,17 +487,21 @@ class TestBabVerify:
     # cases 4, 5, 20, 28, 29 and 34 went from timeouts to verified, cases
     # 11, 14, 15, 35 and 38 verified in fewer domains, and no verdict went
     # between verified and falsified; seeds 20-27 (cases 40-55) joined
-    # then, to keep the search work the tests below count
+    # then, to keep the search work the tests below count.  When the root
+    # attack moved after the search, only the eight cases it had falsified
+    # at the root (f1) moved, and no status letter: cases 9, 13, 21, 27,
+    # 47, 48, 49 and 52 now pay for their search first, and four of them
+    # are falsified by the attack after a timeout (f149)
     PIN_WORK = {
-        1: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 f71 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
-           "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
-           "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
-        8: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 f89 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
-           "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
-           "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
-        32: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f1 v1 v1 t149 f1 v1 v11 v1 v1 v1 v1 v1 f1 "
-            "v1 v1 v1 v1 v1 f1 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
-            "v1 v1 v15 v1 v1 v1 v1 f1 f1 f1 f7 v1 f1 t149 v135 t149 f3",
+        1: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f51 v1 v1 f71 f19 v1 v11 v1 v1 v1 v1 v1 f149 "
+           "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+           "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
+        8: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f41 v1 v1 f89 f63 v1 v11 v1 v1 v1 v1 v1 f149 "
+           "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+           "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
+        32: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f45 v1 v1 t149 f83 v1 v11 v1 v1 v1 v1 v1 f149 "
+            "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+            "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
     }
 
     @staticmethod
@@ -591,11 +617,12 @@ class TestBabVerify:
     # the pin digests at 1, 8 and 32 domains per step with the products of
     # the bound code before it multiplied fixed row blocks, one
     # matrix-vector product per row (conftest.per_row_products); re-recorded
-    # at the parent-bounds restart and at the CROWN root
+    # at the parent-bounds restart, at the CROWN root and when the root
+    # attack moved after the search
     PER_ROW_PIN_DIGESTS = {
-        1: "841fcb7ae418aa9c19420667e71155215ee794835419b55db805e7edc6d01b94",
-        8: "71829073f4190a1811f58a32bb35fb4f8cfceacc6dbed297ab7ee07b2455321a",
-        32: "18947687f2501dba6db4b88d80c4d0029128df24335a86f3af8ab9143e76202a",
+        1: "d4c38114433696362824c3fb0ba91427c1b96649e8414dcb7e9f2d9770a03700",
+        8: "d1a5da786969866a80e48818682bdee900010b32b99f1c301b03633fc1b86091",
+        32: "0f9e92e54ed88f098250751a5e3942fdbc52bc0adc18969b66c048b03af12a16",
     }
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
@@ -901,10 +928,18 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     # bab_verify as it was when the frontier held one record per
     # pending domain: it stacked the popped parents' arrays into rows for
     # the bounding call and copied each kept child back out of them (no
-    # wall clock: budgets here count domains only)
+    # wall clock: budgets here count domains only), with the root attack
+    # run once a search ends open
     explored = 1
+    discarded = False
 
     def verdict(status, bound, cex=None):
+        if status == VerdictStatus.TIMEOUT or status == VerdictStatus.VERIFIED and discarded:
+            restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
+            starts = np.vstack([box.center()[None, :], restarts])
+            x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
+            if val < 0.0:
+                status, bound, cex = VerdictStatus.FALSIFIED, val, x_adv
         cex = None if cex is None else np.asarray(cex, dtype=np.float64)
         return VerdictRecord(status, float(bound), cex, 0.0, explored)
 
@@ -913,11 +948,6 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
     if root_bound > 0.0:
         return verdict(VerdictStatus.VERIFIED, root_bound)
-    restarts = box.sample(np.random.default_rng(seed), _ROOT_ATTACK_RESTARTS - 1)
-    starts = np.vstack([box.center()[None, :], restarts])
-    x_adv, val = _minimize_spec(net, spec, box, _ROOT_ATTACK_STEPS, starts)
-    if val < 0.0:
-        return verdict(VerdictStatus.FALSIFIED, val, x_adv)
     signed = (None,) + _sign_split(net.layers[1:])
     root_branch = int(_branch_on(_domain_lines(net, inter, root_split)))
     heap = [(root_bound, 0, _Record(root_split, root_bound, inter, root_branch))]
@@ -954,6 +984,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
                 x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
                 if val < 0.0:
                     return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+                discarded = True
                 continue
             parents.append(dom)
         if not parents:
@@ -1078,13 +1109,14 @@ class TestDiscardedLeaf:
             v = bab_verify(net, spec, box, VerifyBudget(None, 1000), seed=seed)
             assert v.status != VerdictStatus.VERIFIED
 
-    def test_centered_dip_is_falsified_at_the_root(self):
-        # the root attack starts at the box center, the bottom of the dip;
-        # without it this case too comes back VERIFIED
+    def test_centered_dip_is_falsified_after_its_search(self):
+        # the search discards the leaf that holds the dip and ends open, so
+        # the root attack runs; it starts at the box center, the bottom of
+        # the dip.  Without it this case too comes back VERIFIED
         net, spec, box = self._dip([-0.48, -0.50, -0.52])
         for seed in range(10):
             v = bab_verify(net, spec, box, VerifyBudget(None, 1000), seed=seed)
-            assert v.status == VerdictStatus.FALSIFIED and v.domains_explored == 1
+            assert v.status == VerdictStatus.FALSIFIED and v.domains_explored > 1
             assert box.contains(v.counterexample)
             assert spec.value(forward(net, v.counterexample)[0]) < 0.0
 
