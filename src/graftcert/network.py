@@ -437,29 +437,57 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _field(entry, key: str, where: str):
+    """``entry[key]``, or a FormatError naming the missing key and where."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise FormatError(f"checkpoint {where}has no {key!r} entry")
+    return entry[key]
+
+
 def network_from_dict(doc: dict) -> Network:
+    """The network a checkpoint document describes.  A malformed document
+    raises FormatError naming the problem: a missing entry, a value of the
+    wrong type or size, or an ``input_dim`` its first layer does not have.
+    Layers that do not chain, and non-finite values, raise the network's
+    own StructuralError or DomainError."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"checkpoint must be a JSON object, got {type(doc).__name__}")
     if doc.get("format") != _FORMAT:
         raise FormatError(f"unknown checkpoint format {doc.get('format')!r}")
-    layers = []
-    for entry in doc["layers"]:
-        shape = tuple(entry["shape"])
-        w = np.asarray(entry["weight"], dtype=np.float64).reshape(shape)
-        layers.append(AffineLayer(w, np.asarray(entry["bias"], dtype=np.float64)))
-    net = Network(layers)
-    acts = doc["activations"]
-    if len(acts) != net.num_hidden:
+    try:
+        layers = []
+        for i, entry in enumerate(_field(doc, "layers", "")):
+            where = f"layer {i} "
+            w = np.asarray(_field(entry, "weight", where), dtype=np.float64)
+            w = w.reshape(tuple(_field(entry, "shape", where)))
+            bias = np.asarray(_field(entry, "bias", where), dtype=np.float64)
+            layers.append(AffineLayer(w, bias))
+        net = Network(layers)
+        acts = _field(doc, "activations", "")
+        if len(acts) != net.num_hidden:
+            raise FormatError(
+                f"activation table has {len(acts)} entries, expected {net.num_hidden}"
+            )
+        for nid, entry in enumerate(acts):
+            h, j = net.neuron_location(nid)
+            where = f"activation {nid} "
+            kind = _field(entry, "kind", where)
+            if kind == "linear":
+                net.grafted[h][j] = True
+                net.slopes[h][j] = float(_field(entry, "slope", where))
+                net.intercepts[h][j] = float(_field(entry, "intercept", where))
+            elif kind != "relu":
+                raise FormatError(f"unknown activation kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type or size: a string weight, a float shape
+        raise FormatError(f"checkpoint has a malformed value: {exc}") from exc
+    if _field(doc, "input_dim", "") != net.input_dim:
         raise FormatError(
-            f"activation table has {len(acts)} entries, expected {net.num_hidden}"
+            f"checkpoint input_dim {doc['input_dim']!r} differs from its first layer's "
+            f"input width {net.input_dim}"
         )
-    for nid, entry in enumerate(acts):
-        h, j = net.neuron_location(nid)
-        if entry["kind"] == "linear":
-            net.grafted[h][j] = True
-            net.slopes[h][j] = float(entry["slope"])
-            net.intercepts[h][j] = float(entry["intercept"])
-        elif entry["kind"] != "relu":
-            raise FormatError(f"unknown activation kind {entry['kind']!r}")
-    return net
+    # built again, so that the constructor checks the grafted values too
+    return Network(net.layers, net.grafted, net.slopes, net.intercepts)
 
 
 def save_checkpoint(net: Network, path) -> None:

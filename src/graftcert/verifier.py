@@ -259,22 +259,20 @@ def _resolve_linear_leaf(
     """Exact closed form for a domain with no unstable neurons, from its
     split and its bounds: 1-D per layer, or one stacked ``(1, 1, d)`` row.
 
-    Returns ("verified", min, None) when the box minimum of the
-    pattern-affine function is positive, ("falsified", value, witness)
-    when the witness corner genuinely violates the spec, and
-    ("discard", min, witness) when the witness leaves the split region.
+    Returns ("falsified", value, witness) when the witness corner, the box
+    minimizer of the pattern-affine function, genuinely violates the spec,
+    and ("discard", min, witness) otherwise, as when the witness leaves the
+    split region.  BaB resolves a leaf only when its bound, which is this
+    box minimum bit for bit, is not positive: every lower line here is its
+    upper line, so the CROWN lower-bound pass (``_backward``) is exact.
     The minimum is over the whole box, not the region, so a discarded
-    region may still hold a counterexample (README, "Soundness model").
-    Every lower line here is its upper line, so the CROWN lower-bound pass
-    (``_backward``) is exact."""
+    region may still hold a counterexample (README, "Soundness model")."""
     lead = inter.lower[-1].shape[:-1] or (1,)
     C = np.broadcast_to(spec.coeffs, lead + spec.coeffs.shape)
     lines = _domain_lines(net, inter, split)
     mins, A = _backward(net, lines, box, C, np.full(lead, spec.const), len(net.layers) - 1)
     exact_min = float(mins.reshape(-1)[0])
     witness = np.where(A.reshape(-1) > 0.0, box.lower, box.upper)
-    if exact_min > 0.0:
-        return ("verified", exact_min, None)
     logits, _, _ = forward_batch(net, witness[None, :])
     true_val = spec.value(logits[0])
     if true_val < 0.0:
@@ -287,8 +285,9 @@ class _Rows(NamedTuple):
     d_i)``, from which their children's bounds are computed; their split
     codes (flat ids), ``(n, 1, H)``; their certified lower bounds and
     ``branch``, ``(n,)``.  ``branch`` is the neuron BaB splits when it pops
-    the domain, or -1 when it has no unstable neuron (a linear leaf),
-    chosen when the domain is bounded, from its relaxation lines: the
+    the domain, or -1 when it has no unstable neuron (a linear leaf, which
+    is resolved at once and never stored), chosen when the domain is
+    bounded, from its relaxation lines: the
     root's from one build of its own, a child's from those its batch's
     bounding pass built for its CROWN bound (``_bound_children``)."""
 
@@ -318,14 +317,15 @@ class _Frontier:
     """BaB's pending domains as one ``_Rows`` of stacked arrays, one slot
     (row) per domain, all a child's bounding reads of its parent.  ``take``
     gathers rows and ``put`` writes them with one indexed operation per
-    array.  ``free`` lists the slots of popped domains, which later
+    array.  The store starts empty, on the root's arrays as its first row
+    of capacity.  ``free`` lists the slots of popped domains, which later
     children reuse; the capacity doubles when no slot is free, so memory
     follows the live frontier, not ``max_domains``."""
 
     def __init__(self, root: _Rows):
         self.rows = root
         self.free: list[int] = []
-        self.used = len(root.bound)
+        self.used = 0
 
     def take(self, slots) -> _Rows:
         return self.rows.map(lambda a: a[slots])
@@ -344,7 +344,7 @@ class _Frontier:
             while cap < self.used:
                 cap *= 2
             self._grow(cap)
-        index = np.array(slots)
+        index = np.array(slots, dtype=np.intp)
         for a, v in zip(self.rows.arrays(), rows.arrays()):
             a[index] = v
         return slots
@@ -393,11 +393,13 @@ def bab_verify(
     VERIFIED result, its bound and its work do not depend on the batch
     size; a timeout's reported worst remaining bound, and where a
     falsified search stops (or whether it runs out of budget first),
-    depend on the search order.  The clock is read before each pop, so a
-    search can overrun ``time_limit`` by one step (up to 64 children) plus
-    one root attack.  ``root_inter`` supplies the root's bounds, those of
-    the whole box with no split (default: ``compute_bounds(..., "crown")``,
-    as the verify stage computes them); it is used as given.
+    depend on the search order.  A linear leaf is resolved in the step
+    that bounds it.  The clock is read once per step, so a search can
+    overrun ``time_limit`` by one step (up to 64 children, its leaves'
+    resolution included) plus one root attack.  ``root_inter`` supplies
+    the root's bounds, those of the whole box with no split (default:
+    ``compute_bounds(..., "crown")``, as the verify stage computes them);
+    it is used as given.
     ``root_bound`` supplies the root's ``crown_lower_bound`` of the spec
     (default: computed here), for callers that have bounded the root; the
     root's branch neuron is chosen only when a search starts.
@@ -430,7 +432,14 @@ def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
     """``bab_verify``'s search from a root whose bound is not positive.
 
     The domains are rows (``_Rows``) of one store (``_Frontier``); the
-    heap holds ``(bound, counter, slot)``.  Each step pops up to
+    heap holds ``(bound, counter, slot)``.  The root, then each step's
+    children, pass one admission step.  A positive bound closes a domain.
+    A domain with no unstable neurons (a linear leaf) is resolved on the
+    spot by the linear closed form, which falsifies from its witness corner
+    or, when the witness leaves the split region, from a PGD attack seeded
+    at the witness; failing that, the leaf is discarded.  The rest are
+    written into free slots, popped domains' among them, and pushed, so
+    every pop branches.  Each step reads the clock once, pops up to
     ``_BAB_BATCH`` (32) worst domains, gathers their rows twice each, and
     forces each popped domain's branch neuron, its worst unstable neuron,
     both ways in the gathered codes.  The children of all popped domains
@@ -438,12 +447,8 @@ def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
     at its split neuron's layer from its parent's bounds there (the layers
     below it cannot change), intersected with the parent's bounds, then
     bounded by CROWN, and its own branch neuron is chosen from those
-    bounds; it is discarded once positive.  A child is a function of its
-    parent's row.  The kept children are written into free slots, popped
-    domains' among them.  Domains with no unstable neurons are resolved
-    exactly by the linear closed form, which falsifies from its witness
-    corner or, when the witness leaves the split region, from a PGD
-    attack seeded at the witness; failing that, the leaf is discarded.
+    bounds.  A child is a function of its parent's row.  A search can
+    overrun ``time_limit`` by one step, its leaves' resolution included.
 
     Returns ``(status, bound, counterexample, domains explored,
     discarded)``, where ``discarded`` tells whether some linear leaf was
@@ -453,41 +458,32 @@ def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
     # a child starts from its split layer's pre-activations, so it never
     # needs the first layer's weights, usually the largest (784 x 128 on MNIST)
     signed = (None,) + _sign_split(net.layers[1:])
-    # the store's rows are copies: it writes into them, and the caller may
-    # share ``root_inter`` between specs
-    store = _Frontier(_Rows(
+    # the root's row is a copy: the store writes into its arrays, and the
+    # caller may share ``root_inter`` between specs
+    rows = _Rows(
         *(tuple(x[None, None].copy() for x in side) for side in (inter.lower, inter.upper)),
         root_split.flat()[None, None], np.array([root_bound]),
         np.array([_branch_on(_domain_lines(net, inter, root_split))]),
-    ))
+    )
+    store = _Frontier(rows)
     offsets = net.layer_offsets()
-    heap = [(root_bound, 0, 0)]
-    counter = 1
+    heap = []
+    counter = 0
     verified_floor = np.inf
-    while heap:
-        # each branching pop bounds two children, and never past the budget
-        room = min(_BAB_BATCH, (budget.max_domains - explored) // 2)
-        if room < 1:
-            return VerdictStatus.TIMEOUT, heap[0][0], None, explored, discarded
-        parents = []
-        for _ in range(room):
-            if not heap:
-                break
-            if budget.time_limit is not None and time.perf_counter() - t0 > budget.time_limit:
-                # popped in bound order, so the first pending parent is the worst
-                worst = store.rows.bound[parents[0]] if parents else heap[0][0]
-                return VerdictStatus.TIMEOUT, worst, None, explored, discarded
-            slot = heapq.heappop(heap)[2]
-            if store.rows.branch[slot] < 0:
-                store.free.append(slot)
-                leaf = store.rows.map(lambda a: a[slot : slot + 1])
+    while True:
+        bound = rows.bound
+        closed = bound > 0.0
+        # +inf marks an empty region, verified vacuously
+        verified_floor = min(verified_floor, bound[closed & np.isfinite(bound)].min(initial=np.inf))
+        keep = ~closed & (rows.branch >= 0)
+        if not keep.all():
+            # the open domains not kept are linear leaves
+            for r in np.flatnonzero(~(closed | keep)):
+                leaf = rows.map(lambda a: a[r : r + 1])
                 kind, leaf_val, witness = _resolve_linear_leaf(
                     net, box, _layer_codes(net, leaf.codes),
                     LayerBounds(leaf.lower, leaf.upper, net.grafted), spec,
                 )
-                if kind == "verified":
-                    verified_floor = min(verified_floor, leaf_val)
-                    continue
                 if kind == "falsified":
                     return VerdictStatus.FALSIFIED, leaf_val, witness, explored, discarded
                 # witness left the split region: one seeded attempt, then the
@@ -496,10 +492,18 @@ def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
                 if val < 0.0:
                     return VerdictStatus.FALSIFIED, val, x_adv, explored, discarded
                 discarded = True
-                continue
-            parents.append(slot)
-        if not parents:
-            continue
+            rows = rows.map(lambda a: a[keep])
+        for b, slot in zip(rows.bound.tolist(), store.put(rows)):
+            heapq.heappush(heap, (b, counter, slot))
+            counter += 1
+        if not heap:
+            return VerdictStatus.VERIFIED, verified_floor, None, explored, discarded
+        # each popped domain bounds two children, and never past the budget
+        room = min(_BAB_BATCH, (budget.max_domains - explored) // 2)
+        late = budget.time_limit is not None and time.perf_counter() - t0 > budget.time_limit
+        if room < 1 or late:
+            return VerdictStatus.TIMEOUT, heap[0][0], None, explored, discarded
+        parents = [heapq.heappop(heap)[2] for _ in range(min(room, len(heap)))]
         # one row per child: each popped parent's active child, then its
         # inactive one.  A branch neuron is unstable, so it is free and not
         # grafted, and the checks of ``SplitAssignment.force`` hold
@@ -519,18 +523,7 @@ def _search(net, spec, box, budget, t0, inter, root_split, root_bound):
         # stays valid; on a tie the child's bound is kept, as Python's max
         # keeps its first argument
         cb = np.where(rows.bound > lower, rows.bound, lower)
-        closed = cb > 0.0
-        # +inf marks an empty region, verified vacuously
-        verified_floor = min(verified_floor, cb[closed & np.isfinite(cb)].min(initial=np.inf))
-        if closed.all():
-            continue
-        kids = _Rows(child.lower, child.upper, rows.codes, cb, branch)
-        if closed.any():
-            kids = kids.map(lambda a: a[~closed])
-        for bound, slot in zip(kids.bound.tolist(), store.put(kids)):
-            heapq.heappush(heap, (bound, counter, slot))
-            counter += 1
-    return VerdictStatus.VERIFIED, verified_floor, None, explored, discarded
+        rows = _Rows(child.lower, child.upper, rows.codes, cb, branch)
 
 
 # ---------------------------------------------------------------------------

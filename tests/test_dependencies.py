@@ -297,3 +297,48 @@ def test_the_emptiness_check_catches_a_second_decision():
         "def k(crossed):\n    return crossed.any()\n"
     )
     assert sorted(_emptiness_tests(snippet)) == [(4, "B.f"), (6, "g"), (10, "h")]
+
+
+# A linear leaf is decided in the step that bounds it: one admission step in
+# _search, which the root and every step's children pass, resolves it, so
+# the frontier holds only domains BaB can branch
+_LEAF_RESOLVER = "_resolve_linear_leaf"
+
+
+def _call_sites(tree: ast.AST, name: str):
+    """The innermost function around every call to ``name`` in the tree,
+    by bare name or as an attribute (``verifier._resolve_linear_leaf``);
+    module-level calls are None."""
+    inside = _enclosing(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                yield inside.get(id(node))
+
+
+def test_one_admission_step_resolves_linear_leaves():
+    sites = [
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where in _call_sites(ast.parse(path.read_text(encoding="utf-8")), _LEAF_RESOLVER)
+    ]
+    assert sites == [("verifier.py", "_search")], sites
+
+
+def test_the_leaf_check_catches_a_second_call_site():
+    # bab_verify resolving a linear root itself, as a search once did when
+    # it popped one, by bare name or through the module
+    for call in (
+        "_resolve_linear_leaf(net, box, root_split, inter, spec)",
+        "verifier._resolve_linear_leaf(net, box, root_split, inter, spec)",
+    ):
+        tree = ast.parse((SRC / "verifier.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "bab_verify":
+                node.body.insert(1, ast.parse(call).body[0])
+        assert sorted(_call_sites(tree, _LEAF_RESOLVER)) == ["_search", "bab_verify"]
+    snippet = ast.parse("def f():\n    def g():\n        _resolve_linear_leaf()\n"
+                        "    return g\n_resolve_linear_leaf()\n")
+    assert set(_call_sites(snippet, _LEAF_RESOLVER)) == {"g", None}

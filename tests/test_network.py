@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from graftcert import (
     DomainError,
+    FormatError,
     GraftedLinear,
     GraftPlan,
     Network,
@@ -336,8 +338,69 @@ class TestCheckpoint:
         net = random_net(33)
         doc = network_to_dict(net)
         doc["activations"].pop()
-        with pytest.raises(Exception):
+        with pytest.raises(FormatError, match="activation table has"):
             network_from_dict(doc)
+
+    @staticmethod
+    def _grafted_doc():
+        doc = network_to_dict(random_net(34, widths=[2, 3, 2], graft_fraction=0.4))
+        assert any(a["kind"] == "linear" for a in doc["activations"])
+        return doc
+
+    @staticmethod
+    def _linear(doc):
+        return next(a for a in doc["activations"] if a["kind"] == "linear")
+
+    def test_non_finite_graft_rejected(self):
+        # JSON can spell NaN, and such a slope once loaded as it was
+        doc = self._grafted_doc()
+        self._linear(doc)["slope"] = float("nan")
+        with pytest.raises(DomainError, match="grafted slopes and intercepts must be finite"):
+            network_from_dict(json.loads(json.dumps(doc)))
+
+    # each malformed document and the message its FormatError carries
+    MALFORMED = {
+        "a list": "checkpoint must be a JSON object, got list",
+        "no layers": "checkpoint has no 'layers' entry",
+        "no activations": "checkpoint has no 'activations' entry",
+        "no shape": "checkpoint layer 1 has no 'shape' entry",
+        "short weights": "checkpoint has a malformed value: cannot reshape array of size 5",
+        "string weight": "checkpoint has a malformed value: could not convert string to float",
+        "float shape": "checkpoint has a malformed value: 'float' object cannot be interpreted",
+        "no slope": "has no 'slope' entry",
+        "no intercept": "has no 'intercept' entry",
+        "wide input_dim": "checkpoint input_dim 5 differs from its first layer's input width 2",
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_document_names_its_problem(self, tmp_path, case):
+        # a bad document fails with a FormatError, not a stray KeyError,
+        # ValueError or AttributeError; an input_dim that its first layer
+        # does not have used to load as the layer's width
+        doc = self._grafted_doc()
+        if case == "a list":
+            doc = [doc]
+        elif case.startswith("no ") and case[3:] in doc:
+            del doc[case[3:]]
+        elif case == "no shape":
+            del doc["layers"][1]["shape"]
+        elif case == "short weights":
+            doc["layers"][0]["weight"].pop()
+        elif case == "string weight":
+            doc["layers"][0]["weight"][0] = "a"
+        elif case == "float shape":
+            doc["layers"][0]["shape"] = [3.0, 2.0]
+        elif case.startswith("no "):
+            del self._linear(doc)[case[3:]]
+        else:
+            doc["input_dim"] = 5
+        message = self.MALFORMED[case]
+        with pytest.raises(FormatError, match=re.escape(message)):
+            network_from_dict(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
 
 
 class TestNetworkStructure:

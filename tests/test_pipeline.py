@@ -897,6 +897,17 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"stage 'data' failed: {message}" in err, err
 
+    def test_malformed_checkpoint_fails_in_its_stage(self, tmp_path, capsys):
+        # a checkpoint with no layers once failed as "stage 'verify' failed:
+        # 'layers'", a bare KeyError
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": "graftcert-checkpoint-v1", "input_dim": 2}))
+        cfg = _write_cfg(tmp_path)
+        assert main(["verify", "--checkpoint", str(bad), "--out", str(tmp_path / "out"),
+                     "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'verify' failed: checkpoint has no 'layers' entry" in err, err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"method\": \"banana\"}")

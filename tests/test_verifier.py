@@ -463,22 +463,29 @@ class TestBabVerify:
     # which moved case 12 alone (falsified at the same point after 71
     # domains, not 97), and again when a root not given became
     # CROWN-refined instead of plain IBP, and again when the root attack
-    # moved after the search (see PIN_WORK); bounding children
-    # incrementally, or in batches of one domain's children, must not move
-    # a bit of it
-    PIN_DIGEST = "1aee8c9684dca7e619d99890605e5b88d2e2fe03a909cdd99b6710e300b4d0c2"
+    # moved after the search (see PIN_WORK), and again when a linear leaf
+    # was decided in the step that bounds it, which moved the work of cases
+    # 9, 12 and 47 and case 47's counterexample (another leaf of the same
+    # step falsifies first); bounding children incrementally, or in batches
+    # of one domain's children, must not move a bit of it
+    PIN_DIGEST = "fb9080b9f552b699a26c49c8e20a2a5e4d41e1e23d2f4df07e202e69db56626c"
     # the same at 8 domains per step, recorded when BaB first popped
     # several domains per step; it differs from PIN_DIGEST only in timeout
     # bounds and where falsified searches stop.  The parent-bounds restart
-    # moved case 12 (f135 -> f89); re-recorded at the CROWN root and when
-    # the root attack moved after the search
-    BATCHED_PIN_DIGEST = "6ee9887e433185646fd007816843975b7da9659728ce3c0d5c8f793f33fe0bb2"
+    # moved case 12 (f135 -> f89); re-recorded at the CROWN root, when the
+    # root attack moved after the search, and when a linear leaf was decided
+    # in the step that bounds it (case 12 f89 -> f91, case 47's
+    # counterexample)
+    BATCHED_PIN_DIGEST = "8566af557755b1bfd4694d52cc6c8e8f7cefa5c1248c0978371c2e0755f123f8"
     # the same at the default of 32 domains per step, which differs from
     # both only in timeout bounds and where falsified searches stop.  The
     # parent-bounds restart moved case 12's timeout bound (-0x1.b55e13b554ddep+1
-    # -> -0x1.b3764344f207cp+1); re-recorded at the CROWN root and when the
-    # root attack moved after the search
-    WIDE_PIN_DIGEST = "2a0d8230b917282400e8e43660801cd08aa7496a79407380554572395d3d546a"
+    # -> -0x1.b3764344f207cp+1); re-recorded at the CROWN root, when the
+    # root attack moved after the search, and when a linear leaf was decided
+    # in the step that bounds it: case 12 no longer spends its budget before
+    # it reaches the falsifying leaf (t149 -> f141, at the counterexample of
+    # the other batch sizes), and case 47's counterexample moved
+    WIDE_PIN_DIGEST = "be4af67a0a5c0d1dd497d3cb1be5cd7cd5d881eb3579f81e375d854d71e4c224"
     # per case of _pin_cases, its status (first letter) and domains
     # explored at 1, 8 and 32 domains per step, recorded before the bound
     # products were blocked (a new bound product may move the digests
@@ -491,15 +498,19 @@ class TestBabVerify:
     # attack moved after the search, only the eight cases it had falsified
     # at the root (f1) moved, and no status letter: cases 9, 13, 21, 27,
     # 47, 48, 49 and 52 now pay for their search first, and four of them
-    # are falsified by the attack after a timeout (f149)
+    # are falsified by the attack after a timeout (f149).  When a linear
+    # leaf was decided in the step that bounds it instead of when popped,
+    # only falsified searches moved: at 1 domain per step cases 9 (f51 ->
+    # f33), 12 (f71 -> f67) and 47 (f7 -> f5), at 8 case 12 (f89 -> f91),
+    # and at 32 case 12 (t149 -> f141); no verified or timeout entry moved
     PIN_WORK = {
-        1: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f51 v1 v1 f71 f19 v1 v11 v1 v1 v1 v1 v1 f149 "
+        1: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f33 v1 v1 f67 f19 v1 v11 v1 v1 v1 v1 v1 f149 "
+           "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
+           "v1 v1 v15 v1 v1 v1 v1 f5 f149 f149 f7 v1 f149 t149 v135 t149 f3",
+        8: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f41 v1 v1 f91 f63 v1 v11 v1 v1 v1 v1 v1 f149 "
            "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
            "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
-        8: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f41 v1 v1 f89 f63 v1 v11 v1 v1 v1 v1 v1 f149 "
-           "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
-           "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
-        32: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f45 v1 v1 t149 f83 v1 v11 v1 v1 v1 v1 v1 f149 "
+        32: "t149 t149 v1 v1 v1 v1 v1 v1 v1 f45 v1 v1 f141 f83 v1 v11 v1 v1 v1 v1 v1 f149 "
             "v1 v1 v1 v1 v1 f3 v43 v3 v1 v1 t149 t149 v95 v15 v1 v1 v1 v1 "
             "v1 v1 v15 v1 v1 v1 v1 f7 f149 f149 f7 v1 f149 t149 v135 t149 f3",
     }
@@ -617,12 +628,13 @@ class TestBabVerify:
     # the pin digests at 1, 8 and 32 domains per step with the products of
     # the bound code before it multiplied fixed row blocks, one
     # matrix-vector product per row (conftest.per_row_products); re-recorded
-    # at the parent-bounds restart, at the CROWN root and when the root
-    # attack moved after the search
+    # at the parent-bounds restart, at the CROWN root, when the root attack
+    # moved after the search and when a linear leaf was decided in the step
+    # that bounds it
     PER_ROW_PIN_DIGESTS = {
-        1: "d4c38114433696362824c3fb0ba91427c1b96649e8414dcb7e9f2d9770a03700",
-        8: "d1a5da786969866a80e48818682bdee900010b32b99f1c301b03633fc1b86091",
-        32: "0f9e92e54ed88f098250751a5e3942fdbc52bc0adc18969b66c048b03af12a16",
+        1: "e6c2d1bf6a8964010fe1e30dd81476fc55979d3c46adbe90aeb814a399862147",
+        8: "116f23f0ebc43e4a17390bcb8ceb0d5afff004a4ba9eff913bf56fc91104592d",
+        32: "1fbfc4b46868ac35dbc77816b775c62f71f88890f5786ca5b99d1d942d653c32",
     }
 
     @pytest.mark.parametrize("batch", [1, 8, 32])
@@ -645,7 +657,7 @@ class TestBabVerify:
             [v.bound for v in new], [v.bound for v in old], rtol=1e-12, atol=0
         )
 
-    @pytest.mark.parametrize("batch, budget_moves", [(8, 0), (32, 1)], ids=["8", "32"])
+    @pytest.mark.parametrize("batch, budget_moves", [(8, 0), (32, 0)], ids=["8", "32"])
     def test_batch_size_moves_no_verdict(self, monkeypatch, batch, budget_moves):
         # a domain's children depend only on that domain, so popping many
         # domains per step closes the same tree as popping one: verified
@@ -653,7 +665,10 @@ class TestBabVerify:
         # and a falsified search returns a genuine counterexample.  A wide
         # step bounds domains that one-domain steps never reach before the
         # falsifying leaf, so a falsified search may instead use up its
-        # budget: this happens on exactly ``budget_moves`` cases
+        # budget: this happens on exactly ``budget_moves`` cases.  Since a
+        # linear leaf is decided in the step that bounds it, no pin case
+        # does so (case 12 did at 32 while its falsifying leaf waited in
+        # the heap)
         import graftcert.verifier as verifier
 
         monkeypatch.setattr(verifier, "_BAB_BATCH", batch)
@@ -768,7 +783,7 @@ class TestBabVerify:
             bab_verify(net, spec, box, budget, seed=seed, root_inter=root_inter)
             # the builds outside a bounding pass, a leaf and the root's
             # bound: the root branch's, before the first bounding pass,
-            # when the search pops its root, which branches or is a leaf
+            # when the search admits its root, which branches or is a leaf
             searched = run["bound"] + run["leaf"] > 0
             rest = [(n, h) for p, n, h in run["builds"] if p == "search"]
             assert rest == [(0, h) for h in run["hidden"] if searched]
@@ -832,6 +847,42 @@ class TestBabVerify:
                 most = max(most, seen["doublings"])
         assert statuses == set(VerdictStatus)
         assert most >= 2 and seen["reused"] > 0 and seen["leaves"] > 0
+
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_frontier_holds_only_branchable_domains(self, monkeypatch, batch):
+        # a linear leaf is decided in the step that bounds it: the store
+        # never holds one, so every pop branches, and BaB resolves a leaf
+        # only while its bound, the box minimum of its affine function, is
+        # not positive.  A step whose children all close or resolve puts
+        # zero rows
+        import graftcert.verifier as verifier
+
+        monkeypatch.setattr(verifier, "_BAB_BATCH", batch)
+        seen = Counter()
+
+        class CheckingFrontier(verifier._Frontier):
+            def put(self, rows):
+                assert (rows.branch >= 0).all()
+                seen["rows"] += len(rows.bound)
+                seen["empty puts"] += len(rows.bound) == 0
+                return super().put(rows)
+
+        leaf = verifier._resolve_linear_leaf
+
+        def checking_leaf(net, box, split, inter, spec):
+            # the leaf's one stacked row as 1-D arrays, for the reference
+            one = lambda a: a[0, 0]
+            flat = LayerBounds(tuple(map(one, inter.lower)), tuple(map(one, inter.upper)), net.grafted)
+            codes = SplitAssignment(tuple(map(one, split.codes)))
+            exact_min, _ = _box_minimum(net, box, codes, flat, spec)
+            assert exact_min <= 0.0
+            seen["leaves"] += 1
+            return leaf(net, box, split, inter, spec)
+
+        monkeypatch.setattr(verifier, "_Frontier", CheckingFrontier)
+        monkeypatch.setattr(verifier, "_resolve_linear_leaf", checking_leaf)
+        self._pin_verdicts()
+        assert seen["rows"] > 500 and seen["leaves"] > 20 and seen["empty puts"] > 0, seen
 
     def test_store_row_bytes(self, monkeypatch):
         # a store row holds a domain's bounds (2 sides x 394 floats on the
@@ -929,7 +980,8 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
     # pending domain: it stacked the popped parents' arrays into rows for
     # the bounding call and copied each kept child back out of them (no
     # wall clock: budgets here count domains only), with the root attack
-    # run once a search ends open
+    # run once a search ends open.  A linear leaf is decided in the step
+    # that bounds it and never pushed
     explored = 1
     discarded = False
 
@@ -943,6 +995,18 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         cex = None if cex is None else np.asarray(cex, dtype=np.float64)
         return VerdictRecord(status, float(bound), cex, 0.0, explored)
 
+    def leaf(dom):
+        # the leaf's verdict when it falsifies, else None once discarded
+        nonlocal discarded
+        kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom.split, dom.inter, spec)
+        if kind == "falsified":
+            return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
+        x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
+        if val < 0.0:
+            return verdict(VerdictStatus.FALSIFIED, val, x_adv)
+        discarded = True
+        return None
+
     root_split = SplitAssignment.free(net)
     inter = compute_bounds(net, box, root_split, "crown") if root_inter is None else root_inter
     root_bound = crown_lower_bound(net, box, root_split, inter, spec.coeffs, spec.const)
@@ -950,7 +1014,13 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         return verdict(VerdictStatus.VERIFIED, root_bound)
     signed = (None,) + _sign_split(net.layers[1:])
     root_branch = int(_branch_on(_domain_lines(net, inter, root_split)))
-    heap = [(root_bound, 0, _Record(root_split, root_bound, inter, root_branch))]
+    root = _Record(root_split, root_bound, inter, root_branch)
+    heap = []
+    if root.branch < 0:
+        if (out := leaf(root)) is not None:
+            return out
+    else:
+        heap.append((root_bound, 0, root))
     counter = 1
     verified_floor = np.inf
     offsets = net.layer_offsets()
@@ -969,26 +1039,7 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
         room = min(batch, (budget.max_domains - explored) // 2)
         if room < 1:
             return verdict(VerdictStatus.TIMEOUT, heap[0][0])
-        parents = []
-        for _ in range(room):
-            if not heap:
-                break
-            dom = heapq.heappop(heap)[2]
-            if dom.branch < 0:
-                kind, leaf_val, witness = _resolve_linear_leaf(net, box, dom.split, dom.inter, spec)
-                if kind == "verified":
-                    verified_floor = min(verified_floor, leaf_val)
-                    continue
-                if kind == "falsified":
-                    return verdict(VerdictStatus.FALSIFIED, leaf_val, witness)
-                x_adv, val = _minimize_spec(net, spec, box, _LEAF_ATTACK_STEPS, witness[None, :])
-                if val < 0.0:
-                    return verdict(VerdictStatus.FALSIFIED, val, x_adv)
-                discarded = True
-                continue
-            parents.append(dom)
-        if not parents:
-            continue
+        parents = [heapq.heappop(heap)[2] for _ in range(min(room, len(heap)))]
         neurons = np.repeat([p.branch for p in parents], 2)
         codes = np.repeat(np.stack([p.split.flat() for p in parents]), 2, axis=0)
         codes[np.arange(len(neurons)), neurons] = np.tile(
@@ -1018,14 +1069,19 @@ def _record_loop_bab(net, spec, box, budget, seed, root_inter, batch):
                 row(child, r, p.inter, h),
                 int(branch[r]),
             )
-            heapq.heappush(heap, (cb, counter, kid))
-            counter += 1
+            if kid.branch >= 0:
+                heapq.heappush(heap, (cb, counter, kid))
+                counter += 1
+            elif (out := leaf(kid)) is not None:
+                return out
     return verdict(VerdictStatus.VERIFIED, verified_floor)
 
 
-def _reference_linear_leaf(net, box, split, inter, spec):
+def _box_minimum(net, box, split, inter, spec):
     # the dedicated back-substitution loop that _resolve_linear_leaf ran
-    # before it shared the CROWN backward pass; the floats must not change
+    # before it shared the CROWN backward pass, on 1-D bounds and codes:
+    # the box minimum of a linear leaf's affine function and its witness
+    # corner; the floats must not change
     lines = _domain_lines(net, inter, split)
     A = spec.coeffs[None, :]
     const = np.array([spec.const])
@@ -1039,7 +1095,12 @@ def _reference_linear_leaf(net, box, split, inter, spec):
             A = A * slope
     a = A[0]
     witness = np.where(a > 0.0, box.lower, box.upper)
-    exact_min = float(np.where(a > 0.0, a * box.lower, a * box.upper).sum() + float(const[0]))
+    return float(np.where(a > 0.0, a * box.lower, a * box.upper).sum() + float(const[0])), witness
+
+
+def _reference_linear_leaf(net, box, split, inter, spec):
+    # _resolve_linear_leaf when it still told a positive box minimum apart
+    exact_min, witness = _box_minimum(net, box, split, inter, spec)
     if exact_min > 0.0:
         return ("verified", exact_min, None)
     logits, _, _ = forward_batch(net, witness[None, :])
@@ -1051,8 +1112,11 @@ def _reference_linear_leaf(net, box, split, inter, spec):
 
 class TestLinearLeaf:
     def test_matches_dedicated_loop_reference(self):
-        # every neuron forced or grafted, so the domain is a linear leaf
-        kinds = set()
+        # every neuron forced or grafted, so the domain is a linear leaf.
+        # Where the reference verifies (a positive box minimum, which BaB
+        # never resolves), the leaf is discarded at the same minimum, or
+        # falsified at a box point where the net is below zero
+        kinds, positive = set(), 0
         for seed in range(40):
             rng = np.random.default_rng(6000 + seed)
             widths = [int(rng.integers(2, 6))]
@@ -1077,10 +1141,20 @@ class TestLinearLeaf:
                 got = _resolve_linear_leaf(net, box, split, inter, spec)
                 want = _reference_linear_leaf(net, box, split, inter, spec)
                 key = lambda r: (r[0], r[1].hex(), None if r[2] is None else r[2].tobytes())
-                assert key(got) == key(want)
-                assert key(_resolve_linear_leaf(net, box, row_split, row, spec)) == key(want)
+                assert key(_resolve_linear_leaf(net, box, row_split, row, spec)) == key(got)
                 kinds.add(got[0])
-        assert kinds == {"verified", "falsified", "discard"}
+                if want[0] != "verified":
+                    assert key(got) == key(want)
+                    continue
+                positive += 1
+                kind, value, witness = got
+                if kind == "discard":
+                    assert value.hex() == want[1].hex()
+                else:
+                    assert kind == "falsified" and box.contains(witness, atol=0)
+                    assert value == spec.value(forward(net, witness)[0]) < 0.0
+        # 27 specs, 54 calls with the stacked row's
+        assert kinds == {"falsified", "discard"} and positive == 27
 
 
 class TestDiscardedLeaf:
